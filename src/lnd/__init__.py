@@ -3,7 +3,6 @@ their exponential automorphisms, and the unipotent centralizer calculus."""
 
 from .arith import (
     Poly,
-    Rational,
     XYZ,
     YZ,
     ZP,

@@ -24,10 +24,6 @@ from typing import Iterable, Mapping
 
 from .errors import MissingImageError, NonDivisibleError, RingMismatchError
 
-# Exact rational scalar type; always stored in lowest terms with a positive
-# denominator (fractions.Fraction guarantees both).
-Rational = Fraction
-
 # Coefficients are stored as plain int whenever the value is integral (int
 # and Fraction compare and hash equal for equal values, so this is purely a
 # speed representation; no observable behavior depends on it).
@@ -615,19 +611,6 @@ def poly_to_str(p: Poly) -> str:
         else:
             pieces.append(f" - {body}" if negative else f" + {body}")
     return "".join(pieces)
-
-
-def arithmetic(p: Poly, q: Poly, op: str) -> Poly:
-    """Dispatch helper mirroring the basic ring operations by name."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    if op == "neg":
-        return -p
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def is_univariate_in(p: Poly, var: str) -> bool:

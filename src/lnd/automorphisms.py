@@ -5,10 +5,13 @@ An automorphism is stored through its pullback images: the triple
 pullbacks compose in reverse: (g o h)* = h* o g*.  That convention is fixed
 here once and stated wherever an identity depends on it.
 
-General inversion is deliberately not provided.  Inverses exist for
-automorphisms carrying a witness, for affine maps (exact linear solve), and
-for unipotent maps (exponential of the negated logarithm); everything the
-constructions in this package produce falls in one of those classes.
+General inversion is deliberately not provided.  Each automorphism has one
+inverse slot holding its inverse, a zero-argument thunk that builds it, or
+None.  The constructions of this package fill the slot with a thunk: exp(-D)
+for an exponential, the reversed word for a pair of N, the reversed
+composition when both factors can be inverted.  With an empty slot, affine
+maps are inverted by an exact linear solve and unipotent maps as the
+exponential of the negated logarithm.
 """
 
 from __future__ import annotations
@@ -27,39 +30,25 @@ from .errors import (
 
 
 class Automorphism:
-    """Endomorphism of A^3 given by pullbacks, with an optional inverse witness.
+    """Endomorphism of A^3 given by pullbacks, with one inverse slot.
 
-    Equality and hashing look only at the pullback triple; the witness is a
-    certificate, not part of the value.  When a witness is present, both
-    compositions with it are the identity (checked on construction).
+    Equality and hashing look only at the pullback triple; the slot is
+    evidence of invertibility, not part of the value.  `_inverse` holds the
+    inverse automorphism, a zero-argument thunk that returns it, or None;
+    `inverse()` calls a thunk at most once and then links the two
+    automorphisms to each other.
     """
 
-    __slots__ = ("pullback_x", "pullback_y", "pullback_z", "inverse_witness", "inverse_factory")
+    __slots__ = ("pullback_x", "pullback_y", "pullback_z", "_inverse")
 
-    def __init__(
-        self,
-        pullback_x: Poly,
-        pullback_y: Poly,
-        pullback_z: Poly,
-        inverse_witness: "Automorphism | None" = None,
-        *,
-        _trust_witness: bool = False,
-    ):
+    def __init__(self, pullback_x: Poly, pullback_y: Poly, pullback_z: Poly):
         for img in (pullback_x, pullback_y, pullback_z):
             if img.vars != XYZ:
                 raise RingMismatchError("pullbacks must live in the (x, y, z) ring")
         self.pullback_x = pullback_x
         self.pullback_y = pullback_y
         self.pullback_z = pullback_z
-        self.inverse_witness = inverse_witness
-        # Deferred witness construction; invoked at most once by inverse().
-        self.inverse_factory = None
-        if inverse_witness is not None and not _trust_witness:
-            if (
-                compose(self, inverse_witness) != identity()
-                or compose(inverse_witness, self) != identity()
-            ):
-                raise ValueError("inverse witness fails to invert")
+        self._inverse = None
 
     @property
     def pullbacks(self) -> dict[str, Poly]:
@@ -92,15 +81,9 @@ class Automorphism:
         )
 
 
-def link_inverses(fwd: Automorphism, bwd: Automorphism) -> None:
-    """Attach two automorphisms as each other's inverse witnesses."""
-    fwd.inverse_witness = bwd
-    bwd.inverse_witness = fwd
-
-
 def identity() -> Automorphism:
     g = Automorphism(*(Poly.variable(XYZ, v) for v in XYZ))
-    g.inverse_witness = g
+    g._inverse = g
     return g
 
 
@@ -110,11 +93,7 @@ def pullback(g: Automorphism, p: Poly) -> Poly:
 
 
 def _invertible_evidence(g: Automorphism) -> bool:
-    return (
-        g.inverse_witness is not None
-        or g.inverse_factory is not None
-        or is_affine(g)
-    )
+    return g._inverse is not None or is_affine(g)
 
 
 def compose(g: Automorphism, h: Automorphism) -> Automorphism:
@@ -127,7 +106,7 @@ def compose(g: Automorphism, h: Automorphism) -> Automorphism:
         )
     )
     if _invertible_evidence(g) and _invertible_evidence(h):
-        out.inverse_factory = lambda: compose(inverse(h), inverse(g))
+        out._inverse = lambda: compose(inverse(h), inverse(g))
     return out
 
 
@@ -167,26 +146,25 @@ def _affine_inverse(g: Automorphism) -> Automorphism:
     h = Automorphism(*images)
     if compose(g, h) != identity() or compose(h, g) != identity():
         raise NotInvertibleError("affine inverse verification failed")
-    link_inverses(g, h)
     return h
 
 
 def inverse(g: Automorphism) -> Automorphism:
-    """Inverse via witness, deferred factory, affine solve, or unipotent
-    logarithm, in that order."""
-    if g.inverse_witness is not None:
-        return g.inverse_witness
-    if g.inverse_factory is not None:
-        back = g.inverse_factory()
-        link_inverses(g, back)
-        return back
-    if is_affine(g):
-        return _affine_inverse(g)
-    from . import derivations
+    """The inverse from g's slot, else by affine solve or unipotent logarithm.
 
-    d = derivations.logarithm(g)
-    back = derivations.exponential(derivations.scale(Fraction(-1), d))
-    link_inverses(g, back)
+    A computed inverse is stored in g's slot and g in the inverse's, so
+    each inverse is built at most once.
+    """
+    back = g._inverse
+    if isinstance(back, Automorphism):
+        return back
+    if back is not None:
+        back = back()
+    elif is_affine(g):
+        back = _affine_inverse(g)
+    else:
+        back = inverse_unipotent(g)
+    g._inverse, back._inverse = back, g
     return back
 
 
@@ -195,9 +173,7 @@ def inverse_unipotent(u: Automorphism) -> Automorphism:
     from . import derivations
 
     d = derivations.logarithm(u)
-    back = derivations.exponential(derivations.scale(Fraction(-1), d))
-    link_inverses(u, back)
-    return back
+    return derivations.exponential(derivations.scale(Fraction(-1), d))
 
 
 def modification(f: Poly, u: Automorphism) -> Automorphism:

@@ -64,9 +64,6 @@ _KEYWORDS = {"torus"}
 _RESERVED = {"n", "gelem", "compose", "check", "poly", "unipoly", "derivation",
              "automorphism", "planeaut", "divisor", "context", "law"}
 
-# Exponent guard for untrusted corpus text (multi-term bases only).
-MAX_PARSED_POWER = 999
-
 
 @dataclass(frozen=True)
 class ContextSpec:
@@ -183,8 +180,7 @@ class _CorpusParser(ExprParser):
         return tok
 
     def parse_expr_in(self, vars: tuple[str, ...]) -> Poly:
-        node = self.parse_expr()
-        return eval_expr(node, vars, max_power=MAX_PARSED_POWER)
+        return eval_expr(self.parse_expr(), vars)
 
     def parse_int(self, what: str = "an integer") -> int:
         sign = 1

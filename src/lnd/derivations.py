@@ -148,38 +148,36 @@ def is_locally_nilpotent(
 
 
 def exponential(d: Derivation, cap: int = DEFAULT_CAP) -> Automorphism:
-    """The automorphism with pullbacks sum_i d^i(v)/i!; inverse is exp(-d)."""
-    evidence = is_locally_nilpotent(d, cap)
-    if not evidence.is_nilpotent:
-        raise NotLocallyNilpotentError(
-            f"no nilpotency certificate within {cap} iterations"
-        )
-    fwd = Automorphism(*_exp_images(d))
-    fwd.inverse_factory = lambda: Automorphism(*_exp_images(scale(Fraction(-1), d)))
+    """The automorphism with pullbacks sum_i d^i(v)/i!; inverse is exp(-d).
+
+    The series on each generator is its own nilpotency certificate: it must
+    reach zero within the bounds of `is_locally_nilpotent`, or this raises
+    NotLocallyNilpotentError.
+    """
+    fwd = Automorphism(*_exp_images(d, cap))
+    fwd._inverse = lambda: exponential(scale(Fraction(-1), d), cap)
     return fwd
 
 
-def _exp_images(d: Derivation) -> list[Poly]:
+def _exp_images(d: Derivation, cap: int) -> list[Poly]:
     images = []
     for v in XYZ:
-        term = Poly.variable(XYZ, v)
-        total = term
-        i = 1
+        term = total = Poly.variable(XYZ, v)
+        k = 0
+        factorial = 1
         while True:
+            if k >= cap or len(term.terms) > DEFAULT_MAX_TERMS:
+                raise NotLocallyNilpotentError(
+                    f"no nilpotency certificate within {cap} iterations"
+                )
             term = apply(d, term)
             if term.is_zero():
                 break
-            total = total + term * Fraction(1, _factorial(i))
-            i += 1
+            k += 1
+            factorial *= k
+            total = total + term * Fraction(1, factorial)
         images.append(total)
     return images
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def apply_exp(w: Derivation, p: Poly, cap: int = DEFAULT_CAP) -> Poly:
@@ -267,7 +265,11 @@ def logarithm(
             k += 1
         images.append(total)
     d = Derivation(*images)
-    if _exp_images(d) != list(u.pullbacks.values()):
+    try:
+        back = _exp_images(d, cap)
+    except NotLocallyNilpotentError:
+        back = None
+    if back != list(u.pullbacks.values()):
         raise NotUnipotentError("logarithm round-trip failed: u is not unipotent")
     return d
 
@@ -453,8 +455,9 @@ def standard_decomposition(u: Automorphism) -> tuple[Poly, Automorphism]:
     """Split a unipotent u as d . u' with u' irreducible and d invariant.
 
     d is the monic gcd of the generator images of log(u); each image divides
-    exactly; the stripped derivation must be locally nilpotent, irreducible
-    and must exponentiate back consistently.
+    exactly; the stripped derivation must be locally nilpotent and
+    irreducible.  d . u' = u needs no separate check: logarithm certified
+    exp(log u) = u, and the exact divisions make d * stripped = log u.
     """
     if u == identity():
         raise ValueError("the identity has no standard decomposition")
@@ -468,13 +471,12 @@ def standard_decomposition(u: Automorphism) -> tuple[Poly, Automorphism]:
     )
     if not apply(d_log, d).is_zero():
         raise VerificationError("content of the log images is not invariant")
-    if not is_locally_nilpotent(stripped).is_nilpotent:
-        raise VerificationError("stripped derivation lost local nilpotency")
+    try:
+        u_prime = exponential(stripped)
+    except NotLocallyNilpotentError:
+        raise VerificationError("stripped derivation lost local nilpotency") from None
     if not is_irreducible(stripped):
         raise VerificationError("stripped derivation is not irreducible")
-    u_prime = exponential(stripped)
-    if exponential(scale_poly(d, stripped)) != u:
-        raise VerificationError("decomposition does not recompose to u")
     return d, u_prime
 
 

@@ -10,6 +10,7 @@ finite-order cases certified inside cyclotomic quotient rings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,19 +206,10 @@ def affine_symmetries(a: Poly) -> DivisorSymmetry:
     if len(support) == 1:
         return DivisorSymmetry(center, None, support[0])
     base = support[0]
-    order = 0
-    for e in support[1:]:
-        diff = e - base
-        order = diff if order == 0 else _gcd(order, diff)
+    order = math.gcd(*(e - base for e in support[1:]))
     k0 = base % order
     _certify_symmetry(recentred, order, k0)
     return DivisorSymmetry(center, order, k0)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _certify_symmetry(recentred: Poly, order: int, k0: int) -> None:
@@ -275,12 +267,11 @@ def lift_to_H(g: PlaneAut, div: PlaneDivisor) -> Automorphism:
         g.pullback_z.to_ring(XYZ),
     )
     if g.inverse_witness is not None:
-        sigma.inverse_witness = Automorphism(
+        sigma._inverse = lambda: Automorphism(
             Poly.variable(XYZ, "x") * (Fraction(1) / lam),
             g.inverse_witness.pullback_y.to_ring(XYZ),
             g.inverse_witness.pullback_z.to_ring(XYZ),
         )
-        sigma.inverse_witness.inverse_witness = sigma
     translation = Automorphism(
         Poly.variable(XYZ, "x") + div.a.to_ring(XYZ),
         Poly.variable(XYZ, "y"),

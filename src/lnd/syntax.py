@@ -20,6 +20,10 @@ from fractions import Fraction
 from .arith import Poly
 from .errors import ParseError
 
+# Exponent guard against bombs like (x + y)^3000 in untrusted text; applies
+# to multi-term bases only, since a monomial power costs nothing.
+MAX_PARSED_POWER = 999
+
 _SYMBOLS = ("->", "{", "}", "(", ")", "[", "]", ",", ";", "=", "+", "-", "*", "/", "^")
 
 
@@ -204,11 +208,11 @@ class ExprParser:
         raise self.error(f"expected an expression, found {tok.text or 'end of input'!r}")
 
 
-def eval_expr(node: Expr, vars: tuple[str, ...], *, max_power: int | None = None) -> Poly:
+def eval_expr(node: Expr, vars: tuple[str, ...]) -> Poly:
     """Evaluate an expression AST into the given ring.
 
-    `max_power` guards against exponent bombs on multi-term bases when
-    evaluating untrusted input; the core library itself has no such limit.
+    A power of a multi-term base above MAX_PARSED_POWER is a positioned
+    ParseError; the core library itself has no such limit.
     """
     if isinstance(node, Num):
         return Poly.const(vars, node.value)
@@ -221,22 +225,18 @@ def eval_expr(node: Expr, vars: tuple[str, ...], *, max_power: int | None = None
             )
         return Poly.variable(vars, node.name)
     if isinstance(node, Neg):
-        return -eval_expr(node.operand, vars, max_power=max_power)
+        return -eval_expr(node.operand, vars)
     if isinstance(node, BinOp):
-        left = eval_expr(node.left, vars, max_power=max_power)
-        right = eval_expr(node.right, vars, max_power=max_power)
+        left = eval_expr(node.left, vars)
+        right = eval_expr(node.right, vars)
         if node.op == "+":
             return left + right
         if node.op == "-":
             return left - right
         return left * right
     if isinstance(node, Pow):
-        base = eval_expr(node.base, vars, max_power=max_power)
-        if (
-            max_power is not None
-            and node.exponent > max_power
-            and len(base.terms) > 1
-        ):
+        base = eval_expr(node.base, vars)
+        if node.exponent > MAX_PARSED_POWER and len(base.terms) > 1:
             raise ParseError(
                 f"exponent {node.exponent} too large for a multi-term base",
                 node.line,
@@ -264,7 +264,7 @@ def expr_to_str(node: Expr, parent: str = "") -> str:
             needs = parent in ("^",)
         else:
             text = f"{left} {node.op} {right}"
-            needs = parent in ("*", "^", "neg", "+r", "-r")
+            needs = parent in ("*", "*r", "^", "neg", "+r", "-r")
         return f"({text})" if needs else text
     if isinstance(node, Pow):
         base = expr_to_str(node.base, "^")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lnd.arith import XYZ, Poly
+from lnd.arith import XYZ, ZP, Poly
 from lnd.automorphisms import (
     Automorphism,
     commutes,
@@ -16,6 +16,7 @@ from lnd.automorphisms import (
     mu_character,
     quotient_action,
 )
+from lnd.delta_family import make_context, n_elem, n_to_aut
 from lnd.derivations import delta, exponential, logarithm, scale_poly
 from lnd.errors import (
     NotInKernelError,
@@ -84,6 +85,29 @@ def test_inverse_unipotent():
 def test_inverse_affine():
     g = Automorphism(p("2*x + z + 1"), p("y - 3"), p("-z"))
     h = inverse(g)
+    assert compose(g, h) == identity()
+    assert compose(h, g) == identity()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: exponential(D_P),
+        lambda: n_to_aut(
+            n_elem(parse_poly("z^2 - 1", ZP), parse_poly("z*P + 2", ZP)),
+            make_context(P, deg_max=3),
+        ),
+        lambda: compose(exponential(D_P), exponential(scale_poly(Z, D_P))),
+        lambda: Automorphism(p("2*x + z + 1"), p("y - 3"), p("-z")),
+        lambda: Automorphism(p("x + y^2"), Y, Z),
+    ],
+    ids=["exponential", "n_to_aut", "compose", "affine", "unipotent"],
+)
+def test_inverse_is_built_once_and_linked(build):
+    g = build()
+    h = inverse(g)
+    assert inverse(g) is h
+    assert inverse(h) is g
     assert compose(g, h) == identity()
     assert compose(h, g) == identity()
 

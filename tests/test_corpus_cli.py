@@ -1,4 +1,5 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,53 @@ def test_print_parse_idempotent_on_shipped():
         assert printed == again, path.name
 
 
+def _expr_leaves(value):
+    """Every expression AST inside a directive argument value."""
+    if isinstance(value, corpus.ExprValue):
+        yield value.ast
+    elif isinstance(value, corpus.ListValue):
+        for item in value.items:
+            yield item.ast
+    elif isinstance(value, (corpus.NElemValue, corpus.GElemValue)):
+        yield value.h.ast
+        yield value.f.ast
+
+
+def _argument_values(case):
+    """Each expression argument of each directive, evaluated over (x, y, z, P)."""
+    from lnd.syntax import eval_expr
+
+    return [
+        eval_expr(node, ("x", "y", "z", "P"))
+        for directive in case.directives
+        for arg in directive.args
+        for node in _expr_leaves(arg.value)
+    ]
+
+
+# The hand cases parse after this prelude, which defines the names they use.
+_PRELUDE = "context C { P = x*z + y^2 }\nderivation D { x -> 1; y -> 0; z -> 0 }\n"
+_HAND_ARGUMENTS = [
+    "divisor_symmetry_expect(z*(2*z^2 - 3))",
+    "divisor_symmetry_expect(-(z + 1)*z - (z - (3 - z)))",
+    "divisor_symmetry_expect(2/3*(z + 1)^3*(z - 1), mu = 1/2*(1 - 3))",
+    "irreducibility_criterion(C, pair = n(z*(z + 1), P*-(P - z)))",
+    "plinth_expect(D, gens = [x*(y - z), (x + y)*(y + z)^2])",
+]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [path.read_text() for path in CORPORA]
+    + [f"{_PRELUDE}check {text}\n" for text in _HAND_ARGUMENTS],
+    ids=[path.stem for path in CORPORA] + _HAND_ARGUMENTS,
+)
+def test_printing_preserves_argument_values(source):
+    case = corpus.parse(source)
+    printed = corpus.parse(corpus.to_text(case))
+    assert _argument_values(printed) == _argument_values(case)
+
+
 def test_poly_definition_roundtrip():
     text = "poly P = x*z + y^2\n"
     printed = corpus.to_text(corpus.parse(text))
@@ -76,6 +124,16 @@ def test_run_captures_directive_errors():
     report = runner.run(case)
     assert [e.verdict for e in report.entries] == ["ERROR", "ERROR"]
     assert not report.ok
+
+
+def test_exponent_guard_covers_directive_arguments():
+    case = corpus.parse("check divisor_symmetry_expect((z+1)^3000)\n")
+    start = time.perf_counter()
+    report = runner.run(case)
+    assert time.perf_counter() - start < 5.0
+    (entry,) = report.entries
+    assert entry.verdict == "ERROR"
+    assert "too large" in entry.detail
 
 
 def test_run_captures_definition_errors():

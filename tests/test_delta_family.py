@@ -175,6 +175,11 @@ def test_aut_to_n_rejects_outsiders():
     flip = Automorphism(p("x"), p("y"), p("-z"))
     with pytest.raises(NotInNError):
         aut_to_n(flip, CTX)
+    # fixes P and Q, so both exact divisions succeed and only the final
+    # recomposition rejects it
+    double_flip = Automorphism(p("-x"), p("y"), p("-z"))
+    with pytest.raises(NotInNError):
+        aut_to_n(double_flip, CTX)
     homothety = Automorphism(p("2*x"), p("2*y"), p("2*z"))
     # commutes with u but acts nontrivially on the quotient: not in N
     assert commutes(homothety, CTX.u)
