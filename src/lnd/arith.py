@@ -19,6 +19,7 @@ round-trips byte for byte.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -473,11 +474,108 @@ def divides(q: Poly, p: Poly) -> bool:
 
 # -- greatest common divisors ---------------------------------------------
 #
-# Multivariate gcd by recursive content / primitive-part reduction: pick the
-# highest-priority variable present, strip contents (gcds in one fewer
-# variable), then run a pseudo-remainder sequence on the primitive parts,
-# keeping remainders primitive at every step.  Output is normalized so the
-# graded-lex leading coefficient is 1, and verified to divide both inputs.
+# gcd_multivariate first tries to prove the gcd constant from univariate
+# images modulo a fixed word-size prime (_coprime_by_images; Brown, J. ACM
+# 18(4), 1971).  That certificate settles the coprime case, which is what the
+# irreducibility checks ask, without any coefficient growth.  Any other
+# outcome -- a nonconstant image gcd, or no usable evaluation point within
+# the fixed attempts -- falls back to _gcd_prs, the one exact path for
+# nonconstant gcds: recursive content / primitive-part reduction, picking the
+# highest-priority variable present, stripping contents (gcds in one fewer
+# variable), then a pseudo-remainder sequence on the primitive parts, keeping
+# remainders primitive at every step.  A bad prime or point can only cost
+# time, never change a result.  Output is normalized so the graded-lex
+# leading coefficient is 1.
+
+# One prime per attempt; the evaluation point of an attempt is a fixed
+# function of the attempt and variable index, so every run certifies alike.
+_CERT_PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+def _integral_terms(p: Poly) -> dict[Monomial, int]:
+    """The terms of p times the lcm of its denominators: an integer polynomial."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+
+
+def _image_mod(
+    terms: dict[Monomial, int], i: int, point: list[int], prime: int
+) -> list[int]:
+    """Dense coefficients (low to high) in variable i, every other variable
+    set to its point value, mod prime; trailing zeros stripped."""
+    coeffs = [0] * (1 + max(m[i] for m in terms))
+    for mono, c in terms.items():
+        value = c
+        for j, e in enumerate(mono):
+            if e and j != i:
+                value = value * pow(point[j], e, prime)
+        coeffs[mono[i]] = (coeffs[mono[i]] + value) % prime
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
+    """A gcd of two dense polynomials over GF(prime) (Euclid)."""
+    while b:
+        inv = pow(b[-1], -1, prime)
+        db = len(b) - 1
+        a = a[:]
+        while len(a) > db:
+            c = a[-1] * inv % prime
+            shift = len(a) - 1 - db
+            for k in range(db):
+                a[shift + k] = (a[shift + k] - c * b[k]) % prime
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return a
+
+
+def _coprime_by_images(p: Poly, q: Poly) -> bool:
+    """True only if gcd(p, q) is a constant, proved by modular images.
+
+    Scale p and q to integer polynomials P and Q.  For each variable v in
+    which both have positive degree, map Z[vars] -> GF(prime)[v] by reducing
+    mod a fixed prime and setting every other variable to a fixed point,
+    chosen so the leading coefficient of P in v does not vanish there; then
+    require gcd(image P, image Q) to have degree 0.
+
+    Why this is sound: take g primitive over Z with g | p and g | q.  By
+    Gauss's lemma g | P and g | Q over Z, so the quotients are integral and
+    the images of g divide both images.  The leading coefficient in v is
+    multiplicative, lc_v(P) = lc_v(g) * lc_v(P / g), and it does not vanish
+    at the point, so neither does lc_v(g): the image of g keeps degree
+    deg_v(g), which is therefore at most the image gcd's degree, 0.  In a
+    variable where only one of p, q has positive degree, g divides a nonzero
+    polynomial of degree 0 in v, so again deg_v(g) = 0.  Hence g is constant.
+
+    False means "not proved": the images share a factor, or no attempt gave
+    a usable point; the caller then computes the gcd exactly.
+    """
+    deg_p = [p.degree_in(v) for v in p.vars]
+    deg_q = [q.degree_in(v) for v in q.vars]
+    shared = [i for i in range(len(p.vars)) if deg_p[i] and deg_q[i]]
+    if not shared:
+        return True
+    int_p, int_q = _integral_terms(p), _integral_terms(q)
+    for i in shared:
+        for attempt, prime in enumerate(_CERT_PRIMES):
+            point = [
+                0x9E3779B1 * (attempt * len(p.vars) + j + 1) % prime
+                for j in range(len(p.vars))
+            ]
+            image_p = _image_mod(int_p, i, point, prime)
+            if len(image_p) - 1 < deg_p[i]:
+                continue  # lc_v(P) vanishes at this point: try the next one
+            image_q = _image_mod(int_q, i, point, prime)
+            if len(_gcd_mod(image_p, image_q, prime)) > 1:
+                return False
+            break
+        else:
+            return False
+    return True
 
 
 def _univ_split(p: Poly, i: int) -> dict[int, Poly]:
@@ -519,12 +617,29 @@ def _prem(a: Poly, b: Poly, i: int) -> Poly:
 
 
 def _content_in(p: Poly, i: int) -> Poly:
-    coeffs = list(_univ_split(p, i).values())
-    return gcd_many(coeffs)
+    """Monic gcd of p's coefficients in variable index i (p nonzero), by PRS."""
+    acc: Poly | None = None
+    for coeff in _univ_split(p, i).values():
+        acc = coeff.monic() if acc is None else _gcd_prs(acc, coeff)
+        if acc.is_constant():
+            return Poly.one(p.vars)
+    return acc
 
 
 def gcd_multivariate(p: Poly, q: Poly) -> Poly:
-    """A greatest common divisor, monic in graded-lex leading coefficient."""
+    """A greatest common divisor, monic in graded-lex leading coefficient.
+
+    A constant gcd is certified from modular images when it can be
+    (_coprime_by_images); everything else is the exact primitive PRS.
+    """
+    p._check_ring(q)
+    if not p.is_zero() and not q.is_zero() and _coprime_by_images(p, q):
+        return Poly.one(p.vars)
+    return _gcd_prs(p, q)
+
+
+def _gcd_prs(p: Poly, q: Poly) -> Poly:
+    """gcd by the primitive pseudo-remainder sequence, exact over Q."""
     p._check_ring(q)
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
@@ -544,7 +659,7 @@ def gcd_multivariate(p: Poly, q: Poly) -> Poly:
     cont_q = _content_in(q, i)
     pp_p = divide_exact(p, cont_p)
     pp_q = divide_exact(q, cont_q)
-    cont = gcd_multivariate(cont_p, cont_q)
+    cont = _gcd_prs(cont_p, cont_q)
     if pp_p.degree_in(p.vars[i]) < pp_q.degree_in(p.vars[i]):
         pp_p, pp_q = pp_q, pp_p
     a, b = pp_p, pp_q

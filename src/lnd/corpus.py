@@ -35,7 +35,7 @@ from .automorphisms import Automorphism
 from .derivations import Derivation
 from .errors import ParseError
 from .quotient_geometry import PlaneAut, plane_divisor
-from .syntax import ExprParser, Token, eval_expr, expr_to_str, tokenize
+from .syntax import ExprParser, Token, eval_expr, expr_to_str, token_int, tokenize
 
 # Directive vocabulary; unknown directives are positioned parse errors.
 DIRECTIVES = (
@@ -191,7 +191,7 @@ class _CorpusParser(ExprParser):
         if tok.kind != "num":
             raise self.error(f"expected {what}")
         self.advance()
-        return sign * int(tok.text)
+        return sign * token_int(tok)
 
     def parse_int_list(self) -> tuple[int, ...]:
         self.expect_sym("[")
@@ -466,14 +466,15 @@ class _CorpusParser(ExprParser):
         if tok.kind != "num":
             raise self.error("expected a rational number")
         self.advance()
-        numerator = int(tok.text)
+        numerator = token_int(tok)
         if self.at_sym("/"):
             self.advance()
             den_tok = self.peek()
-            if den_tok.kind != "num" or int(den_tok.text) == 0:
+            denominator = token_int(den_tok) if den_tok.kind == "num" else 0
+            if denominator == 0:
                 raise self.error("expected a nonzero integer denominator")
             self.advance()
-            return Fraction(sign * numerator, int(den_tok.text))
+            return Fraction(sign * numerator, denominator)
         return Fraction(sign * numerator)
 
 

@@ -472,9 +472,8 @@ def irreducibility_criterion_check(ctx: DeltaContext, n: NElem) -> Irreducibilit
         g = gcd_multivariate(n.h, n.f)
     content = gcd_many(w.images)
     if g.is_constant():
-        return IrreducibilityReport(
-            g, content, True, is_irreducible(w), content.is_constant()
-        )
+        irreducible = content.is_constant()
+        return IrreducibilityReport(g, content, True, irreducible, irreducible)
     expanded = expand_kernel_poly(ctx, g).monic()
     return IrreducibilityReport(g, content, False, None, expanded == content)
 

@@ -20,8 +20,9 @@ from fractions import Fraction
 from .arith import Poly
 from .errors import ParseError
 
-# Exponent guard against bombs like (x + y)^3000 in untrusted text; applies
-# to multi-term bases only, since a monomial power costs nothing.
+# Exponent guard against bombs like (x + y)^3000 or 7^99999999999 in
+# untrusted text; only a monomial with coefficient 1 or -1 may exceed it,
+# since its power costs nothing.
 MAX_PARSED_POWER = 999
 
 _SYMBOLS = ("->", "{", "}", "(", ")", "[", "]", ",", ";", "=", "+", "-", "*", "/", "^")
@@ -83,6 +84,17 @@ def tokenize(text: str) -> list[Token]:
         raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("eof", "", line, col))
     return tokens
+
+
+def token_int(tok: Token) -> int:
+    """The value of a "num" token.  A literal longer than the interpreter
+    converts (`sys.get_int_max_str_digits`) is a positioned ParseError."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(
+            f"integer literal too long ({len(tok.text)} digits)", tok.line, tok.col
+        ) from None
 
 
 # -- expression AST ----------------------------------------------------------
@@ -179,23 +191,24 @@ class ExprParser:
             if tok.kind != "num":
                 raise self.error("expected a non-negative integer exponent after '^'")
             self.advance()
-            node = Pow(node, int(tok.text), caret.line, caret.col)
+            node = Pow(node, token_int(tok), caret.line, caret.col)
         return node
 
     def parse_primary(self) -> Expr:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            numerator = int(tok.text)
+            numerator = token_int(tok)
             if self.at_sym("/"):
                 self.advance()
                 denom_tok = self.peek()
                 if denom_tok.kind != "num":
                     raise self.error("expected an integer denominator after '/'")
                 self.advance()
-                if int(denom_tok.text) == 0:
+                denominator = token_int(denom_tok)
+                if denominator == 0:
                     raise ParseError("zero denominator", denom_tok.line, denom_tok.col)
-                return Num(Fraction(numerator, int(denom_tok.text)))
+                return Num(Fraction(numerator, denominator))
             return Num(Fraction(numerator))
         if tok.kind == "ident":
             self.advance()
@@ -211,8 +224,9 @@ class ExprParser:
 def eval_expr(node: Expr, vars: tuple[str, ...]) -> Poly:
     """Evaluate an expression AST into the given ring.
 
-    A power of a multi-term base above MAX_PARSED_POWER is a positioned
-    ParseError; the core library itself has no such limit.
+    A power above MAX_PARSED_POWER of anything but a monomial with
+    coefficient 1 or -1 is a positioned ParseError; the core library itself
+    has no such limit.
     """
     if isinstance(node, Num):
         return Poly.const(vars, node.value)
@@ -236,9 +250,11 @@ def eval_expr(node: Expr, vars: tuple[str, ...]) -> Poly:
         return left * right
     if isinstance(node, Pow):
         base = eval_expr(node.base, vars)
-        if node.exponent > MAX_PARSED_POWER and len(base.terms) > 1:
+        unit_monomial = len(base.terms) == 1 and abs(base.leading_coeff()) == 1
+        if node.exponent > MAX_PARSED_POWER and not unit_monomial:
             raise ParseError(
-                f"exponent {node.exponent} too large for a multi-term base",
+                f"exponent {node.exponent} too large for a base other than"
+                " a monomial with coefficient 1 or -1",
                 node.line,
                 node.col,
             )

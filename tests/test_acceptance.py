@@ -366,7 +366,7 @@ def test_criterion_8_irreducibility_criterion():
         assert d == expand_kernel_poly(ctx, g_factor).monic()
         assert is_irreducible(logarithm(u_prime))
         stripped += 1
-    _report(8, "100 coprime pairs irreducible; 20 contents stripped exactly", started, None)
+    _report(8, "100 coprime pairs irreducible; 20 contents stripped exactly", started, 15)
 
 
 def _oracle_cyclotomic_check(a, order, k0):
@@ -477,8 +477,9 @@ def test_criterion_12_cli_determinism_and_fuzz():
     alphabet = "abcxyzPQ0123456789+-*/^(){}[];=,.#'\"\\ \n\t->"
     parsed = 0
     ran = 0
-    for i in range(1000):
-        text = texts[i % len(texts)]
+
+    def fuzz(text):
+        nonlocal parsed, ran
         chars = list(text)
         for _ in range(rng.randint(1, 3)):
             op = rng.randrange(3)
@@ -494,11 +495,18 @@ def test_criterion_12_cli_determinism_and_fuzz():
             case = corpus.parse(mutated)
         except ParseError as err:
             assert err.line >= 1 and err.col >= 1
-            continue
+            return
         parsed += 1
         if ran < 25:
             report = runner.run(case, seed=1, budget=2, deg_max_cap=4)
             assert all(e.verdict in ("PASS", "FAIL", "ERROR") for e in report.entries)
             ran += 1
+
+    for i in range(1000):
+        fuzz(texts[i % len(texts)])
+    # A literal past the interpreter's int conversion limit, mutated further.
+    oversized = f"poly q = {'7' * 5000}\n" + small
+    for _ in range(40):
+        fuzz(oversized)
     assert parsed > 0
     _report(12, f"byte-identical reports; 1000 mutations yielded diagnostics/verdicts", started, 60)

@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from lnd.arith import (
+    _CERT_PRIMES,
     XYZ,
     ZP,
     ZVAR,
     Poly,
+    _coprime_by_images,
+    _gcd_prs,
     divide_exact,
     gcd_multivariate,
     integrate_in,
@@ -184,6 +187,67 @@ def test_gcd_divides_and_scales():
             lhs = gcd_multivariate(a * r, b * r)
             rhs = (g * r).monic()
             assert lhs == rhs
+
+
+def _rand_rational_poly(rng, vars, deg=3, nterms=4):
+    """Random polynomial with Fraction coefficients; about a third of the
+    time its top-degree terms in one variable get a factor of the first
+    certificate prime, so that leading coefficient vanishes mod that prime."""
+    out = Poly.zero(vars)
+    for _ in range(nterms):
+        exps = []
+        budget = deg
+        for _ in vars:
+            e = rng.randint(0, budget)
+            exps.append(e)
+            budget -= e
+        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        out = out + Poly(vars, {tuple(exps): coeff})
+    if out.is_zero() or rng.random() > 0.35:
+        return out
+    i = rng.randrange(len(vars))
+    top = max(m[i] for m in out.terms)
+    return Poly(
+        vars,
+        {m: c * _CERT_PRIMES[0] if m[i] == top else c for m, c in out.terms.items()},
+    )
+
+
+# Degrees stay small because the PRS oracle is slow on larger common factors.
+@pytest.mark.parametrize(
+    "vars, seed, deg", [(XYZ, 31, 2), (ZP, 37, 3)], ids=["xyz", "zP"]
+)
+def test_gcd_certificate_agrees_with_prs(vars, seed, deg):
+    rng = random.Random(seed)
+    certified = 0
+    for _ in range(40):
+        a = _rand_rational_poly(rng, vars, deg=deg)
+        b = _rand_rational_poly(rng, vars, deg=deg)
+        if a.is_zero() or b.is_zero():
+            continue
+        g = gcd_multivariate(a, b)
+        assert g == _gcd_prs(a, b), (a, b)
+        certified += _coprime_by_images(a, b)
+        factor = _rand_rational_poly(rng, vars, deg=2, nterms=3)
+        if factor.is_constant():
+            continue
+        common = gcd_multivariate(a * factor, b * factor)
+        divide_exact(common, factor)
+        assert not _coprime_by_images(a * factor, b * factor)
+    assert certified >= 10
+
+
+def test_gcd_certificate_skips_bad_points():
+    b = p("x + z")
+    # lc_x = p1*y vanishes mod the first prime only: the next attempt certifies.
+    a = Poly(XYZ, {(1, 1, 0): Fraction(_CERT_PRIMES[0]), (0, 0, 0): Fraction(1)})
+    assert _coprime_by_images(a, b)
+    # lc_x = (p1*p2*p3)*y vanishes mod every certificate prime, so no attempt
+    # is usable and the exact PRS decides.
+    big = _CERT_PRIMES[0] * _CERT_PRIMES[1] * _CERT_PRIMES[2]
+    a = Poly(XYZ, {(1, 1, 0): Fraction(big), (0, 0, 0): Fraction(1)})
+    assert not _coprime_by_images(a, b)
+    assert gcd_multivariate(a, b) == _gcd_prs(a, b) == Poly.one(XYZ)
 
 
 def test_divide_exact_roundtrip():

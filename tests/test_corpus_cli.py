@@ -39,6 +39,8 @@ def test_parse_simple_definitions():
         ("poly Q = 5/0", "zero denominator"),
         ("law L { mu = [1] }", "law needs"),
         ("poly Q = (x + y)^2000", "too large"),
+        ("poly Q = 7^2000", "too large"),
+        ("poly Q = (2*x)^2000", "too large"),
     ],
 )
 def test_positioned_diagnostics(source, fragment):
@@ -195,6 +197,33 @@ def test_cli_reports_parse_errors_with_position(tmp_path, capsys):
     assert cli.main(["parse", str(target)]) == 2
     out = capsys.readouterr().out
     assert ":1:10:" in out
+
+
+_LONG = "7" * 5000  # past the interpreter's 4300-digit int conversion limit
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        (f"poly q = {_LONG}\n", ":1:10:"),
+        (f"poly q = x + 1/{_LONG}\n", ":1:16:"),
+        (f"poly q = y^{_LONG}\n", ":1:12:"),
+        (f"law L {{ mu = [-{_LONG}]; rho1 = [1]; rho2 = [2]; a' = z }}\n", ":1:16:"),
+        (
+            "law L { mu = [-2]; rho1 = [1]; rho2 = [2]; a' = z }\n"
+            f"check pres_lemma(L, gelem(1/{_LONG}; 0; 0))\n",
+            ":2:29:",
+        ),
+    ],
+    ids=["numerator", "denominator", "exponent", "law_integer", "gelem_denominator"],
+)
+def test_cli_oversized_literal_is_positioned_parse_error(tmp_path, capsys, source, position):
+    target = tmp_path / "long.corpus"
+    target.write_text(source)
+    for command in ("parse", "check"):
+        assert cli.main([command, str(target)]) == 2
+        out = capsys.readouterr().out
+        assert f"{position} integer literal too long (5000 digits)" in out
 
 
 def test_cli_exit_code_on_failure(tmp_path):

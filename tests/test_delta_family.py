@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,18 @@ def test_irreducibility_criterion():
     assert rep.content_matches
     rep = irreducibility_criterion_check(CTX, n_elem(k("1"), k("0")))
     assert rep.criterion_applies and rep.combined_irreducible
+
+
+def test_irreducibility_criterion_heavy_tail_pair():
+    # The images of h E + f D' for this pair are 10-term polynomials of degree
+    # 7 whose exact PRS gcd grows coefficients past a million bits.
+    started = time.monotonic()
+    rep = irreducibility_criterion_check(
+        CTX, n_elem(k("21*z^3"), k("4*z^3 + z^2*P + 4*P^3 - 7*P"))
+    )
+    elapsed = time.monotonic() - started
+    assert rep.criterion_applies and rep.combined_irreducible
+    assert elapsed < 2, f"heavy-tail pair took {elapsed:.1f}s"
 
 
 def test_criterion_strips_through_standard_decomposition():
