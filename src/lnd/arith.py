@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import MissingImageError, NonDivisibleError, RingMismatchError
@@ -67,10 +68,6 @@ def exact_div(a: Coef, b: Coef) -> Coef:
 def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     """Sort key for graded-lex order (earlier variables are bigger)."""
     return (sum(mono), mono)
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(i + j for i, j in zip(a, b))
 
 
 class Poly:
@@ -234,7 +231,7 @@ class Poly:
         get = out.get
         for ma, ca in a.items():
             for mb, cb in b.items():
-                mono = tuple(i + j for i, j in zip(ma, mb))
+                mono = tuple(map(add, ma, mb))
                 s = get(mono, 0) + ca * cb
                 if s:
                     out[mono] = s
