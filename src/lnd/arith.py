@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import Iterable, Mapping
 
@@ -106,6 +107,7 @@ class Poly:
         return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
+    @lru_cache(maxsize=None)
     def variable(cls, vars: tuple[str, ...], name: str) -> "Poly":
         if name not in vars:
             raise RingMismatchError(f"variable {name!r} not in ring {vars}")
@@ -244,16 +246,16 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative polynomial exponent")
-        result = Poly.one(self.vars)
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return Poly.one(self.vars) if result is None else result
 
     # -- comparisons -----------------------------------------------------
 
@@ -354,16 +356,15 @@ class _Substitution:
             elif img.vars != target:
                 raise RingMismatchError("substitution images live in different rings")
         self.target = target
-        self.powers: dict[str, list[Poly]] = {v: [] for v in self.images}
+        # powers[v][k] is images[v] ** (k + 1).
+        self.powers = {v: [img] for v, img in self.images.items()}
         self.prefix: dict[tuple, Poly] = {}
 
     def _power(self, v: str, e: int) -> Poly:
         cache = self.powers[v]
-        if not cache:
-            cache.append(Poly.one(self.target))
-        while len(cache) <= e:
+        while len(cache) < e:
             cache.append(cache[-1] * self.images[v])
-        return cache[e]
+        return cache[e - 1]
 
     def apply(self, p: Poly) -> Poly:
         occurring = p.variables_present()
@@ -395,17 +396,18 @@ class _Substitution:
         # Fold left to right, memoizing on the partial exponent tuple so
         # terms sharing a prefix reuse its product.
         key = ()
-        prod = Poly.one(self.target)
+        prod = None
         for i, e in enumerate(mono):
             if not e:
                 continue
             key = key + (i, e)
             cached = self.prefix.get(key)
             if cached is None:
-                cached = prod * self._power(names[i], e)
+                power = self._power(names[i], e)
+                cached = power if prod is None else prod * power
                 self.prefix[key] = cached
             prod = cached
-        return prod
+        return Poly.one(self.target) if prod is None else prod
 
 
 def substitute(p: Poly, images: Mapping[str, Poly]) -> Poly:

@@ -444,15 +444,15 @@ class _CorpusParser(ExprParser):
         return ExprValue(node, tok.line, tok.col)
 
     def _check_expr_names(self, node) -> None:
-        from .syntax import BinOp, Neg, Pow, Var
+        from .syntax import Neg, Pow, Product, Sum, Var
 
         if isinstance(node, Var):
             if node.name not in _POLY_VARS and node.name not in self.names:
                 raise ParseError(f"undefined name {node.name!r}", node.line, node.col)
-        elif isinstance(node, BinOp):
-            self._check_expr_names(node.left)
-            self._check_expr_names(node.right)
-        elif isinstance(node, (Neg,)):
+        elif isinstance(node, (Sum, Product)):
+            for operand in node.operands:
+                self._check_expr_names(operand)
+        elif isinstance(node, Neg):
             self._check_expr_names(node.operand)
         elif isinstance(node, Pow):
             self._check_expr_names(node.base)

@@ -74,11 +74,8 @@ def zero_derivation() -> Derivation:
 def apply(d: Derivation, p: Poly) -> Poly:
     """Leibniz-rule extension: sum of image_v * dp/dv."""
     p = p.to_ring(XYZ)
-    out = Poly.zero(XYZ)
-    for img, var in zip(d.images, XYZ):
-        if not img.is_zero():
-            out = out + img * p.partial_derivative(var)
-    return out
+    terms = [img * p.partial_derivative(v) for img, v in zip(d.images, XYZ) if img.terms]
+    return sum(terms[1:], terms[0]) if terms else Poly.zero(XYZ)
 
 
 def add(d: Derivation, e: Derivation) -> Derivation:

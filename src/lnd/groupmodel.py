@@ -13,6 +13,9 @@ product, which forces rho1^m = rho2 * nu for every exponent m in the
 support of a' (so a' must be a z-monomial once rho1 is nontrivial); the
 default nu = rho1^deg(a') / rho2 is the unique compatible choice and is the
 one realized by diagonal torus elements acting on the concrete family.
+Conjugation is thus a term-wise rescale z^i P^j -> r1^i r2^j z^i P^j times a
+character value, and the identity at the unit point, where every character
+is 1; the shift P -> P - hb a' is the only substitution in a product.
 
 The commutator convention is resolved empirically per law: the order that
 reproduces the derived-subgroup identity [(1,0,q), (1,h0,f0)] =
@@ -43,6 +46,7 @@ class CharacterVector:
 
     exponents: tuple[int, ...]
 
+    @lru_cache(maxsize=4096)
     def evaluate(self, point: tuple[Fraction, ...]) -> Fraction:
         if len(point) != len(self.exponents):
             raise ValueError("torus point has the wrong rank")
@@ -154,22 +158,21 @@ def g_identity(law: GroupLaw) -> GElem:
     return g_elem((Fraction(1),) * law.rank, 0, 0)
 
 
-def _scale_var(p: Poly, scales: dict[str, Fraction]) -> Poly:
-    images = {
-        v: Poly.variable(ZP, v) * scales.get(v, Fraction(1)) for v in ZP
-    }
-    return substitute(p, images)
+def _scale_var(p: Poly, r_z: Fraction, r_p: Fraction) -> Poly:
+    """p(r_z z, r_p P), term by term."""
+    return Poly(ZP, {m: c * r_z ** m[0] * r_p ** m[1] for m, c in p.terms.items()})
 
 
 def _conjugate_fiber(
     law: GroupLaw, point: tuple[Fraction, ...], h: Poly, f: Poly
 ) -> tuple[Poly, Poly]:
     """lambda^-1 (1, h, f) lambda: h scales by nu with rho1-scaled z, f by mu
-    with (rho1, rho2)-scaled coordinates."""
+    with (rho1, rho2)-scaled coordinates; the unit point fixes both."""
+    if point == (1,) * law.rank:
+        return h, f
     r1 = law.rho1.evaluate(point)
-    r2 = law.rho2.evaluate(point)
-    h_c = _scale_var(h, {"z": r1}) * law.nu.evaluate(point)
-    f_c = _scale_var(f, {"z": r1, "P": r2}) * law.mu.evaluate(point)
+    h_c = _scale_var(h, r1, 1) * law.nu.evaluate(point)
+    f_c = _scale_var(f, r1, law.rho2.evaluate(point)) * law.mu.evaluate(point)
     return h_c, f_c
 
 

@@ -9,7 +9,9 @@ Polynomial expressions:
 
 Integer and rational literals (`-3`, `5/7`), explicit `*`, `^` with a
 non-negative integer exponent.  `#` starts a comment running to end of line.
-Every diagnostic carries a (line, column) position, 1-based.
+Sums and products may be of any length; parentheses, unary minus and '^'
+nest at most MAX_NESTING deep.  Every diagnostic carries a (line, column)
+position, 1-based.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .errors import ParseError
 # untrusted text; only a monomial with coefficient 1 or -1 may exceed it,
 # since its power costs nothing.
 MAX_PARSED_POWER = 999
+
+# Nesting bound on '(', unary '-' and '^' that keeps parsing, evaluating and
+# printing far inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 _SYMBOLS = ("->", "{", "}", "(", ")", "[", "]", ",", ";", "=", "+", "-", "*", "/", "^")
 
@@ -113,10 +119,14 @@ class Var:
 
 
 @dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*'
-    left: object
-    right: object
+class Sum:
+    operands: tuple[object, ...]
+    signs: tuple[str, ...]  # '+' or '-' before each of operands[1:]
+
+
+@dataclass(frozen=True)
+class Product:
+    operands: tuple[object, ...]
 
 
 @dataclass(frozen=True)
@@ -141,6 +151,7 @@ class ExprParser:
     def __init__(self, tokens: list[Token], pos: int = 0):
         self.tokens = tokens
         self.pos = pos
+        self.depth = 0  # enclosing '(', unary '-' and '^' tokens
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -164,34 +175,46 @@ class ExprParser:
         tok = self.peek()
         return tok.kind == "sym" and tok.text == text
 
+    def nest(self, tok: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels", tok.line, tok.col
+            )
+
     # grammar ---------------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
+        operands = [self.parse_term()]
+        signs = []
         while self.at_sym("+") or self.at_sym("-"):
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
-        return node
+            signs.append(self.advance().text)
+            operands.append(self.parse_term())
+        return Sum(tuple(operands), tuple(signs)) if signs else operands[0]
 
     def parse_term(self) -> Expr:
-        node = self.parse_factor()
+        operands = [self.parse_factor()]
         while self.at_sym("*"):
             self.advance()
-            node = BinOp("*", node, self.parse_factor())
-        return node
+            operands.append(self.parse_factor())
+        return Product(tuple(operands)) if len(operands) > 1 else operands[0]
 
     def parse_factor(self) -> Expr:
+        depth = self.depth
         if self.at_sym("-"):
-            self.advance()
-            return Neg(self.parse_factor())
-        node = self.parse_primary()
-        while self.at_sym("^"):
-            caret = self.advance()
-            tok = self.peek()
-            if tok.kind != "num":
-                raise self.error("expected a non-negative integer exponent after '^'")
-            self.advance()
-            node = Pow(node, token_int(tok), caret.line, caret.col)
+            self.nest(self.advance())
+            node = Neg(self.parse_factor())
+        else:
+            node = self.parse_primary()
+            while self.at_sym("^"):
+                caret = self.advance()
+                self.nest(caret)
+                tok = self.peek()
+                if tok.kind != "num":
+                    raise self.error("expected a non-negative integer exponent after '^'")
+                self.advance()
+                node = Pow(node, token_int(tok), caret.line, caret.col)
+        self.depth = depth
         return node
 
     def parse_primary(self) -> Expr:
@@ -214,7 +237,7 @@ class ExprParser:
             self.advance()
             return Var(tok.text, tok.line, tok.col)
         if self.at_sym("("):
-            self.advance()
+            self.nest(self.advance())
             node = self.parse_expr()
             self.expect_sym(")")
             return node
@@ -240,14 +263,17 @@ def eval_expr(node: Expr, vars: tuple[str, ...]) -> Poly:
         return Poly.variable(vars, node.name)
     if isinstance(node, Neg):
         return -eval_expr(node.operand, vars)
-    if isinstance(node, BinOp):
-        left = eval_expr(node.left, vars)
-        right = eval_expr(node.right, vars)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
+    if isinstance(node, Sum):
+        total = eval_expr(node.operands[0], vars)
+        for sign, operand in zip(node.signs, node.operands[1:]):
+            value = eval_expr(operand, vars)
+            total = total + value if sign == "+" else total - value
+        return total
+    if isinstance(node, Product):
+        product = eval_expr(node.operands[0], vars)
+        for operand in node.operands[1:]:
+            product = product * eval_expr(operand, vars)
+        return product
     if isinstance(node, Pow):
         base = eval_expr(node.base, vars)
         unit_monomial = len(base.terms) == 1 and abs(base.leading_coeff()) == 1
@@ -269,23 +295,21 @@ def expr_to_str(node: Expr, parent: str = "") -> str:
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        inner = expr_to_str(node.operand, "neg")
-        text = f"-{inner}"
-        return f"({text})" if parent in ("*", "^", "neg") else text
-    if isinstance(node, BinOp):
-        left = expr_to_str(node.left, node.op)
-        right = expr_to_str(node.right, node.op + "r")
-        if node.op == "*":
-            text = f"{left}*{right}"
-            needs = parent in ("^",)
-        else:
-            text = f"{left} {node.op} {right}"
-            needs = parent in ("*", "*r", "^", "neg", "+r", "-r")
-        return f"({text})" if needs else text
+        text = "-" + expr_to_str(node.operand, "neg")
+        return f"({text})" if parent in ("*", "neg") else text
+    if isinstance(node, Sum):
+        parts = [expr_to_str(node.operands[0])]
+        for sign, operand in zip(node.signs, node.operands[1:]):
+            parts += [sign, expr_to_str(operand, "+r")]
+        text = " ".join(parts)
+        return f"({text})" if parent in ("*", "*r", "neg", "+r") else text
+    if isinstance(node, Product):
+        first, *rest = node.operands
+        return "*".join([expr_to_str(first, "*")] + [expr_to_str(f, "*r") for f in rest])
     if isinstance(node, Pow):
-        base = expr_to_str(node.base, "^")
-        if isinstance(node.base, (BinOp, Neg, Pow)):
-            base = f"({expr_to_str(node.base)})"
+        base = expr_to_str(node.base)
+        if not isinstance(node.base, (Num, Var)):
+            base = f"({base})"
         return f"{base}^{node.exponent}"
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -508,5 +508,14 @@ def test_criterion_12_cli_determinism_and_fuzz():
     oversized = f"poly q = {'7' * 5000}\n" + small
     for _ in range(40):
         fuzz(oversized)
+    # 3,000-long sums, parentheses, unary minuses and '^' chains.
+    for shape in (
+        " + ".join(["x"] * 3000),
+        "(" * 3000 + "x" + ")" * 3000,
+        "-" * 3000 + "x",
+        "x" + "^1" * 3000,
+    ):
+        for _ in range(10):
+            fuzz(f"poly q = {shape}\n" + small)
     assert parsed > 0
     _report(12, f"byte-identical reports; 1000 mutations yielded diagnostics/verdicts", started, 60)

@@ -17,6 +17,7 @@ from lnd.arith import (
     partial_derivative,
     poly_to_str,
     substitute,
+    substitute_many,
 )
 from lnd.errors import MissingImageError, NonDivisibleError, RingMismatchError
 from lnd.syntax import parse_poly
@@ -94,6 +95,40 @@ def test_substitute_sign_flip_odd():
 def test_substitute_missing_image():
     with pytest.raises(MissingImageError):
         substitute(p("x + y"), {"x": X})
+
+
+def _naive_substitute(q, images, target):
+    """Oracle: sum c * prod(image_v ** e), one factor at a time."""
+    total = Poly.zero(target)
+    for mono, c in q.terms.items():
+        term = Poly.const(target, c)
+        for v, e in zip(q.vars, mono):
+            for _ in range(e):
+                term = term * images[v]
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("vars, seed", [(XYZ, 41), (ZP, 43)], ids=["xyz", "zP"])
+def test_substitute_agrees_with_naive_evaluation(vars, seed):
+    rng = random.Random(seed)
+    special = [
+        Poly.zero(vars),
+        Poly.const(vars, Fraction(-3, 2)),
+        Poly.variable(vars, vars[-1]) * Fraction(5, 7),
+    ]
+    for _ in range(30):
+        images = {
+            v: rng.choice(special)
+            if rng.random() < 0.3
+            else rand_poly(rng, vars, deg=2, nterms=3) * Fraction(1, rng.randint(1, 3))
+            for v in vars
+        }
+        polys = [rand_poly(rng, vars, deg=4, nterms=6) for _ in range(3)]
+        polys += [Poly.const(vars, 7), Poly.zero(vars), Poly.variable(vars, vars[0])]
+        expected = [_naive_substitute(q, images, vars) for q in polys]
+        assert [substitute(q, images) for q in polys] == expected
+        assert substitute_many(polys, images) == expected
 
 
 def test_partial_derivative_basic():

@@ -226,6 +226,55 @@ def test_cli_oversized_literal_is_positioned_parse_error(tmp_path, capsys, sourc
         assert f"{position} integer literal too long (5000 digits)" in out
 
 
+@pytest.mark.parametrize(
+    "expr, position",
+    [
+        ("(" * 3000 + "x" + ")" * 3000, ":1:110:"),
+        ("-" * 3000 + "x", ":1:110:"),
+        ("x" + "^1" * 3000, ":1:211:"),
+    ],
+    ids=["parens", "minus", "power"],
+)
+def test_cli_deep_expression_is_positioned_parse_error(tmp_path, capsys, expr, position):
+    target = tmp_path / "deep.corpus"
+    target.write_text(f"poly q = {expr}\n")
+    for command in ("parse", "check"):
+        assert cli.main([command, str(target)]) == 2
+        out = capsys.readouterr().out
+        assert f"{position} expression nested deeper than 100 levels" in out
+
+
+def test_cli_long_flat_expressions(tmp_path, capsys):
+    """Sums and products of 3,000 operands evaluate and print without recursion."""
+    x_sum, x_product = " + ".join(["x"] * 3000), "*".join(["x"] * 3000)
+    z_sum, z_difference = " + ".join(["z"] * 3000), " - ".join(["z"] * 3000)
+    target = tmp_path / "long.corpus"
+    target.write_text(
+        f"derivation D {{ x -> 0; y -> {x_sum}; z -> {x_product} }}\n"
+        f"poly q = {z_difference}\n"
+        "check exp_log_roundtrip(D)\n"
+        f"check divisor_symmetry_expect({z_sum})\n"
+    )
+    assert cli.main(["report", str(target)]) == 0
+    out = capsys.readouterr().out
+    assert f"PASS divisor_symmetry_expect({z_sum})" in out
+    assert out.endswith("summary: 2/0/0\n")
+
+
+@pytest.mark.parametrize(
+    "opener, closer", [("(", ")"), ("-", ""), ("", "^1")], ids=["parens", "minus", "power"]
+)
+def test_nesting_bound_is_exact(opener, closer):
+    from lnd.syntax import MAX_NESTING, parse_poly
+
+    ring = ("x", "y", "z")
+    x = parse_poly("x", ring)
+    deep = opener * MAX_NESTING + "x" + closer * MAX_NESTING
+    assert parse_poly(deep, ring) in (x, -x)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_poly(opener + deep + closer, ring)
+
+
 def test_cli_exit_code_on_failure(tmp_path):
     target = tmp_path / "fail.corpus"
     target.write_text(

@@ -1,15 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from lnd.arith import XYZ, ZP, Poly
+from lnd.arith import XYZ, ZP, Poly, substitute
 from lnd.automorphisms import Automorphism, identity, modification
 from lnd.delta_family import make_context
 from lnd.errors import LawHypothesisError
 from lnd.groupmodel import (
     COMM_ABAB,
     CharacterVector,
+    GElem,
     char_commutator_check,
     commutator,
     commutator_convention,
@@ -84,6 +86,63 @@ def test_group_axioms_random():
         assert g_mul(a, e, LAW) == a and g_mul(e, a, LAW) == a
         ai = g_inverse(a, LAW)
         assert g_mul(a, ai, LAW) == e and g_mul(ai, a, LAW) == e
+
+
+def _chi(character, point):
+    return math.prod(Fraction(c) ** e for c, e in zip(point, character.exponents))
+
+
+def _old_conjugate(law, point, h, f):
+    """Torus conjugation of the fiber with each rescale a generic substitution."""
+    zv, pv = k("z"), k("P")
+    r1, r2 = _chi(law.rho1, point), _chi(law.rho2, point)
+    h_c = substitute(h, {"z": zv * r1, "P": pv}) * _chi(law.nu, point)
+    f_c = substitute(f, {"z": zv * r1, "P": pv * r2}) * _chi(law.mu, point)
+    return h_c, f_c
+
+
+def _old_mul(a, b, law):
+    h_c, f_c = _old_conjugate(law, b.torus, a.h, a.f)
+    shifted = substitute(f_c, {"z": k("z"), "P": k("P") - b.h * law.a_prime})
+    torus = tuple(x * y for x, y in zip(a.torus, b.torus))
+    return GElem(torus, h_c + b.h, shifted + b.f)
+
+
+def _old_inverse(a, law):
+    point = tuple(1 / c for c in a.torus)
+    h_c, f_c = _old_conjugate(law, point, a.h, a.f)
+    f_part = -substitute(f_c, {"z": k("z"), "P": k("P") + h_c * law.a_prime})
+    return GElem(point, -h_c, f_part)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        LAW,
+        make_group_law([1], [1], [1], k("z^2")),
+        make_group_law([-1, -1], [1, 0], [0, 1], k("z")),
+        make_group_law([2, -1], [1, 1], [0, 1], k("-3*z")),
+    ],
+    ids=["rank1", "rank1-z2", "rank2", "rank2-mixed"],
+)
+def test_group_operations_agree_with_substitution_formulas(law):
+    rng = random.Random(113 + law.rank)
+    coords = [Fraction(2), Fraction(-1), Fraction(3, 2), Fraction(-1, 3)]
+    elems = []
+    for i in range(12):
+        el = rand_gelem(rng, law, allow_torus=False)
+        if i % 3:  # every third element keeps the unit torus point
+            el = GElem(tuple(rng.choice(coords) for _ in range(law.rank)), el.h, el.f)
+        elems.append(el)
+    assert commutator_convention(law) == COMM_ABAB
+    e = g_identity(law)
+    for a, b in zip(elems, elems[1:] + elems[:1]):
+        assert g_mul(a, b, law) == _old_mul(a, b, law)
+        assert g_inverse(a, law) == _old_inverse(a, law)
+        ai, bi = _old_inverse(a, law), _old_inverse(b, law)
+        old_bracket = _old_mul(_old_mul(_old_mul(a, b, law), ai, law), bi, law)
+        assert commutator(a, b, law) == old_bracket
+        assert g_mul(a, g_inverse(a, law), law) == e
 
 
 def test_commutator_convention_matches_derived_identity():
