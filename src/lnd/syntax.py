@@ -34,7 +34,7 @@ MAX_NESTING = 100
 _SYMBOLS = ("->", "{", "}", "(", ")", "[", "]", ",", ";", "=", "+", "-", "*", "/", "^")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # "ident" | "num" | "sym" | "eof"
     text: str
