@@ -357,7 +357,7 @@ class _Substitution:
                 raise RingMismatchError("substitution images live in different rings")
         self.target = target
         # powers[v][k] is images[v] ** (k + 1).
-        self.powers = {v: [img] for v, img in self.images.items()}
+        self.powers: dict[str, list[Poly]] = {v: [img] for v, img in self.images.items()}
         self.prefix: dict[tuple, Poly] = {}
 
     def _power(self, v: str, e: int) -> Poly:

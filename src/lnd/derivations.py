@@ -75,11 +75,8 @@ def apply(d: Derivation, p: Poly) -> Poly:
     """Leibniz-rule extension: sum of image_v * dp/dv."""
     p = p.to_ring(XYZ)
     present = p.variables_present()
-    terms = [
-        img * p.partial_derivative(v)
-        for img, v in zip(d.images, XYZ)
-        if v in present and not img.is_zero()
-    ]
+    terms = [img * p.partial_derivative(v) for img, v in zip(d.images, XYZ)
+             if v in present and not img.is_zero()]
     return sum(terms[1:], terms[0]) if terms else Poly.zero(XYZ)
 
 

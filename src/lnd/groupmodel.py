@@ -5,17 +5,14 @@ The fiber multiplies by the shifted product law
 
     (h, f) . (hb, fb) = (h + hb, f(P - hb a') + fb)
 
-and the torus conjugates the fiber through characters: mu and rho1, rho2
-scale f (value and the two coordinates), nu scales h.  Only the action on
+and the torus conjugates the fiber term by term through characters: mu and
+rho1, rho2 scale f (value and the two coordinates), nu scales h.  Only the action on
 the f-part is forced by the concrete realizations; the nu-extension on the
 h-part is a declared model.  Conjugation must be an automorphism of the shifted fiber
 product, which forces rho1^m = rho2 * nu for every exponent m in the
 support of a' (so a' must be a z-monomial once rho1 is nontrivial); the
 default nu = rho1^deg(a') / rho2 is the unique compatible choice and is the
 one realized by diagonal torus elements acting on the concrete family.
-Conjugation is thus a term-wise rescale z^i P^j -> r1^i r2^j z^i P^j times a
-character value, and the identity at the unit point, where every character
-is 1; the shift P -> P - hb a' is the only substitution in a product.
 
 The commutator convention is resolved empirically per law: the order that
 reproduces the derived-subgroup identity [(1,0,q), (1,h0,f0)] =
@@ -159,7 +156,6 @@ def g_identity(law: GroupLaw) -> GElem:
 
 
 def _scale_var(p: Poly, r_z: Fraction, r_p: Fraction) -> Poly:
-    """p(r_z z, r_p P), term by term."""
     return Poly(ZP, {m: c * r_z ** m[0] * r_p ** m[1] for m, c in p.terms.items()})
 
 
