@@ -148,9 +148,6 @@ class CorpusCase:
     definitions: list[Definition] = field(default_factory=list)
     directives: list[Directive] = field(default_factory=list)
 
-    def lookup(self) -> dict[str, Definition]:
-        return {d.name: d for d in self.definitions}
-
 
 class _CorpusParser(ExprParser):
     def __init__(self, tokens: list[Token]):

@@ -32,12 +32,7 @@ from .arith import (
     is_univariate_in,
     substitute,
 )
-from .automorphisms import (
-    Automorphism,
-    compose,
-    express_in_kernel,
-    pullback,
-)
+from .automorphisms import Automorphism, express_in_kernel, pullback
 from .derivations import (
     Derivation,
     apply,
@@ -95,10 +90,6 @@ def n_elem(h, f) -> NElem:
     return NElem(h.to_ring(ZP), f.to_ring(ZP))
 
 
-def n_identity() -> NElem:
-    return NElem(Poly.zero(ZP), Poly.zero(ZP))
-
-
 @dataclass(frozen=True)
 class DeltaContext:
     """Validated plinth-family data; immutable, including the convention."""
@@ -133,8 +124,18 @@ def _realization_word(
     return [w_h, w_f] if conv == E_OUTER else [w_f, w_h]
 
 
+def _shifted_product(lhs: NElem, rhs: NElem, a_prime_zp: Poly) -> NElem:
+    shift = {"z": Poly.variable(ZP, "z"), "P": Poly.variable(ZP, "P") - rhs.h * a_prime_zp}
+    return NElem(lhs.h + rhs.h, substitute(lhs.f, shift) + rhs.f)
+
+
 def _resolve_convention(e_der, d_prime, a_prime_zp, p_poly) -> str:
-    """Try both realization orders against the product law on fixed pairs."""
+    """Try both realization orders against the product law on fixed pairs.
+
+    The composite of two realizations is the concatenation of their
+    exponential words, so the law is word(a.b) == word(a) + word(b), each
+    side composed by its terminating exp-series.
+    """
     z = Poly.variable(ZP, "z")
     pv = Poly.variable(ZP, "P")
     pairs = [
@@ -142,20 +143,15 @@ def _resolve_convention(e_der, d_prime, a_prime_zp, p_poly) -> str:
         (n_elem(z, pv * pv), n_elem(z * z, pv + z)),
     ]
 
-    def realize(n: NElem, conv: str) -> Automorphism:
+    def word(n: NElem, conv: str) -> list[Derivation]:
         h_amb = n.h.to_ring(XYZ)
         f_amb = substitute(n.f, {"z": Poly.variable(XYZ, "z"), "P": p_poly})
-        return compose_exp_word(_realization_word(e_der, d_prime, h_amb, f_amb, conv))
-
-    def product(a: NElem, b: NElem) -> NElem:
-        shifted = substitute(
-            a.f, {"z": z, "P": pv - b.h * a_prime_zp}
-        )
-        return NElem(a.h + b.h, shifted + b.f)
+        return _realization_word(e_der, d_prime, h_amb, f_amb, conv)
 
     for conv in (E_OUTER, U_OUTER):
         if all(
-            realize(product(a, b), conv) == compose(realize(a, conv), realize(b, conv))
+            compose_exp_word(word(_shifted_product(a, b, a_prime_zp), conv))
+            == compose_exp_word(word(a, conv) + word(b, conv))
             for a, b in pairs
         ):
             return conv
@@ -285,10 +281,7 @@ def express_in_zp(ctx: DeltaContext, g: Poly) -> Poly:
 
 def n_mul(lhs: NElem, rhs: NElem, ctx: DeltaContext) -> NElem:
     """(h, f) . (hb, fb) = (h + hb, f(P - hb a') + fb)."""
-    z = Poly.variable(ZP, "z")
-    pv = Poly.variable(ZP, "P")
-    shifted = substitute(lhs.f, {"z": z, "P": pv - rhs.h * ctx.a_prime_zp()})
-    return NElem(lhs.h + rhs.h, shifted + rhs.f)
+    return _shifted_product(lhs, rhs, ctx.a_prime_zp())
 
 
 def n_inverse(n: NElem, ctx: DeltaContext) -> NElem:
@@ -335,19 +328,9 @@ def compose_with_family(g: Automorphism, n: NElem, ctx: DeltaContext) -> Automor
     Identical to the generic composition (the series is the pullback of the
     realized automorphism) but avoids expanding powers of large images.
     """
-    word = _realization_word(
-        ctx.E,
-        ctx.D_prime,
-        n.h.to_ring(XYZ),
-        expand_kernel_poly(ctx, n.f),
-        ctx.convention,
-    )
-    images = []
-    for p in (g.pullback_x, g.pullback_y, g.pullback_z):
-        for w in word:
-            p = apply_exp(w, p)
-        images.append(p)
-    return Automorphism(*images)
+    f_amb = expand_kernel_poly(ctx, n.f)
+    word = _realization_word(ctx.E, ctx.D_prime, n.h.to_ring(XYZ), f_amb, ctx.convention)
+    return compose_exp_word([g, *word])
 
 
 def _strip_complement(
@@ -460,7 +443,13 @@ class IrreducibilityReport:
 
 def irreducibility_criterion_check(ctx: DeltaContext, n: NElem) -> IrreducibilityReport:
     """gcd(h, f) = 1 forces irreducibility of h E + f D'; otherwise the gcd
-    is exactly the content of the combined derivation."""
+    is exactly the content of the combined derivation.
+
+    For nonconstant g = gcd(h, f) its monic expansion e divides every image
+    (expansion is a ring homomorphism), so the content is e times the gcd of
+    the exact cofactors, itself monic; cofactors are usually coprime, which
+    gcd_multivariate certifies from modular images.
+    """
     w = m_derivation(ctx, n)
     if w.is_zero():
         raise ValueError("zero combined derivation")
@@ -470,11 +459,12 @@ def irreducibility_criterion_check(ctx: DeltaContext, n: NElem) -> Irreducibilit
         g = n.h.monic()
     else:
         g = gcd_multivariate(n.h, n.f)
-    content = gcd_many(w.images)
     if g.is_constant():
+        content = gcd_many(w.images)
         irreducible = content.is_constant()
         return IrreducibilityReport(g, content, True, irreducible, irreducible)
     expanded = expand_kernel_poly(ctx, g).monic()
+    content = expanded * gcd_many([divide_exact(img, expanded) for img in w.images])
     return IrreducibilityReport(g, content, False, None, expanded == content)
 
 

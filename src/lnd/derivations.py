@@ -66,11 +66,6 @@ def derivation(image_x, image_y, image_z) -> Derivation:
     return Derivation(image_x.to_ring(XYZ), image_y.to_ring(XYZ), image_z.to_ring(XYZ))
 
 
-def zero_derivation() -> Derivation:
-    z = Poly.zero(XYZ)
-    return Derivation(z, z, z)
-
-
 def apply(d: Derivation, p: Poly) -> Poly:
     """Leibniz-rule extension: sum of image_v * dp/dv."""
     p = p.to_ring(XYZ)
@@ -174,7 +169,7 @@ def _exp_images(d: Derivation, cap: int) -> list[Poly]:
                 break
             k += 1
             factorial *= k
-            total = total + term * Fraction(1, factorial)
+            total = total + (term * Fraction(1, factorial) if k > 1 else term)
         images.append(total)
     return images
 
@@ -199,7 +194,7 @@ def apply_exp(w: Derivation, p: Poly, cap: int = DEFAULT_CAP) -> Poly:
                 f"exp-series did not terminate within {cap} steps"
             )
         factorial *= k
-        total = total + term * Fraction(1, factorial)
+        total = total + (term * Fraction(1, factorial) if k > 1 else term)
         k += 1
 
 
@@ -249,7 +244,7 @@ def logarithm(
     img_terms = max(len(q.terms) for q in u.pullbacks.values())
     for v in XYZ:
         delta_k = shared.apply(Poly.variable(XYZ, v)) - Poly.variable(XYZ, v)
-        total = Poly.zero(XYZ)
+        total = delta_k  # the k = 1 term
         k = 1
         while not delta_k.is_zero():
             estimate = len(delta_k.terms) * (delta_k.total_degree() + 1) * img_terms
@@ -258,8 +253,8 @@ def logarithm(
                     f"(u* - id)-series on {v} exceeded the evidence budget "
                     f"(step {k})"
                 )
-            sign = Fraction(1 if k % 2 else -1, k)
-            total = total + delta_k * sign
+            if k > 1:
+                total = total + delta_k * Fraction(1 if k % 2 else -1, k)
             delta_k = shared.apply(delta_k) - delta_k
             k += 1
         images.append(total)

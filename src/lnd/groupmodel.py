@@ -63,9 +63,6 @@ class CharacterVector:
     def __mul__(self, k: int) -> "CharacterVector":
         return CharacterVector(tuple(k * e for e in self.exponents))
 
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
 
 @dataclass(frozen=True)
 class GroupLaw:

@@ -240,15 +240,6 @@ def _certify_symmetry(recentred: Poly, order: int, k0: int) -> None:
             )
 
 
-def symmetry_lambda_value(sym: DivisorSymmetry) -> Fraction | None:
-    """The rational scaling value alpha^k0 when the order divides 2."""
-    if sym.order == 1:
-        return Fraction(1)
-    if sym.order == 2:
-        return Fraction(-1) ** sym.lambda_exponent
-    return None
-
-
 # -- lifting plane data to 3-space ---------------------------------------------
 
 

@@ -592,24 +592,26 @@ def run(
 
     `budget` overrides the per-directive sample count when given; `seed`
     fixes the random streams; `deg_max_cap` bounds search degrees so that
-    hostile inputs terminate with honest ERROR entries.
+    hostile inputs terminate with honest ERROR entries.  Report names are
+    rendered after the loop, so only dispatch set-up runs between directives.
     """
     entries: list[Entry] = []
     env = _Env({}, deg_max_cap)
     _build_definitions(case, env, entries)
+    outcomes = []
     for index, directive in enumerate(case.directives):
-        name = directive_text(directive)
         rng = random.Random(f"{seed}:{index}:{directive.name}")
         args = _Args(directive, env)
         if budget is not None:
             args.keyword["samples"] = _int_value(budget)
         try:
             outcome = _HANDLERS[directive.name](args, rng)
-            verdict, detail = outcome[0], outcome[1]
             extra = outcome[2] if len(outcome) > 2 else ()
-            entries.append(Entry(name, verdict, detail, tuple(extra)))
+            outcomes.append((outcome[0], outcome[1], tuple(extra)))
         except LndError as exc:
-            entries.append(Entry(name, "ERROR", str(exc)))
+            outcomes.append(("ERROR", str(exc), ()))
         except (ValueError, ZeroDivisionError, OverflowError, KeyError) as exc:
-            entries.append(Entry(name, "ERROR", f"{type(exc).__name__}: {exc}"))
+            outcomes.append(("ERROR", f"{type(exc).__name__}: {exc}", ()))
+    for directive, outcome in zip(case.directives, outcomes):
+        entries.append(Entry(directive_text(directive), *outcome))
     return Report(tuple(entries))

@@ -183,10 +183,14 @@ class ExprParser:
             )
 
     # grammar ---------------------------------------------------------------
+    # A parenthesized sum leading a sum, and a parenthesized product inside a
+    # product, are spliced into it (associativity), so they print unbracketed.
 
     def parse_expr(self) -> Expr:
-        operands = [self.parse_term()]
-        signs = []
+        first = self.parse_term()
+        operands, signs = [first], []
+        if isinstance(first, Sum):
+            operands, signs = list(first.operands), list(first.signs)
         while self.at_sym("+") or self.at_sym("-"):
             signs.append(self.advance().text)
             operands.append(self.parse_term())
@@ -197,7 +201,10 @@ class ExprParser:
         while self.at_sym("*"):
             self.advance()
             operands.append(self.parse_factor())
-        return Product(tuple(operands)) if len(operands) > 1 else operands[0]
+        if len(operands) == 1:
+            return operands[0]
+        flat = [f for op in operands for f in (op.operands if isinstance(op, Product) else (op,))]
+        return Product(tuple(flat))
 
     def parse_factor(self) -> Expr:
         depth = self.depth
@@ -288,30 +295,49 @@ def eval_expr(node: Expr, vars: tuple[str, ...]) -> Poly:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def expr_to_str(node: Expr, parent: str = "") -> str:
-    """Canonical text for an expression AST (normalized spacing)."""
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Var):
-        return node.name
+def expr_to_str(node: Expr) -> str:
+    """Canonical text for an expression AST; parsing it gives the same tree.
+
+    Parentheses appear only where the grammar needs them, and around a negated
+    factor of a product, `(-7)*z`, while that stays within MAX_NESTING.
+    """
+    return _print(node, "", MAX_NESTING)[0]
+
+
+# Slots where a node needs parentheses: "term" (of a sum), "factor" (of a
+# product or negation) and "base" (of a power).
+_GROUPED_IN = {Sum: ("term", "factor", "base"), Product: ("factor", "base"), Neg: ("base",)}
+
+
+def _print(node: Expr, slot: str, room: int) -> tuple[str, int]:
+    """Text of node in slot, and the nesting levels it opens; room are left."""
+    if isinstance(node, (Num, Var)):
+        return (str(node.value) if isinstance(node, Num) else node.name), 0
+    if slot in _GROUPED_IN.get(type(node), ()):
+        text, levels = _print(node, "", room - 1)
+        return f"({text})", levels + 1
     if isinstance(node, Neg):
-        text = "-" + expr_to_str(node.operand, "neg")
-        return f"({text})" if parent in ("*", "neg") else text
-    if isinstance(node, Sum):
-        parts = [expr_to_str(node.operands[0])]
-        for sign, operand in zip(node.signs, node.operands[1:]):
-            parts += [sign, expr_to_str(operand, "+r")]
-        text = " ".join(parts)
-        return f"({text})" if parent in ("*", "*r", "neg", "+r") else text
+        text, levels = _print(node.operand, "factor", room - 1)
+        return "-" + text, levels + 1
+    if isinstance(node, Pow):  # x^2^3 is Pow(Pow(x, 2), 3)
+        carets = []
+        while isinstance(node, Pow):
+            carets.insert(0, f"^{node.exponent}")
+            node = node.base
+        text, levels = _print(node, "base", room)
+        return text + "".join(carets), max(levels, len(carets) + (type(node) in _GROUPED_IN))
+    if not isinstance(node, (Sum, Product)):
+        raise TypeError(f"not an expression node: {node!r}")
+    texts, levels = [], 0
+    for operand in node.operands:
+        text, more = _print(operand, "term" if isinstance(node, Sum) else "factor", room)
+        if isinstance(node, Product) and isinstance(operand, Neg) and more < room:
+            text, more = f"({text})", more + 1
+        texts.append(text)
+        levels = max(levels, more)
     if isinstance(node, Product):
-        first, *rest = node.operands
-        return "*".join([expr_to_str(first, "*")] + [expr_to_str(f, "*r") for f in rest])
-    if isinstance(node, Pow):
-        base = expr_to_str(node.base)
-        if not isinstance(node.base, (Num, Var)):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    raise TypeError(f"not an expression node: {node!r}")
+        return "*".join(texts), levels
+    return texts[0] + "".join(f" {s} {t}" for s, t in zip(node.signs, texts[1:])), levels
 
 
 def parse_poly(text: str, vars: tuple[str, ...]) -> Poly:

@@ -275,6 +275,88 @@ def test_nesting_bound_is_exact(opener, closer):
         parse_poly(opener + deep + closer, ring)
 
 
+def _shape(node):
+    """An expression tree without source positions."""
+    from lnd import syntax
+
+    if isinstance(node, syntax.Var):
+        return ("var", node.name)
+    if isinstance(node, syntax.Num):
+        return ("num", node.value)
+    if isinstance(node, syntax.Neg):
+        return ("neg", _shape(node.operand))
+    if isinstance(node, syntax.Pow):
+        return ("pow", _shape(node.base), node.exponent)
+    if isinstance(node, syntax.Sum):
+        return ("sum", tuple(map(_shape, node.operands)), node.signs)
+    return ("product", tuple(map(_shape, node.operands)))
+
+
+def _random_expr_text(rng, room, budget):
+    """Random text of the expression grammar whose '(', unary '-' and '^'
+    nest at most `room` deep; `budget` caps the number of atoms."""
+
+    def factor(room):
+        if room and rng.random() < 0.35:
+            return "-" + factor(room - 1)
+        used = 0
+        if budget[0] <= 0 or rng.random() < 0.3:
+            budget[0] -= 1
+            text = rng.choice(["x", "y", "z", "3", "2/5", "0"])
+        else:
+            used = 1 if room else 0
+            text = f"({expr(room - 1)})" if room else rng.choice(["x", "1"])
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if used < room:
+                used += 1
+                text += f"^{rng.randint(0, 3)}"
+        return text
+
+    def term(room):
+        return "*".join(factor(room) for _ in range(rng.choice([1, 1, 2, 3])))
+
+    def expr(room):
+        text = term(room)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            text += rng.choice([" + ", " - "]) + term(room)
+        return text
+
+    return expr(room)
+
+
+def test_printing_reproduces_the_parsed_tree():
+    from lnd.syntax import MAX_NESTING, ExprParser, expr_to_str, tokenize
+
+    def tree(text):
+        return ExprParser(tokenize(text)).parse_expr()
+
+    rng = random.Random(2024)
+    for room in [MAX_NESTING] * 150 + [rng.randint(0, 20) for _ in range(150)]:
+        t = tree(_random_expr_text(rng, room, [rng.choice([3, 20, 60])]))
+        assert _shape(tree(expr_to_str(t))) == _shape(t), expr_to_str(t)
+    # No parentheses beyond the grammar's, except around a negated factor,
+    # and those only while they fit within MAX_NESTING; products and leading
+    # sums in parentheses are spliced by the parser.
+    cases = {
+        "--x": "--x",
+        "x^2^3": "x^2^3",
+        "-(-x*y)": "-((-x)*y)",
+        "(a - b) + c - (d - e)": "a - b + c - (d - e)",
+        "(a*b)*(c*(-d*e))": "a*b*c*(-d)*e",
+        "x*-y": "x*(-y)",
+        "-7*z^2 + 13": "(-7)*z^2 + 13",
+        "(-x)^2^3": "(-x)^2^3",
+        "x + (" * 99 + "-7*z + 1" + ")" * 99: "x + (" * 99 + "-7*z + 1" + ")" * 99,
+        "x + (" * 98 + "-7*z + 1" + ")" * 98: "x + (" * 98 + "(-7)*z + 1" + ")" * 98,
+        "-" * MAX_NESTING + "x": "-" * MAX_NESTING + "x",
+        # '^' after a parenthesized base nests one level below the group
+        "x + (" * 97 + "-(x + 1)^2*z + 1" + ")" * 97: "x + (" * 97 + "-(x + 1)^2*z + 1" + ")" * 97,
+        "x + (" * 96 + "-(x + 1)^2*z + 1" + ")" * 96: "x + (" * 96 + "(-(x + 1)^2)*z + 1" + ")" * 96,
+    }
+    for text, printed in cases.items():
+        assert expr_to_str(tree(text)) == printed
+
+
 def test_cli_exit_code_on_failure(tmp_path):
     target = tmp_path / "fail.corpus"
     target.write_text(

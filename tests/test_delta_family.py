@@ -1,14 +1,17 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from lnd.arith import XYZ, ZP, Poly
+from lnd.arith import XYZ, ZP, Poly, gcd_many, substitute
 from lnd.automorphisms import Automorphism, commutes, compose, quotient_action
 from lnd.delta_family import (
     compose_with_family,
     E_OUTER,
+    U_OUTER,
+    _realization_word,
     ad_identity_check,
     aut_to_n,
     combine_to_delta,
@@ -19,12 +22,17 @@ from lnd.delta_family import (
     m_derivation,
     make_context,
     n_elem,
-    n_identity,
     n_inverse,
     n_mul,
     n_to_aut,
 )
-from lnd.derivations import exponential, is_irreducible, standard_decomposition
+from lnd.derivations import (
+    compose_exp_word,
+    exponential,
+    is_irreducible,
+    scale_poly,
+    standard_decomposition,
+)
 from lnd.errors import ContextError, NotInNError
 from lnd.syntax import parse_poly
 
@@ -115,11 +123,11 @@ def test_n_mul_identity_and_inverse():
     rng = random.Random(53)
     for _ in range(20):
         n = rand_nelem(rng)
-        assert n_mul(n, n_identity(), CTX) == n
-        assert n_mul(n_identity(), n, CTX) == n
+        assert n_mul(n, n_elem(0, 0), CTX) == n
+        assert n_mul(n_elem(0, 0), n, CTX) == n
         inv = n_inverse(n, CTX)
-        assert n_mul(n, inv, CTX) == n_identity()
-        assert n_mul(inv, n, CTX) == n_identity()
+        assert n_mul(n, inv, CTX) == n_elem(0, 0)
+        assert n_mul(inv, n, CTX) == n_elem(0, 0)
 
 
 def test_n_inverse_closed_forms():
@@ -139,7 +147,7 @@ def test_group_associativity_random():
 def test_n_to_aut_basics():
     from lnd.automorphisms import identity
 
-    assert n_to_aut(n_identity(), CTX) == identity()
+    assert n_to_aut(n_elem(0, 0), CTX) == identity()
     assert n_to_aut(n_elem(k("1"), k("0")), CTX) == CTX.e
     assert n_to_aut(n_elem(k("0"), k("1")), CTX) == CTX.u_prime
     assert CTX.u_prime.pullback_x == p("x - 2*y - z")
@@ -169,7 +177,7 @@ def test_aut_to_n_roundtrip():
         assert aut_to_n(n_to_aut(n, CTX), CTX) == n
     from lnd.automorphisms import identity
 
-    assert aut_to_n(identity(), CTX) == n_identity()
+    assert aut_to_n(identity(), CTX) == n_elem(0, 0)
 
 
 def test_aut_to_n_rejects_outsiders():
@@ -230,6 +238,80 @@ def test_irreducibility_criterion_heavy_tail_pair():
     elapsed = time.monotonic() - started
     assert rep.criterion_applies and rep.combined_irreducible
     assert elapsed < 2, f"heavy-tail pair took {elapsed:.1f}s"
+
+
+def _rand_z_poly(rng, deg):
+    out = Poly(ZP, {(deg, 0): Fraction(rng.randint(1, 5), rng.randint(1, 3))})
+    for e in range(deg):
+        out = out + Poly(ZP, {(e, 0): Fraction(rng.randint(-5, 5))})
+    return out
+
+
+def _rand_zp_poly(rng, deg):
+    out = Poly(ZP, {(0, 1): Fraction(rng.randint(1, 5))})
+    for _ in range(3):
+        ez = rng.randint(0, deg)
+        out = out + Poly(ZP, {(ez, rng.randint(0, deg - ez)): Fraction(rng.randint(-5, 5))})
+    return out
+
+
+CTX_Z2 = make_context(p("x*z + y^2"), p("z^2 + 1").to_ring(("z",)), deg_max=3)
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX_Z, CTX_Z2], ids=["d=1", "d=z", "d=z^2+1"])
+def test_cofactor_content_agrees_with_image_gcd(ctx):
+    # A common factor g in Q[z] of degree 1-3 makes the criterion's content
+    # the expansion of gcd(h, f) times the cofactors' gcd; the oracle is the
+    # gcd of the images themselves.
+    rng = random.Random(7)
+    for deg in (1, 2, 3, 1, 2, 3):
+        g = _rand_z_poly(rng, deg)
+        n = n_elem(g * _rand_z_poly(rng, rng.randint(0, 1)), g * _rand_zp_poly(rng, 2))
+        rep = irreducibility_criterion_check(ctx, n)
+        assert not rep.criterion_applies
+        assert rep.combined_content == gcd_many(m_derivation(ctx, n).images)
+        assert rep.holds
+
+
+def test_cofactor_content_with_shared_cofactor_factor():
+    # Scaling E and D' by x + 1 gives every pair's cofactors the factor
+    # x + 1, so the content is more than the expanded gcd(h, f).
+    xp1 = p("x + 1")
+    ctx = dataclasses.replace(CTX, E=scale_poly(xp1, CTX.E), D_prime=scale_poly(xp1, CTX.D_prime))
+    contents = []
+    for n in (n_elem(k("z + 1"), k("z*P + P")), n_elem(k("z"), k("z^2 + z*P"))):
+        rep = irreducibility_criterion_check(ctx, n)
+        assert not rep.criterion_applies and not rep.holds
+        assert rep.combined_content == gcd_many(m_derivation(ctx, n).images)
+        contents.append(rep.combined_content)
+    assert contents == [p("x*z + x + z + 1"), p("x*z + z")]
+
+
+def _law_pairs():
+    z, pv = k("z"), k("P")
+    return [
+        (n_elem(k("1"), pv), n_elem(k("1"), k("0"))),
+        (n_elem(z, pv * pv), n_elem(z * z, pv + z)),
+    ]
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX_Z], ids=["C", "CZ"])
+def test_convention_by_exp_words(ctx):
+    assert ctx.convention == E_OUTER
+
+    def word(n, conv):
+        f_amb = substitute(n.f, {"z": p("z"), "P": ctx.P})
+        return _realization_word(ctx.E, ctx.D_prime, n.h.to_ring(XYZ), f_amb, conv)
+
+    law_holds = {}
+    for conv in (E_OUTER, U_OUTER):
+        law_holds[conv] = True
+        for a, b in _law_pairs():
+            joined = compose_exp_word(word(a, conv) + word(b, conv))
+            composed = compose(compose_exp_word(word(a, conv)), compose_exp_word(word(b, conv)))
+            assert joined == composed
+            law_holds[conv] &= compose_exp_word(word(n_mul(a, b, ctx), conv)) == joined
+    assert law_holds == {E_OUTER: True, U_OUTER: False}
 
 
 def test_criterion_strips_through_standard_decomposition():

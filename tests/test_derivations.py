@@ -21,7 +21,6 @@ from lnd.derivations import (
     scale,
     scale_poly,
     standard_decomposition,
-    zero_derivation,
 )
 from lnd.errors import (
     NotInKernelError,
@@ -234,7 +233,7 @@ def test_is_irreducible():
     assert not is_irreducible(scale_poly(Z, D_P))
     assert is_irreducible(DDX)
     with pytest.raises(ValueError):
-        is_irreducible(zero_derivation())
+        is_irreducible(Derivation(*[Poly.zero(XYZ)] * 3))
 
 
 def test_standard_decomposition_z_modified():
