@@ -130,12 +130,9 @@ def _shifted_product(lhs: NElem, rhs: NElem, a_prime_zp: Poly) -> NElem:
 
 
 def _resolve_convention(e_der, d_prime, a_prime_zp, p_poly) -> str:
-    """Try both realization orders against the product law on fixed pairs.
-
-    The composite of two realizations is the concatenation of their
-    exponential words, so the law is word(a.b) == word(a) + word(b), each
-    side composed by its terminating exp-series.
-    """
+    """Try both realization orders against the product law on fixed pairs,
+    as word(a.b) == word(a) + word(b): composing two realizations
+    concatenates their exponential words."""
     z = Poly.variable(ZP, "z")
     pv = Poly.variable(ZP, "P")
     pairs = [

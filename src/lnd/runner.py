@@ -126,13 +126,6 @@ class _Args:
             return self.keyword[key]
         return self._next_positional(what)
 
-    def optional(self, key: str, default=None):
-        if key in self.keyword:
-            return self.keyword[key]
-        if self.pos_index < len(self.positional):
-            return self._next_positional(key)
-        return default
-
     def optional_kw(self, key: str, default=None):
         return self.keyword.get(key, default)
 
@@ -185,11 +178,23 @@ class _Args:
         raise DirectiveError("expected a [p1, p2, ...] list")
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
+class _LazyRandom:
+    """random.Random(key), seeded (about 10 µs) at the first draw; most
+    directives draw nothing."""
+
+    def __init__(self, key: str):
+        self.key, self.rng = key, None
+
+    def randint(self, a: int, b: int) -> int:
+        self.rng = self.rng or random.Random(self.key)
+        return self.rng.randint(a, b)
+
+
+def _rand_fraction(rng: _LazyRandom) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def _rand_kernel_poly(rng: random.Random, deg: int, z_only: bool = False) -> Poly:
+def _rand_kernel_poly(rng: _LazyRandom, deg: int, z_only: bool = False) -> Poly:
     out = Poly.zero(ZP)
     for _ in range(4):
         ez = rng.randint(0, deg)
@@ -198,7 +203,7 @@ def _rand_kernel_poly(rng: random.Random, deg: int, z_only: bool = False) -> Pol
     return out
 
 
-def _rand_nelem(rng: random.Random, deg: int) -> delta_family.NElem:
+def _rand_nelem(rng: _LazyRandom, deg: int) -> delta_family.NElem:
     return delta_family.n_elem(
         _rand_kernel_poly(rng, deg, z_only=True), _rand_kernel_poly(rng, deg)
     )
@@ -600,7 +605,7 @@ def run(
     _build_definitions(case, env, entries)
     outcomes = []
     for index, directive in enumerate(case.directives):
-        rng = random.Random(f"{seed}:{index}:{directive.name}")
+        rng = _LazyRandom(f"{seed}:{index}:{directive.name}")
         args = _Args(directive, env)
         if budget is not None:
             args.keyword["samples"] = _int_value(budget)

@@ -297,10 +297,8 @@ def eval_expr(node: Expr, vars: tuple[str, ...]) -> Poly:
 
 def expr_to_str(node: Expr) -> str:
     """Canonical text for an expression AST; parsing it gives the same tree.
-
     Parentheses appear only where the grammar needs them, and around a negated
-    factor of a product, `(-7)*z`, while that stays within MAX_NESTING.
-    """
+    factor of a product, `(-7)*z`, while that stays within MAX_NESTING."""
     return _print(node, "", MAX_NESTING)[0]
 
 
