@@ -222,6 +222,8 @@ class Poly:
             c = _intern(other)
             if not c:
                 return Poly.zero(self.vars)
+            if c == 1:
+                return self
             return _raw(self.vars, {m: k * c for m, k in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
@@ -344,8 +346,7 @@ def _raw(vars: tuple[str, ...], terms: dict[Monomial, Fraction]) -> Poly:
 
 
 class _Substitution:
-    """Reusable substitution context: shares power and prefix-product caches
-    across several polynomials evaluated at the same images."""
+    """A substitution: variable images that all live in one target ring."""
 
     def __init__(self, images: Mapping[str, Poly]):
         self.images = dict(images)
@@ -356,58 +357,60 @@ class _Substitution:
             elif img.vars != target:
                 raise RingMismatchError("substitution images live in different rings")
         self.target = target
-        # powers[v][k] is images[v] ** (k + 1).
-        self.powers: dict[str, list[Poly]] = {v: [img] for v, img in self.images.items()}
-        self.prefix: dict[tuple, Poly] = {}
-
-    def _power(self, v: str, e: int) -> Poly:
-        cache = self.powers[v]
-        while len(cache) < e:
-            cache.append(cache[-1] * self.images[v])
-        return cache[e - 1]
 
     def apply(self, p: Poly) -> Poly:
-        occurring = p.variables_present()
-        missing = sorted(occurring - set(self.images))
+        present = p.variables_present()
+        missing = sorted(present - set(self.images))
         if missing:
             raise MissingImageError(
                 f"no image for variable(s): {', '.join(missing)}"
             )
-        if self.target is None or not occurring:
-            if self.target is None:
-                return p
-            zero_mono = (0,) * len(self.target)
-            total = sum(p.terms.values())
-            return Poly(self.target, {zero_mono: total} if total else {})
-        acc: dict[Monomial, Coef] = {}
-        get = acc.get
-        names = p.vars
-        for mono, coeff in p.terms.items():
-            prod = self._prefix_product(names, mono)
-            for m2, c2 in prod.terms.items():
-                s = get(m2, 0) + coeff * c2
-                if s:
-                    acc[m2] = s
-                else:
-                    del acc[m2]
-        return _raw(self.target, acc)
+        if self.target is None:
+            return p
+        if not p.terms:
+            return Poly.zero(self.target)
+        split = [(i, self.images[v]) for i, v in enumerate(p.vars) if v in present]
+        out = _horner(list(p.terms.items()), split, 0)
+        if isinstance(out, Poly):
+            return out
+        return _raw(self.target, {(0,) * len(self.target): out})
 
-    def _prefix_product(self, names: tuple[str, ...], mono: Monomial) -> Poly:
-        # Fold left to right, memoizing on the partial exponent tuple so
-        # terms sharing a prefix reuse its product.
-        key = ()
-        prod = None
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            key = key + (i, e)
-            cached = self.prefix.get(key)
-            if cached is None:
-                power = self._power(names[i], e)
-                cached = power if prod is None else prod * power
-                self.prefix[key] = cached
-            prod = cached
-        return Poly.one(self.target) if prod is None else prod
+
+def _horner(terms: list, split: list[tuple[int, Poly]], k: int):
+    """Evaluate the distinct-monomial `terms` by Horner's rule in the
+    variables split[k:], given as (position, image): split on the first,
+    sum x^e p_e = (..(p_top * img^(top - e2) + p_e2) ..) * img^(e_last).
+
+    A single term is its coefficient times its image powers, so a constant
+    comes back as a scalar rather than a constant Poly.
+    """
+    if len(terms) == 1:
+        (mono, acc), = terms
+        for i, img in split[k:]:
+            if mono[i]:
+                acc = acc * img ** mono[i]
+        return acc
+    i, img = split[k]
+    parts: dict[int, list] = {}
+    for term in terms:
+        parts.setdefault(term[0][i], []).append(term)
+    exps = sorted(parts, reverse=True)
+    acc = _horner(parts[exps[0]], split, k + 1)
+    for hi, lo in zip(exps, exps[1:]):
+        acc = acc * img ** (hi - lo)
+        part = _horner(parts[lo], split, k + 1)
+        if isinstance(part, Poly):
+            acc = acc + part
+        else:
+            folded = dict(acc.terms)
+            zero = (0,) * len(acc.vars)
+            s = folded.get(zero, 0) + part
+            if s:
+                folded[zero] = s
+            else:
+                del folded[zero]
+            acc = _raw(acc.vars, folded)
+    return acc * img ** exps[-1] if exps[-1] else acc
 
 
 def substitute(p: Poly, images: Mapping[str, Poly]) -> Poly:
@@ -417,12 +420,6 @@ def substitute(p: Poly, images: Mapping[str, Poly]) -> Poly:
     one target ring, which becomes the ring of the result.
     """
     return _Substitution(images).apply(p)
-
-
-def substitute_many(polys: Iterable[Poly], images: Mapping[str, Poly]) -> list[Poly]:
-    """Substitute several polynomials at the same images, sharing caches."""
-    ctx = _Substitution(images)
-    return [ctx.apply(p) for p in polys]
 
 
 def partial_derivative(p: Poly, var: str) -> Poly:

@@ -98,12 +98,8 @@ def _invertible_evidence(g: Automorphism) -> bool:
 
 def compose(g: Automorphism, h: Automorphism) -> Automorphism:
     """(g o h)(v) = g(h(v)); pullback images are h*(g*(v))."""
-    from .arith import substitute_many
-
     out = Automorphism(
-        *substitute_many(
-            (g.pullback_x, g.pullback_y, g.pullback_z), h.pullbacks
-        )
+        *(substitute(q, h.pullbacks) for q in (g.pullback_x, g.pullback_y, g.pullback_z))
     )
     if _invertible_evidence(g) and _invertible_evidence(h):
         out._inverse = lambda: compose(inverse(h), inverse(g))

@@ -238,12 +238,9 @@ def logarithm(
     wrong answer: the round-trip is verified).
     """
     images = []
-    from .arith import _Substitution
-
-    shared = _Substitution(u.pullbacks)  # caches image powers across the run
     img_terms = max(len(q.terms) for q in u.pullbacks.values())
     for v in XYZ:
-        delta_k = shared.apply(Poly.variable(XYZ, v)) - Poly.variable(XYZ, v)
+        delta_k = substitute(Poly.variable(XYZ, v), u.pullbacks) - Poly.variable(XYZ, v)
         total = delta_k  # the k = 1 term
         k = 1
         while not delta_k.is_zero():
@@ -255,7 +252,7 @@ def logarithm(
                 )
             if k > 1:
                 total = total + delta_k * Fraction(1 if k % 2 else -1, k)
-            delta_k = shared.apply(delta_k) - delta_k
+            delta_k = substitute(delta_k, u.pullbacks) - delta_k
             k += 1
         images.append(total)
     d = Derivation(*images)

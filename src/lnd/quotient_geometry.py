@@ -14,7 +14,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import XYZ, YZ, Poly, divide_exact, divides, exact_div, frac, is_univariate_in
+from .arith import (
+    XYZ,
+    YZ,
+    Poly,
+    divide_exact,
+    divides,
+    exact_div,
+    frac,
+    is_univariate_in,
+    substitute,
+)
 from .automorphisms import Automorphism, commutes
 from .errors import RingMismatchError, VerificationError
 
@@ -82,18 +92,11 @@ def plane_identity() -> PlaneAut:
 
 def plane_compose(g: PlaneAut, h: PlaneAut) -> PlaneAut:
     """(g o h)(v) = g(h(v)); pullbacks compose in reverse, as in 3-space."""
-    from .arith import substitute_many
-
-    out = PlaneAut(*substitute_many((g.pullback_y, g.pullback_z), h.pullbacks))
+    out = PlaneAut(*(substitute(q, h.pullbacks) for q in (g.pullback_y, g.pullback_z)))
     if g.inverse_witness is not None and h.inverse_witness is not None:
+        hi, gi = h.inverse_witness, g.inverse_witness
         out.inverse_witness = PlaneAut(
-            *substitute_many(
-                (
-                    h.inverse_witness.pullback_y,
-                    h.inverse_witness.pullback_z,
-                ),
-                g.inverse_witness.pullbacks,
-            )
+            *(substitute(q, gi.pullbacks) for q in (hi.pullback_y, hi.pullback_z))
         )
         out.inverse_witness.inverse_witness = out
     return out
@@ -113,8 +116,6 @@ def is_vertical_fence(a: Poly) -> bool:
 
 def preserves_divisor(g: PlaneAut, div: PlaneDivisor) -> Fraction | None:
     """The scalar with g*(a) = scalar * a, or None if the divisor moves."""
-    from .arith import substitute
-
     image = substitute(div.a, g.pullbacks)
     if image.is_zero():
         return None

@@ -17,7 +17,6 @@ from lnd.arith import (
     partial_derivative,
     poly_to_str,
     substitute,
-    substitute_many,
 )
 from lnd.errors import MissingImageError, NonDivisibleError, RingMismatchError
 from lnd.syntax import parse_poly
@@ -109,26 +108,38 @@ def _naive_substitute(q, images, target):
     return total
 
 
-@pytest.mark.parametrize("vars, seed", [(XYZ, 41), (ZP, 43)], ids=["xyz", "zP"])
-def test_substitute_agrees_with_naive_evaluation(vars, seed):
+@pytest.mark.parametrize(
+    "source, target, seed",
+    [(XYZ, XYZ, 41), (ZP, ZP, 43), (ZP, XYZ, 47)],
+    ids=["xyz", "zP", "zP-into-xyz"],
+)
+def test_substitute_agrees_with_naive_evaluation(source, target, seed):
     rng = random.Random(seed)
     special = [
-        Poly.zero(vars),
-        Poly.const(vars, Fraction(-3, 2)),
-        Poly.variable(vars, vars[-1]) * Fraction(5, 7),
+        Poly.zero(target),
+        Poly.const(target, Fraction(-3, 2)),
+        Poly.variable(target, target[-1]) * Fraction(5, 7),
+        *(Poly.variable(target, v) for v in target),
     ]
+    # x^9 + x^2*y + 1 in the source ring: exponent gaps and a lone high power.
+    a, b = (Poly.variable(source, v) for v in source[:2])
+    gapped = a**9 + a**2 * b + Poly.one(source)
     for _ in range(30):
         images = {
             v: rng.choice(special)
             if rng.random() < 0.3
-            else rand_poly(rng, vars, deg=2, nterms=3) * Fraction(1, rng.randint(1, 3))
-            for v in vars
+            else rand_poly(rng, target, deg=2, nterms=3) * Fraction(1, rng.randint(1, 3))
+            for v in source
         }
-        polys = [rand_poly(rng, vars, deg=4, nterms=6) for _ in range(3)]
-        polys += [Poly.const(vars, 7), Poly.zero(vars), Poly.variable(vars, vars[0])]
-        expected = [_naive_substitute(q, images, vars) for q in polys]
-        assert [substitute(q, images) for q in polys] == expected
-        assert substitute_many(polys, images) == expected
+        polys = [rand_poly(rng, source, deg=4, nterms=6) for _ in range(3)]
+        polys += [Poly.const(source, 7), Poly.zero(source), a, gapped]
+        for q in polys:
+            assert substitute(q, images) == _naive_substitute(q, images, target)
+
+
+def test_substitute_images_in_different_rings():
+    with pytest.raises(RingMismatchError, match="different rings"):
+        substitute(p("x + y"), {"x": X, "y": Poly.variable(ZP, "z")})
 
 
 def test_partial_derivative_basic():
