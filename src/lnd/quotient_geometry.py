@@ -94,9 +94,9 @@ def plane_compose(g: PlaneAut, h: PlaneAut) -> PlaneAut:
     """(g o h)(v) = g(h(v)); pullbacks compose in reverse, as in 3-space."""
     out = PlaneAut(*(substitute(q, h.pullbacks) for q in (g.pullback_y, g.pullback_z)))
     if g.inverse_witness is not None and h.inverse_witness is not None:
-        hi, gi = h.inverse_witness, g.inverse_witness
+        h_inv, g_inv = h.inverse_witness, g.inverse_witness
         out.inverse_witness = PlaneAut(
-            *(substitute(q, gi.pullbacks) for q in (hi.pullback_y, hi.pullback_z))
+            *(substitute(q, g_inv.pullbacks) for q in (h_inv.pullback_y, h_inv.pullback_z))
         )
         out.inverse_witness.inverse_witness = out
     return out
