@@ -16,11 +16,11 @@ exponential of the negated logarithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
-from .arith import XYZ, Poly, frac, substitute
+from .arith import XYZ, Poly, exact_div, frac, substitute
 from .errors import (
     NotInKernelError,
     NotInvertibleError,
@@ -193,16 +193,13 @@ def mu_character(g: Automorphism, d: Poly) -> Fraction:
     image = pullback(g, d)
     if image.is_zero():
         raise NotInvertibleError("pullback of the divisor polynomial vanished")
-    from .arith import exact_div
-
     ratio = exact_div(image.leading_coeff(), d.leading_coeff())
     if image != d * ratio:
         raise ValueError(f"g*({d}) = {image} is not proportional to {d}")
     return ratio
 
 
-@dataclass(frozen=True)
-class ConjugationReport:
+class ConjugationReport(NamedTuple):
     """Outcome of checking conjugation of a modification against the
     character formula, recording which character orientation matched."""
 

@@ -27,15 +27,16 @@ runner, so that their mathematical failures surface as report entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import XYZ, YZ, ZVAR, Poly, poly_to_str
 from .automorphisms import Automorphism
 from .derivations import Derivation
 from .errors import ParseError
 from .quotient_geometry import PlaneAut, plane_divisor
-from .syntax import ExprParser, Token, eval_expr, expr_to_str, token_int, tokenize
+from .syntax import ExprParser, Neg, Pow, Product, Sum, Token, Var
+from .syntax import eval_expr, expr_to_str, token_int, tokenize
 
 # Directive vocabulary; unknown directives are positioned parse errors.
 DIRECTIVES = (
@@ -65,15 +66,13 @@ _RESERVED = {"n", "gelem", "compose", "check", "poly", "unipoly", "derivation",
              "automorphism", "planeaut", "divisor", "context", "law"}
 
 
-@dataclass(frozen=True)
-class ContextSpec:
+class ContextSpec(NamedTuple):
     P: Poly
     d: Poly
     deg_max: int
 
 
-@dataclass(frozen=True)
-class LawSpec:
+class LawSpec(NamedTuple):
     mu: tuple[int, ...]
     rho1: tuple[int, ...]
     rho2: tuple[int, ...]
@@ -81,8 +80,7 @@ class LawSpec:
     a_prime: Poly
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(NamedTuple):
     kind: str  # poly | unipoly | derivation | automorphism | planeaut | divisor | context | law
     name: str
     value: object
@@ -92,61 +90,55 @@ class Definition:
 # -- directive argument values ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class NameRef:
+class NameRef(NamedTuple):
     name: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class ExprValue:
+class ExprValue(NamedTuple):
     ast: object
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class ListValue:
+class ListValue(NamedTuple):
     items: tuple[ExprValue, ...]
 
 
-@dataclass(frozen=True)
-class NElemValue:
+class NElemValue(NamedTuple):
     h: ExprValue
     f: ExprValue
 
 
-@dataclass(frozen=True)
-class GElemValue:
+class GElemValue(NamedTuple):
     torus: tuple[Fraction, ...]
     h: ExprValue
     f: ExprValue
 
 
-@dataclass(frozen=True)
-class KeywordValue:
+class KeywordValue(NamedTuple):
     word: str
 
 
-@dataclass(frozen=True)
-class Arg:
+class Arg(NamedTuple):
     key: str | None
     value: object
 
 
-@dataclass(frozen=True)
-class Directive:
+class Directive(NamedTuple):
     name: str
     args: tuple[Arg, ...]
     line: int
     col: int
 
 
-@dataclass
 class CorpusCase:
-    definitions: list[Definition] = field(default_factory=list)
-    directives: list[Directive] = field(default_factory=list)
+    """Definitions and check directives in source order; the parser appends."""
+
+    def __init__(self):
+        self.definitions: list[Definition] = []
+        self.directives: list[Directive] = []
 
 
 class _CorpusParser(ExprParser):
@@ -441,8 +433,6 @@ class _CorpusParser(ExprParser):
         return ExprValue(node, tok.line, tok.col)
 
     def _check_expr_names(self, node) -> None:
-        from .syntax import Neg, Pow, Product, Sum, Var
-
         if isinstance(node, Var):
             if node.name not in _POLY_VARS and node.name not in self.names:
                 raise ParseError(f"undefined name {node.name!r}", node.line, node.col)

@@ -19,8 +19,8 @@ construction, since the source calculus never fixes the order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (
     XYZ,
@@ -53,6 +53,7 @@ from .errors import (
     NotInNError,
     RingMismatchError,
     SearchExhaustedError,
+    Validated,
     VerificationError,
 )
 
@@ -61,18 +62,22 @@ E_OUTER = "e-outer"  # compose(h.e, f.u'): the u'-modification acts first
 U_OUTER = "u-outer"  # compose(f.u', h.e): the complement acts first
 
 
-@dataclass(frozen=True)
-class NElem:
-    """Pair (h, f) in the kernel ring Q[z, P]; h must use z alone."""
-
+class _NElem(NamedTuple):
     h: Poly
     f: Poly
 
-    def __post_init__(self):
-        if self.h.vars != ZP or self.f.vars != ZP:
+
+class NElem(Validated, _NElem):
+    """Pair (h, f) in the kernel ring Q[z, P]; h must use z alone."""
+
+    __slots__ = ()
+
+    def __new__(cls, h: Poly, f: Poly):
+        if h.vars != ZP or f.vars != ZP:
             raise RingMismatchError("NElem components live in the (z, P) ring")
-        if not is_univariate_in(self.h, "z"):
-            raise ValueError(f"h component must lie in Q[z]: {self.h}")
+        if not is_univariate_in(h, "z"):
+            raise ValueError(f"h component must lie in Q[z]: {h}")
+        return tuple.__new__(cls, (h, f))
 
     def is_identity(self) -> bool:
         return self.h.is_zero() and self.f.is_zero()
@@ -90,8 +95,7 @@ def n_elem(h, f) -> NElem:
     return NElem(h.to_ring(ZP), f.to_ring(ZP))
 
 
-@dataclass(frozen=True)
-class DeltaContext:
+class DeltaContext(NamedTuple):
     """Validated plinth-family data; immutable, including the convention."""
 
     P: Poly  # in (x, y, z)
@@ -423,8 +427,7 @@ def combine_to_delta(ctx: DeltaContext, n: NElem) -> tuple[Poly, bool]:
     return f_poly, check
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(NamedTuple):
     gcd_hf: Poly  # gcd of the pair in Q[z, P]
     combined_content: Poly  # gcd of the generator images of h E + f D'
     criterion_applies: bool  # gcd(h, f) = 1
@@ -465,8 +468,7 @@ def irreducibility_criterion_check(ctx: DeltaContext, n: NElem) -> Irreducibilit
     return IrreducibilityReport(g, content, False, None, expanded == content)
 
 
-@dataclass(frozen=True)
-class AdIdentityReport:
+class AdIdentityReport(NamedTuple):
     q_max: int
     failures: tuple[int, ...]  # bracket powers where the identity failed
 

@@ -9,8 +9,8 @@ elements form a subalgebra) or the budget runs out and the verdict is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .arith import (
@@ -29,6 +29,7 @@ from .errors import (
     NotUnipotentError,
     RingMismatchError,
     SearchExhaustedError,
+    Validated,
     VerificationError,
 )
 
@@ -38,18 +39,23 @@ DEFAULT_CAP = 64
 DEFAULT_MAX_TERMS = 50_000
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """Images of the generators x, y, z; extends via the Leibniz rule."""
-
+class _Derivation(NamedTuple):
     image_x: Poly
     image_y: Poly
     image_z: Poly
 
-    def __post_init__(self):
-        for img in self.images:
+
+class Derivation(Validated, _Derivation):
+    """Images of the generators x, y, z; extends via the Leibniz rule."""
+
+    __slots__ = ()
+
+    def __new__(cls, image_x: Poly, image_y: Poly, image_z: Poly):
+        images = (image_x, image_y, image_z)
+        for img in images:
             if img.vars != XYZ:
                 raise RingMismatchError("derivation images must live in (x, y, z)")
+        return tuple.__new__(cls, images)
 
     @property
     def images(self) -> tuple[Poly, Poly, Poly]:
@@ -105,8 +111,7 @@ def delta(p: Poly) -> Derivation:
     )
 
 
-@dataclass(frozen=True)
-class NilpotencyEvidence:
+class NilpotencyEvidence(NamedTuple):
     status: str  # "nilpotent" | "inconclusive"
     vanishing_orders: tuple[int, int, int] | None
     iterations_used: int
@@ -471,8 +476,7 @@ def standard_decomposition(u: Automorphism) -> tuple[Poly, Automorphism]:
     return d, u_prime
 
 
-@dataclass(frozen=True)
-class SatReport:
+class SatReport(NamedTuple):
     """Result of a saturation instance check on ([f F, B], B(f), [F, B])."""
 
     bracket_is_zero: bool

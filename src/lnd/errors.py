@@ -1,9 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the base of the records
+whose construction raises them.
 
 Every error that carries mathematical meaning (as opposed to plain misuse)
 gets its own class, so callers can branch on "q does not divide p" versus
 "you passed polynomials from different rings".
 """
+
+
+class Validated:
+    """Mixin for a NamedTuple record whose `__new__` checks its fields:
+    `_make`, and so `_replace`, build through `__new__` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 class LndError(Exception):

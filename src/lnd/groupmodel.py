@@ -21,13 +21,15 @@ reproduces the derived-subgroup identity [(1,0,q), (1,h0,f0)] =
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import XYZ, ZP, Poly, frac, is_univariate_in, substitute
-from .automorphisms import Automorphism, compose, inverse, modification
-from .errors import LawHypothesisError, RingMismatchError
+from .automorphisms import Automorphism, commutes, compose, inverse, modification, mu_character
+from .delta_family import expand_kernel_poly, n_elem, n_to_aut
+from .derivations import apply, logarithm
+from .errors import LawHypothesisError, RingMismatchError, Validated
 
 # First distinct primes; a torus point with these coordinates kills a
 # character exactly when its exponent vector is zero.
@@ -37,8 +39,7 @@ COMM_ABAB = "a.b.a-.b-"  # [a, b] = a b a^-1 b^-1
 COMM_INV_FIRST = "a-.b-.a.b"  # [a, b] = a^-1 b^-1 a b
 
 
-@dataclass(frozen=True)
-class CharacterVector:
+class CharacterVector(NamedTuple):
     """A torus character by its exponent tuple; evaluation is the monomial."""
 
     exponents: tuple[int, ...]
@@ -63,35 +64,39 @@ class CharacterVector:
     def __mul__(self, k: int) -> "CharacterVector":
         return CharacterVector(tuple(k * e for e in self.exponents))
 
+    __rmul__ = __mul__  # not tuple repetition
 
-@dataclass(frozen=True)
-class GroupLaw:
-    """Characters and plinth generator fixing the semidirect product."""
 
+class _GroupLaw(NamedTuple):
     mu: CharacterVector
     rho1: CharacterVector
     rho2: CharacterVector
     nu: CharacterVector
     a_prime: Poly  # in the (z, P) ring, z only
 
-    def __post_init__(self):
-        ranks = {
-            len(c.exponents) for c in (self.mu, self.rho1, self.rho2, self.nu)
-        }
+
+class GroupLaw(Validated, _GroupLaw):
+    """Characters and plinth generator fixing the semidirect product."""
+
+    __slots__ = ()
+
+    def __new__(cls, mu, rho1, rho2, nu, a_prime: Poly):
+        ranks = {len(c.exponents) for c in (mu, rho1, rho2, nu)}
         if len(ranks) != 1:
             raise ValueError("character vectors have mixed ranks")
-        if self.a_prime.vars != ZP or not is_univariate_in(self.a_prime, "z"):
+        if a_prime.vars != ZP or not is_univariate_in(a_prime, "z"):
             raise RingMismatchError("a' must be a z-polynomial in the (z, P) ring")
-        if self.a_prime.is_zero():
+        if a_prime.is_zero():
             raise ValueError("a' must be nonzero")
         # Associativity of the semidirect product: conjugation by the torus
         # must respect the shifted fiber law, i.e. a'(rho1 z) = rho2 nu a'.
-        target = self.rho2 + self.nu
-        for mono in self.a_prime.terms:
-            if self.rho1 * sum(mono) != target:
+        target = rho2 + nu
+        for mono in a_prime.terms:
+            if rho1 * sum(mono) != target:
                 raise LawHypothesisError(
                     "incompatible law: rho1^m != rho2 * nu on the support of a'"
                 )
+        return tuple.__new__(cls, (mu, rho1, rho2, nu, a_prime))
 
     @property
     def rank(self) -> int:
@@ -112,22 +117,26 @@ def make_group_law(mu, rho1, rho2, a_prime: Poly, nu=None) -> GroupLaw:
     return GroupLaw(mu, rho1, rho2, nu_vec, a_prime)
 
 
-@dataclass(frozen=True)
-class GElem:
-    """Group element (torus point; h; f); h in Q[z], f in Q[z, P]."""
-
+class _GElem(NamedTuple):
     torus: tuple[Fraction, ...]
     h: Poly
     f: Poly
 
-    def __post_init__(self):
-        if self.h.vars != ZP or self.f.vars != ZP:
+
+class GElem(Validated, _GElem):
+    """Group element (torus point; h; f); h in Q[z], f in Q[z, P]."""
+
+    __slots__ = ()
+
+    def __new__(cls, torus: tuple[Fraction, ...], h: Poly, f: Poly):
+        if h.vars != ZP or f.vars != ZP:
             raise RingMismatchError("GElem components live in the (z, P) ring")
-        if not is_univariate_in(self.h, "z"):
+        if not is_univariate_in(h, "z"):
             raise ValueError("h component must lie in Q[z]")
-        for coord in self.torus:
+        for coord in torus:
             if coord == 0:
                 raise ValueError("torus coordinates must be nonzero")
+        return tuple.__new__(cls, (torus, h, f))
 
     def is_identity(self) -> bool:
         return (
@@ -226,15 +235,13 @@ def commutator(a: GElem, b: GElem, law: GroupLaw) -> GElem:
 # -- the presentation lemma ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PresWitness:
+class PresWitness(NamedTuple):
     stage: int  # the P-power j of the generating z^i P^j
     power: int  # the z-power i actually used
     element: GElem
 
 
-@dataclass(frozen=True)
-class CandidateVerdict:
+class CandidateVerdict(NamedTuple):
     candidate: GElem
     in_fiber: bool
     centralizes_all: bool
@@ -245,8 +252,7 @@ class CandidateVerdict:
         return self.in_fiber == self.centralizes_all
 
 
-@dataclass(frozen=True)
-class PresLemmaReport:
+class PresLemmaReport(NamedTuple):
     h0: Poly
     witnesses: tuple[PresWitness, ...]
     verdicts: tuple[CandidateVerdict, ...]
@@ -359,8 +365,7 @@ def aut_commutator(a: Automorphism, b: Automorphism) -> Automorphism:
     return compose(compose(a, b), compose(inverse(a), inverse(b)))
 
 
-@dataclass(frozen=True)
-class CharCommutatorReport:
+class CharCommutatorReport(NamedTuple):
     holds: bool
     lhs: Automorphism
     rhs: Automorphism
@@ -372,8 +377,6 @@ def char_commutator_check(ctx, h: Poly, f: Poly) -> CharCommutatorReport:
 
     Every factor is composed as an automorphism of 3-space; the right side
     is the predicted modification of u'."""
-    from .delta_family import expand_kernel_poly, n_elem, n_to_aut
-
     n = n_elem(h, f)
     g = n_to_aut(n, ctx)
     p2 = expand_kernel_poly(ctx, Poly.variable(ZP, "P") ** 2)
@@ -384,8 +387,7 @@ def char_commutator_check(ctx, h: Poly, f: Poly) -> CharCommutatorReport:
     return CharCommutatorReport(lhs == rhs, lhs, rhs, factor)
 
 
-@dataclass(frozen=True)
-class NonfenceCommutatorReport:
+class NonfenceCommutatorReport(NamedTuple):
     holds: bool
     orientation: str  # which character orientation matched
     scalar: Fraction
@@ -409,9 +411,6 @@ def nonfence_commutator_check(
     inverse in the scalar, so both orientations are tried and the matching
     one is recorded.
     """
-    from .automorphisms import mu_character
-    from .derivations import apply, logarithm
-
     if k < 0:
         raise ValueError("k must be non-negative")
     d = d.to_ring(XYZ)
@@ -422,8 +421,6 @@ def nonfence_commutator_check(
         if not apply(d_prime, p).is_zero():
             raise ValueError(f"{name} is not invariant for u'")
     u = modification(d, u_prime)
-    from .automorphisms import commutes
-
     if not commutes(t, u):
         raise ValueError("t does not commute with the modified automorphism")
     mu_t = mu_character(t, d)

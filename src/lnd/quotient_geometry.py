@@ -11,8 +11,8 @@ finite-order cases certified inside cyclotomic quotient rings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (
     XYZ,
@@ -26,20 +26,24 @@ from .arith import (
     substitute,
 )
 from .automorphisms import Automorphism, commutes
-from .errors import RingMismatchError, VerificationError
+from .errors import RingMismatchError, Validated, VerificationError
 
 
-@dataclass(frozen=True)
-class PlaneDivisor:
-    """Effective divisor div(a) on the plane; a is nonzero and stored monic."""
-
+class _PlaneDivisor(NamedTuple):
     a: Poly
 
-    def __post_init__(self):
-        if self.a.vars != YZ:
+
+class PlaneDivisor(Validated, _PlaneDivisor):
+    """Effective divisor div(a) on the plane; a is nonzero and stored monic."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: Poly):
+        if a.vars != YZ:
             raise RingMismatchError("divisor polynomial must live in (y, z)")
-        if self.a.is_zero():
+        if a.is_zero():
             raise ValueError("divisor polynomial must be nonzero")
+        return tuple.__new__(cls, (a,))
 
     def __str__(self) -> str:
         return f"div({self.a})"
@@ -161,8 +165,7 @@ def _mod_reduce(p: Poly, modulus: Poly) -> Poly:
     return p
 
 
-@dataclass(frozen=True)
-class DivisorSymmetry:
+class DivisorSymmetry(NamedTuple):
     """Affine symmetry data of a root divisor on the line.
 
     center: the unique fixed point every affine symmetry must fix
@@ -292,8 +295,7 @@ def fence_unipotent_witness(div: PlaneDivisor) -> PlaneAut:
     return shear
 
 
-@dataclass(frozen=True)
-class FixedSchemeReport:
+class FixedSchemeReport(NamedTuple):
     """Whether div(a) is fixed pointwise by the witness shear while every
     proper enlargement div(a*m) in the test family moves."""
 

@@ -10,12 +10,12 @@ seeded by (seed, directive index).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import delta_family, groupmodel, quotient_geometry
 from .arith import XYZ, YZ, ZP, ZVAR, Poly
-from .automorphisms import Automorphism, commutes, compose
+from .automorphisms import Automorphism, commutes, compose, conjugation_formula_check
 from .corpus import (
     ContextSpec,
     CorpusCase,
@@ -32,16 +32,18 @@ from .derivations import (
     Derivation,
     apply,
     exponential,
+    is_irreducible,
     is_locally_nilpotent,
     lie_bracket,
     logarithm,
+    plinth_search,
     sat_instance_check,
     scale,
     standard_decomposition,
 )
 from .errors import LndError
 from .quotient_geometry import PlaneDivisor
-from .syntax import eval_expr
+from .syntax import Num, eval_expr
 
 # Protective bounds for untrusted corpus input; honest errors, not crashes.
 MAX_DEG_MAX = 12
@@ -50,16 +52,14 @@ MAX_Q_MAX = 16
 MAX_K = 16
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     name: str
     verdict: str  # PASS | FAIL | ERROR
     detail: str
     extra: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     entries: tuple[Entry, ...]
 
     @property
@@ -90,10 +90,10 @@ class DirectiveError(LndError):
     """Schema violation in directive arguments."""
 
 
-@dataclass
 class _Env:
-    objects: dict[str, tuple[str, object]]
-    deg_max_cap: int
+    def __init__(self, deg_max_cap: int):
+        self.objects: dict[str, tuple[str, object]] = {}
+        self.deg_max_cap = deg_max_cap
 
     def fetch(self, name: str, kinds: tuple[str, ...]):
         if name not in self.objects:
@@ -275,8 +275,6 @@ def _run_standard_decomposition_expect(args: _Args, rng) -> tuple[str, str]:
 
 
 def _run_plinth_expect(args: _Args, rng) -> tuple[str, str]:
-    from .derivations import plinth_search
-
     d = _derivation_of(args, args.take("derivation"))
     gens = args.as_poly_list(args.take("kernel generators", key="gens"), XYZ)
     raw_deg = args.optional_kw("deg_max")
@@ -314,8 +312,6 @@ def _run_admissible_complement(args: _Args, rng) -> tuple[str, str]:
         (lie_bracket(ctx.D_prime, ctx.E).is_zero(), "[D', E] = 0"),
         (ctx.a == ctx.d * ctx.a_prime, "a = d a'"),
     ]
-    from .derivations import is_irreducible
-
     checks.append((is_irreducible(ctx.E), "E irreducible"))
     checks.append((is_irreducible(ctx.D_prime), "D' irreducible"))
     failed = [fact for ok, fact in checks if not ok]
@@ -339,8 +335,6 @@ def _run_ad_identity(args: _Args, rng) -> tuple[str, str]:
 
 
 def _int_value(number: int):
-    from .syntax import Num
-
     return ExprValue(Num(Fraction(number)), 0, 0)
 
 
@@ -406,8 +400,6 @@ def _run_irreducibility_criterion(args: _Args, rng) -> tuple[str, str]:
 
 
 def _run_conjugation_formula(args: _Args, rng) -> tuple[str, str]:
-    from .automorphisms import conjugation_formula_check
-
     g = args.as_object(args.take("automorphism g"), ("automorphism",))
     f = args.as_poly(args.take("kernel element f"), XYZ)
     u_prime = args.as_object(args.take("automorphism u'"), ("automorphism",))
@@ -601,7 +593,7 @@ def run(
     rendered after the loop, so only dispatch set-up runs between directives.
     """
     entries: list[Entry] = []
-    env = _Env({}, deg_max_cap)
+    env = _Env(deg_max_cap)
     _build_definitions(case, env, entries)
     outcomes = []
     for index, directive in enumerate(case.directives):

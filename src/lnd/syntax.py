@@ -16,8 +16,8 @@ position, 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Poly
 from .errors import ParseError
@@ -34,8 +34,7 @@ MAX_NESTING = 100
 _SYMBOLS = ("->", "{", "}", "(", ")", "[", "]", ",", ";", "=", "+", "-", "*", "/", "^")
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "num" | "sym" | "eof"
     text: str
     line: int
@@ -106,36 +105,30 @@ def token_int(tok: Token) -> int:
 # -- expression AST ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(NamedTuple):
     operands: tuple[object, ...]
     signs: tuple[str, ...]  # '+' or '-' before each of operands[1:]
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     operands: tuple[object, ...]
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
     line: int

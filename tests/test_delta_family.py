@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -277,7 +276,7 @@ def test_cofactor_content_with_shared_cofactor_factor():
     # Scaling E and D' by x + 1 gives every pair's cofactors the factor
     # x + 1, so the content is more than the expanded gcd(h, f).
     xp1 = p("x + 1")
-    ctx = dataclasses.replace(CTX, E=scale_poly(xp1, CTX.E), D_prime=scale_poly(xp1, CTX.D_prime))
+    ctx = CTX._replace(E=scale_poly(xp1, CTX.E), D_prime=scale_poly(xp1, CTX.D_prime))
     contents = []
     for n in (n_elem(k("z + 1"), k("z*P + P")), n_elem(k("z"), k("z^2 + z*P"))):
         rep = irreducibility_criterion_check(ctx, n)
