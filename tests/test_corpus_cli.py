@@ -8,6 +8,7 @@ from lnd import cli, corpus, runner
 from lnd.errors import ParseError
 
 CORPORA = sorted((Path(__file__).resolve().parent.parent / "corpora").glob("*.corpus"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_shipped_corpora_exist():
@@ -451,3 +452,14 @@ def test_shipped_corpora_all_pass():
         report = runner.run(case, seed=0, budget=3)
         assert report.ok, (path.name, runner.format_report(report))
         assert all(e.verdict == "PASS" for e in report.entries)
+
+
+@pytest.mark.parametrize("path", CORPORA, ids=[p.stem for p in CORPORA])
+def test_reports_match_golden_files(path):
+    """`lnd check` and `lnd report` stdout at seed 0, byte for byte, against
+    tests/golden/<corpus>.<command>.txt."""
+    report = runner.run(corpus.parse(path.read_text()), seed=0)
+    for command, full in (("check", False), ("report", True)):
+        golden = GOLDEN / f"{path.stem}.{command}.txt"
+        text = runner.format_report(report, full=full)
+        assert text.encode("utf-8") == golden.read_bytes(), golden.name
