@@ -36,12 +36,10 @@ from .automorphisms import Automorphism, express_in_kernel, pullback
 from .derivations import (
     Derivation,
     apply,
-    apply_exp,
     compose_exp_word,
     delta,
     exponential,
     is_irreducible,
-    is_locally_nilpotent,
     lie_bracket,
     plinth_search,
     scale,
@@ -51,6 +49,7 @@ from .errors import (
     ContextError,
     NonDivisibleError,
     NotInNError,
+    NotLocallyNilpotentError,
     RingMismatchError,
     SearchExhaustedError,
     Validated,
@@ -175,8 +174,10 @@ def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaConte
     if max(P.degree_in("x"), P.degree_in("y")) < 1:
         raise ContextError("P must have positive degree in (x, y)")
     d_prime = delta(P)
-    if not is_locally_nilpotent(d_prime).is_nilpotent:
-        raise ContextError("no nilpotency certificate for the derivation of P")
+    try:
+        u_prime = exponential(d_prime)
+    except NotLocallyNilpotentError:
+        raise ContextError("no nilpotency certificate for the derivation of P") from None
     z_poly = Poly.variable(XYZ, "z")
     q_poly, a_prime = plinth_search(d_prime, [z_poly, P], deg_max)
     if not is_univariate_in(a_prime, "z"):
@@ -191,15 +192,16 @@ def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaConte
         (lie_bracket(d_prime, e_der).is_zero(), "[D', E] = 0"),
         (is_irreducible(d_prime), "D' irreducible"),
         (is_irreducible(e_der), "E irreducible"),
-        (is_locally_nilpotent(e_der).is_nilpotent, "E locally nilpotent"),
     ]
     for ok, fact in checks:
         if not ok:
             raise ContextError(f"context invariant failed: {fact}")
+    try:
+        e_aut = exponential(e_der)
+    except NotLocallyNilpotentError:
+        raise ContextError("context invariant failed: E locally nilpotent") from None
     a = d * a_prime
     d_full = Derivation(*(d * img for img in d_prime.images))
-    u_prime = exponential(d_prime)
-    e_aut = exponential(e_der)
     u = exponential(d_full)
     convention = _resolve_convention(e_der, d_prime, a_prime.to_ring(ZP), P)
     return DeltaContext(
@@ -339,16 +341,7 @@ def _strip_complement(
 ) -> Automorphism:
     """Remove the h.e factor from g per the recorded convention."""
     w_neg = scale_poly(-h_amb, ctx.E)
-    images = []
-    for v in XYZ:
-        if ctx.convention == E_OUTER:
-            # (exp(-hE) o g)*(v) = g*(exp(-hE)*(v))
-            p = substitute(apply_exp(w_neg, Poly.variable(XYZ, v)), g.pullbacks)
-        else:
-            # (g o exp(-hE))*(v) = exp(-hE)*(g*(v))
-            p = apply_exp(w_neg, substitute(Poly.variable(XYZ, v), g.pullbacks))
-        images.append(p)
-    return Automorphism(*images)
+    return compose_exp_word([w_neg, g] if ctx.convention == E_OUTER else [g, w_neg])
 
 
 def _modification_factor(ctx: DeltaContext, residual: Automorphism) -> Poly:

@@ -53,57 +53,27 @@ def plane_divisor(a: Poly) -> PlaneDivisor:
     return PlaneDivisor(a.to_ring(YZ).monic())
 
 
-class PlaneAut:
+class _PlaneAut(NamedTuple):
+    pullback_y: Poly
+    pullback_z: Poly
+
+
+class PlaneAut(Validated, _PlaneAut):
     """Plane endomorphism by pullbacks (g*(y), g*(z)); equality by pullbacks."""
 
-    __slots__ = ("pullback_y", "pullback_z", "inverse_witness")
+    __slots__ = ()
 
-    def __init__(self, pullback_y: Poly, pullback_z: Poly, inverse_witness=None):
-        for img in (pullback_y, pullback_z):
-            if img.vars != YZ:
-                raise RingMismatchError("plane pullbacks must live in (y, z)")
-        self.pullback_y = pullback_y
-        self.pullback_z = pullback_z
-        self.inverse_witness = inverse_witness
-        if inverse_witness is not None:
-            if (
-                plane_compose(self, inverse_witness) != plane_identity()
-                or plane_compose(inverse_witness, self) != plane_identity()
-            ):
-                raise ValueError("inverse witness fails to invert")
+    def __new__(cls, pullback_y: Poly, pullback_z: Poly):
+        if pullback_y.vars != YZ or pullback_z.vars != YZ:
+            raise RingMismatchError("plane pullbacks must live in (y, z)")
+        return tuple.__new__(cls, (pullback_y, pullback_z))
 
     @property
     def pullbacks(self) -> dict[str, Poly]:
         return {"y": self.pullback_y, "z": self.pullback_z}
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PlaneAut)
-            and self.pullback_y == other.pullback_y
-            and self.pullback_z == other.pullback_z
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.pullback_y, self.pullback_z))
-
     def __repr__(self) -> str:
         return f"PlaneAut(y -> {self.pullback_y}, z -> {self.pullback_z})"
-
-
-def plane_identity() -> PlaneAut:
-    return PlaneAut(Poly.variable(YZ, "y"), Poly.variable(YZ, "z"))
-
-
-def plane_compose(g: PlaneAut, h: PlaneAut) -> PlaneAut:
-    """(g o h)(v) = g(h(v)); pullbacks compose in reverse, as in 3-space."""
-    out = PlaneAut(*(substitute(q, h.pullbacks) for q in (g.pullback_y, g.pullback_z)))
-    if g.inverse_witness is not None and h.inverse_witness is not None:
-        h_inv, g_inv = h.inverse_witness, g.inverse_witness
-        out.inverse_witness = PlaneAut(
-            *(substitute(q, g_inv.pullbacks) for q in (h_inv.pullback_y, h_inv.pullback_z))
-        )
-        out.inverse_witness.inverse_witness = out
-    return out
 
 
 def is_vertical_fence(a: Poly) -> bool:
@@ -261,12 +231,6 @@ def lift_to_H(g: PlaneAut, div: PlaneDivisor) -> Automorphism:
         g.pullback_y.to_ring(XYZ),
         g.pullback_z.to_ring(XYZ),
     )
-    if g.inverse_witness is not None:
-        sigma._inverse = lambda: Automorphism(
-            Poly.variable(XYZ, "x") * (Fraction(1) / lam),
-            g.inverse_witness.pullback_y.to_ring(XYZ),
-            g.inverse_witness.pullback_z.to_ring(XYZ),
-        )
     translation = Automorphism(
         Poly.variable(XYZ, "x") + div.a.to_ring(XYZ),
         Poly.variable(XYZ, "y"),
@@ -283,16 +247,7 @@ def fence_unipotent_witness(div: PlaneDivisor) -> PlaneAut:
         raise ValueError("divisor is not a vertical fence")
     if div.a.degree_in("z") < 1:
         raise ValueError("fence witness needs a non-constant divisor")
-    y = Poly.variable(YZ, "y")
-    z = Poly.variable(YZ, "z")
-    shear = PlaneAut(y + div.a, z)
-    shear.inverse_witness = PlaneAut(y - div.a, z)
-    # unipotent by shape: z is fixed and the y-shift depends on z alone
-    if shear.pullback_z != z or not is_vertical_fence(shear.pullback_y - y):
-        raise VerificationError("witness shear is not a vertical-fence shear")
-    if preserves_divisor(shear, div) != 1:
-        raise VerificationError("witness shear does not fix the divisor")
-    return shear
+    return PlaneAut(Poly.variable(YZ, "y") + div.a, Poly.variable(YZ, "z"))
 
 
 class FixedSchemeReport(NamedTuple):

@@ -16,6 +16,7 @@ position, 1-based.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -31,7 +32,15 @@ MAX_PARSED_POWER = 999
 # printing far inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
-_SYMBOLS = ("->", "{", "}", "(", ")", "[", "]", ",", ";", "=", "+", "-", "*", "/", "^")
+# One line's token classes, tried in order at each position; spaces, tabs
+# and carriage returns match nothing and are skipped.  A name starts with a
+# word character other than a decimal digit and may end in primes (a'); a
+# literal is a run of decimal digits, so a superscript such as '\u00b2' is
+# part of a name, never a number.
+_TOKEN_RE = re.compile(
+    r"(?P<ident>[^\W\d]\w*'*)|(?P<num>\d+)|(?P<sym>->|[-{}()\[\],;=+*/^])"
+    r"|(?P<comment>#.*)|(?P<bad>[^ \t\r])"
+)
 
 
 class Token(NamedTuple):
@@ -43,51 +52,17 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            while i < n and text[i] == "'":
-                i += 1
-            tokens.append(Token("ident", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(Token("num", text[start:i], line, col))
-            col += i - start
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("sym", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "{}()[],;=+-*/^":
-            tokens.append(Token("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    for line, source in enumerate(text.split("\n"), 1):
+        end = len(source) + 1
+        for match in _TOKEN_RE.finditer(source):
+            kind, col = match.lastgroup, match.start() + 1
+            if kind == "comment":
+                end = col
+                break
+            if kind == "bad":
+                raise ParseError(f"unexpected character {match.group()!r}", line, col)
+            tokens.append(Token(kind, match.group(), line, col))
+    tokens.append(Token("eof", "", line, end))
     return tokens
 
 

@@ -42,6 +42,8 @@ def test_parse_simple_definitions():
         ("poly Q = (x + y)^2000", "too large"),
         ("poly Q = 7^2000", "too large"),
         ("poly Q = (2*x)^2000", "too large"),
+        ("poly Q = x^\u00b2", "expected a non-negative integer exponent"),
+        ("poly Q = \u00b2", "unknown variable '\u00b2'"),
     ],
 )
 def test_positioned_diagnostics(source, fragment):
@@ -49,6 +51,20 @@ def test_positioned_diagnostics(source, fragment):
         corpus.parse(source)
     assert fragment in str(err.value)
     assert err.value.line >= 1 and err.value.col >= 1
+
+
+def test_tokenize_fixed_text():
+    from lnd.syntax import tokenize
+
+    text = "law L {\ta' = 12*z^3 # note -> here\r\n\ty -> 007;}\n# end"
+    assert [tuple(tok) for tok in tokenize(text)] == [
+        ("ident", "law", 1, 1), ("ident", "L", 1, 5), ("sym", "{", 1, 7),
+        ("ident", "a'", 1, 9), ("sym", "=", 1, 12), ("num", "12", 1, 14),
+        ("sym", "*", 1, 16), ("ident", "z", 1, 17), ("sym", "^", 1, 18),
+        ("num", "3", 1, 19), ("ident", "y", 2, 2), ("sym", "->", 2, 4),
+        ("num", "007", 2, 7), ("sym", ";", 2, 10), ("sym", "}", 2, 11),
+        ("eof", "", 3, 1),
+    ]
 
 
 def test_print_parse_idempotent_on_shipped():

@@ -1,10 +1,10 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from lnd.arith import XYZ, YZ, Poly
+from lnd.arith import XYZ, YZ, Poly, substitute
 from lnd.automorphisms import Automorphism, commutes
+from lnd.automorphisms import compose as compose_3d
 from lnd.quotient_geometry import (
     PlaneAut,
     affine_symmetries,
@@ -14,9 +14,7 @@ from lnd.quotient_geometry import (
     is_inert,
     is_vertical_fence,
     lift_to_H,
-    plane_compose,
     plane_divisor,
-    plane_identity,
     preserves_divisor,
 )
 from lnd.syntax import parse_poly
@@ -27,6 +25,12 @@ def q(text):
 
 
 Y, Z = Poly.variable(YZ, "y"), Poly.variable(YZ, "z")
+IDENTITY = PlaneAut(Y, Z)
+
+
+def compose(g, h):
+    """(g o h)(v) = g(h(v)); pullbacks compose in reverse, as in 3-space."""
+    return PlaneAut(*(substitute(p, h.pullbacks) for p in g))
 
 
 def test_is_vertical_fence():
@@ -49,16 +53,12 @@ def test_preserves_divisor():
 def test_preserves_divisor_multiplicative():
     rng = random.Random(97)
     div = plane_divisor(q("z^3 - z"))
-    pool = [
-        PlaneAut(-Y, -Z, PlaneAut(-Y, -Z)),
-        PlaneAut(Y + q("z^3 - z"), Z, PlaneAut(Y - q("z^3 - z"), Z)),
-        PlaneAut(Y * 2, Z, PlaneAut(Y * Fraction(1, 2), Z)),
-    ]
+    pool = [PlaneAut(-Y, -Z), PlaneAut(Y + q("z^3 - z"), Z), PlaneAut(Y * 2, Z)]
     for _ in range(10):
         g = pool[rng.randrange(len(pool))]
         h = pool[rng.randrange(len(pool))]
         lg, lh = preserves_divisor(g, div), preserves_divisor(h, div)
-        assert preserves_divisor(plane_compose(g, h), div) == lg * lh
+        assert preserves_divisor(compose(g, h), div) == lg * lh
 
 
 def test_is_inert():
@@ -67,15 +67,17 @@ def test_is_inert():
         g = PlaneAut(Y + q("z^2") * h, Z)
         assert is_inert(g, d2)
     assert not is_inert(PlaneAut(Y + Z, Z), d2)
-    assert is_inert(plane_identity(), d2)
+    assert is_inert(IDENTITY, d2)
 
 
 def test_inert_elements_form_group():
     d2 = plane_divisor(q("z^2"))
-    g = PlaneAut(Y + q("z^2"), Z, PlaneAut(Y - q("z^2"), Z))
-    h = PlaneAut(Y + q("z^3"), Z, PlaneAut(Y - q("z^3"), Z))
-    assert is_inert(plane_compose(g, h), d2)
-    assert is_inert(g.inverse_witness, d2)
+    g = PlaneAut(Y + q("z^2"), Z)
+    h = PlaneAut(Y + q("z^3"), Z)
+    g_inv = PlaneAut(Y - q("z^2"), Z)
+    assert compose(g, g_inv) == compose(g_inv, g) == IDENTITY
+    assert is_inert(compose(g, h), d2)
+    assert is_inert(g_inv, d2)
 
 
 def test_cyclotomic_polynomials():
@@ -127,10 +129,10 @@ def test_no_larger_symmetry_order():
 
 def test_lift_to_H():
     div = plane_divisor(q("z^3 - z"))
-    assert lift_to_H(plane_identity(), div) == Automorphism(
+    assert lift_to_H(IDENTITY, div) == Automorphism(
         *(Poly.variable(XYZ, v) for v in XYZ)
     )
-    reflect = PlaneAut(-Y, -Z, PlaneAut(-Y, -Z))
+    reflect = PlaneAut(-Y, -Z)
     sigma = lift_to_H(reflect, div)
     assert sigma == Automorphism(
         parse_poly("-x", XYZ), parse_poly("-y", XYZ), parse_poly("-z", XYZ)
@@ -143,11 +145,9 @@ def test_lift_to_H():
 
 def test_lift_is_homomorphism_into_centralizer():
     div = plane_divisor(q("z^3 - z"))
-    g = PlaneAut(-Y, -Z, PlaneAut(-Y, -Z))
-    h = PlaneAut(Y + q("z^3 - z"), Z, PlaneAut(Y - q("z^3 - z"), Z))
-    assert lift_to_H(plane_compose(g, h), div) == __import__(
-        "lnd.automorphisms", fromlist=["compose"]
-    ).compose(lift_to_H(g, div), lift_to_H(h, div))
+    g = PlaneAut(-Y, -Z)
+    h = PlaneAut(Y + q("z^3 - z"), Z)
+    assert lift_to_H(compose(g, h), div) == compose_3d(lift_to_H(g, div), lift_to_H(h, div))
     translation = Automorphism(
         parse_poly("x + z^3 - z", XYZ),
         Poly.variable(XYZ, "y"),
@@ -160,7 +160,7 @@ def test_lift_recovers_plane_action_on_quotient():
     from lnd.automorphisms import quotient_action
 
     div = plane_divisor(q("z^3 - z"))
-    g = PlaneAut(-Y, -Z, PlaneAut(-Y, -Z))
+    g = PlaneAut(-Y, -Z)
     sigma = lift_to_H(g, div)
     ey, ez = quotient_action(
         sigma, [Poly.variable(XYZ, "y"), Poly.variable(XYZ, "z")], 3, YZ

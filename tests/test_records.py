@@ -16,7 +16,7 @@ from lnd.delta_family import NElem
 from lnd.derivations import Derivation
 from lnd.errors import LawHypothesisError, RingMismatchError
 from lnd.groupmodel import CharacterVector, GElem, GroupLaw
-from lnd.quotient_geometry import PlaneDivisor
+from lnd.quotient_geometry import PlaneAut, PlaneDivisor
 from lnd.runner import Entry
 from lnd.syntax import parse_poly
 
@@ -62,6 +62,10 @@ BAD_CONSTRUCTIONS = [
     (GElem, ((Fraction(0),), ZERO_ZP, ZERO_ZP), ValueError, "torus coordinates must be nonzero"),
     (PlaneDivisor, (Poly.one(XYZ),), RingMismatchError, "divisor polynomial must live in (y, z)"),
     (PlaneDivisor, (Poly.zero(YZ),), ValueError, "divisor polynomial must be nonzero"),
+    (PlaneAut, (Poly.zero(XYZ), Poly.zero(YZ)), RingMismatchError,
+     "plane pullbacks must live in (y, z)"),
+    (PlaneAut, (Poly.zero(YZ), Poly.zero(ZP)), RingMismatchError,
+     "plane pullbacks must live in (y, z)"),
 ]
 
 GOOD = {
@@ -70,6 +74,7 @@ GOOD = {
     GroupLaw: (CV((0,)), CV((1,)), CV((1,)), CV((0,)), parse_poly("z", ZP)),
     GElem: ((Fraction(1),), ZERO_ZP, ZERO_ZP),
     PlaneDivisor: (Poly.one(YZ),),
+    PlaneAut: (Poly.variable(YZ, "y"), Poly.variable(YZ, "z")),
 }
 
 
