@@ -20,6 +20,7 @@ round-trips byte for byte.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -54,6 +55,16 @@ def _intern(value) -> Coef:
         return value.numerator if value.denominator == 1 else value
     f = Fraction(value)
     return f.numerator if f.denominator == 1 else f
+
+
+class WorkBudgetExceeded(Exception):
+    """A Poly product would overdraw the armed ALLOWANCE."""
+
+
+# Term pairs Poly products may still spend in this context: None (unmetered)
+# unless armed with a one-item list, from which each product deducts
+# len(a) * len(b) before it runs.
+ALLOWANCE: ContextVar[list[int] | None] = ContextVar("lnd_allowance", default=None)
 
 
 def exact_div(a: Coef, b: Coef) -> Coef:
@@ -229,6 +240,11 @@ class Poly:
             return NotImplemented
         self._check_ring(other)
         a, b = self.terms, other.terms
+        allowance = ALLOWANCE.get()
+        if allowance is not None:
+            allowance[0] -= len(a) * len(b)
+            if allowance[0] < 0:
+                raise WorkBudgetExceeded
         if len(a) > len(b):
             a, b = b, a
         out: dict[Monomial, Coef] = {}

@@ -10,12 +10,16 @@ elements form a subalgebra) or the budget runs out and the verdict is
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from math import factorial
 from typing import NamedTuple
 
 from . import linalg
 from .arith import (
     XYZ,
+    ALLOWANCE,
     Poly,
+    WorkBudgetExceeded,
     divide_exact,
     exact_div,
     gcd_many,
@@ -33,10 +37,10 @@ from .errors import (
     VerificationError,
 )
 
+# The two bounds of every series (exp, log, nilpotency): at most DEFAULT_CAP
+# steps, and at most WORK_BUDGET term pairs of Poly multiplication.
 DEFAULT_CAP = 64
-# Work guard for nilpotency/logarithm iterations on hostile inputs: once an
-# iterate carries this many terms the verdict degrades to "inconclusive".
-DEFAULT_MAX_TERMS = 50_000
+WORK_BUDGET = 2_000_000
 
 
 class _Derivation(NamedTuple):
@@ -111,96 +115,86 @@ def delta(p: Poly) -> Derivation:
     )
 
 
+def _series(step, p: Poly, weights, what: str, error: type) -> tuple[Poly, int]:
+    """Sum of weights[k] * step^k(p) over k >= 0, and the order n with
+    step^n(p) = 0; `weights` None skips the sum.
+
+    Two bounds make every series stop: n may not exceed DEFAULT_CAP, and the
+    Poly products of the whole series may spend at most WORK_BUDGET term
+    pairs.  Either raises `error`, naming the bound, `what` and the step.
+    """
+    total = Poly.zero(p.vars)
+    term, k = p, 0
+    token = ALLOWANCE.set([WORK_BUDGET])
+    try:
+        while not term.is_zero():
+            if k == DEFAULT_CAP:
+                raise error(f"{what} exceeded the step cap of {k} (step {k + 1})")
+            c = weights[k] if weights else 0
+            if c:
+                c_term = term if c == 1 else term * c
+                total = c_term if total.is_zero() else total + c_term
+            k += 1
+            term = step(term)
+    except WorkBudgetExceeded:
+        raise error(
+            f"{what} exceeded the work budget of {WORK_BUDGET} term pairs (step {k})"
+        ) from None
+    finally:
+        ALLOWANCE.reset(token)
+    return total, k
+
+
+_EXP_WEIGHTS = tuple(Fraction(1, factorial(k)) for k in range(DEFAULT_CAP))
+_LOG_WEIGHTS = (0,) + tuple(Fraction((-1) ** (k + 1), k) for k in range(1, DEFAULT_CAP))
+
+
 class NilpotencyEvidence(NamedTuple):
     status: str  # "nilpotent" | "inconclusive"
     vanishing_orders: tuple[int, int, int] | None
-    iterations_used: int
 
     @property
     def is_nilpotent(self) -> bool:
         return self.status == "nilpotent"
 
 
-def is_locally_nilpotent(
-    d: Derivation, cap: int = DEFAULT_CAP, max_terms: int = DEFAULT_MAX_TERMS
-) -> NilpotencyEvidence:
-    """Iterate d on each generator; certificate of nilpotency or "inconclusive".
-
-    `cap` bounds iterations per generator and `max_terms` bounds the support
-    size of any iterate, so hostile inputs terminate with an honest verdict.
-    """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    orders = []
-    used = 0
-    for v in XYZ:
-        current = Poly.variable(XYZ, v)
-        k = 0
-        while not current.is_zero():
-            if k >= cap or len(current.terms) > max_terms:
-                return NilpotencyEvidence("inconclusive", None, used + k)
-            current = apply(d, current)
-            k += 1
-        orders.append(k)
-        used += k
-    return NilpotencyEvidence("nilpotent", tuple(orders), used)
+def is_locally_nilpotent(d: Derivation) -> NilpotencyEvidence:
+    """Nilpotency certificate from each generator's d-series, or "inconclusive"."""
+    try:
+        orders = tuple(
+            _series(partial(apply, d), Poly.variable(XYZ, v), None,
+                    f"d-series on {v}", NotLocallyNilpotentError)[1]
+            for v in XYZ
+        )
+    except NotLocallyNilpotentError:
+        return NilpotencyEvidence("inconclusive", None)
+    return NilpotencyEvidence("nilpotent", orders)
 
 
-def exponential(d: Derivation, cap: int = DEFAULT_CAP) -> Automorphism:
+def exponential(d: Derivation) -> Automorphism:
     """The automorphism with pullbacks sum_i d^i(v)/i!; inverse is exp(-d).
 
-    The series on each generator is its own nilpotency certificate: it must
-    reach zero within the bounds of `is_locally_nilpotent`, or this raises
-    NotLocallyNilpotentError.
+    The series on each generator is its own nilpotency certificate; if a
+    series bound stops it first, this raises NotLocallyNilpotentError.
     """
-    fwd = Automorphism(*_exp_images(d, cap))
-    fwd._inverse = lambda: exponential(scale(Fraction(-1), d), cap)
+    fwd = Automorphism(*(
+        _series(partial(apply, d), Poly.variable(XYZ, v), _EXP_WEIGHTS,
+                f"exp-series on {v}", NotLocallyNilpotentError)[0]
+        for v in XYZ
+    ))
+    fwd._inverse = lambda: exponential(scale(Fraction(-1), d))
     return fwd
 
 
-def _exp_images(d: Derivation, cap: int) -> list[Poly]:
-    images = []
-    for v in XYZ:
-        term = total = Poly.variable(XYZ, v)
-        k = 0
-        factorial = 1
-        while True:
-            if k >= cap or len(term.terms) > DEFAULT_MAX_TERMS:
-                raise NotLocallyNilpotentError(
-                    f"no nilpotency certificate within {cap} iterations"
-                )
-            term = apply(d, term)
-            if term.is_zero():
-                break
-            k += 1
-            factorial *= k
-            total = total + (term * Fraction(1, factorial) if k > 1 else term)
-        images.append(total)
-    return images
-
-
-def apply_exp(w: Derivation, p: Poly, cap: int = DEFAULT_CAP) -> Poly:
+def apply_exp(w: Derivation, p: Poly) -> Poly:
     """e^w(p) = sum w^k(p)/k!, the pullback of exponential(w) applied to p.
 
     Equal to substituting the pullbacks of exponential(w) into p (both are
     ring homomorphisms agreeing on generators), but far cheaper on large p
     because no intermediate powers are formed.
     """
-    total = p
-    term = p
-    k = 1
-    factorial = 1
-    while True:
-        term = apply(w, term)
-        if term.is_zero():
-            return total
-        if k > cap:
-            raise NotLocallyNilpotentError(
-                f"exp-series did not terminate within {cap} steps"
-            )
-        factorial *= k
-        total = total + (term * Fraction(1, factorial) if k > 1 else term)
-        k += 1
+    return _series(partial(apply, w), p, _EXP_WEIGHTS, "exp-series",
+                   NotLocallyNilpotentError)[0]
 
 
 def compose_exp_word(word: list) -> Automorphism:
@@ -222,50 +216,23 @@ def compose_exp_word(word: list) -> Automorphism:
     return Automorphism(*images)
 
 
-# Pre-step budget for one logarithm substitution, in estimate units
-# terms(delta) * (deg(delta) + 1) * terms(largest image); honest family uses
-# stay under ~300k, while quadratic-growth impostors blow past this before
-# their expensive step runs.
-LOG_WORK_BUDGET = 5_000_000
-
-
-def logarithm(
-    u: Automorphism,
-    cap: int = DEFAULT_CAP,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    work_budget: int = LOG_WORK_BUDGET,
-) -> Derivation:
+def logarithm(u: Automorphism) -> Derivation:
     """The derivation with exponential(log u) = u, via log(id + (u* - id)).
 
     Per generator the series sum (-1)^(k+1) (u* - id)^k / k terminates when
-    u is unipotent; `cap` bounds the iteration, and term/size budgets stop
-    runaway growth on impostors, all raising NotUnipotentError (never a
-    wrong answer: the round-trip is verified).
+    u is unipotent; the series bounds stop it on impostors, raising
+    NotUnipotentError (never a wrong answer: the round-trip is verified).
     """
-    images = []
-    img_terms = max(len(q.terms) for q in u.pullbacks.values())
-    for v in XYZ:
-        delta_k = substitute(Poly.variable(XYZ, v), u.pullbacks) - Poly.variable(XYZ, v)
-        total = delta_k  # the k = 1 term
-        k = 1
-        while not delta_k.is_zero():
-            estimate = len(delta_k.terms) * (delta_k.total_degree() + 1) * img_terms
-            if k > cap or len(delta_k.terms) > max_terms or estimate > work_budget:
-                raise NotUnipotentError(
-                    f"(u* - id)-series on {v} exceeded the evidence budget "
-                    f"(step {k})"
-                )
-            if k > 1:
-                total = total + delta_k * Fraction(1 if k % 2 else -1, k)
-            delta_k = substitute(delta_k, u.pullbacks) - delta_k
-            k += 1
-        images.append(total)
-    d = Derivation(*images)
+    d = Derivation(*(
+        _series(lambda q: substitute(q, u.pullbacks) - q, Poly.variable(XYZ, v),
+                _LOG_WEIGHTS, f"(u* - id)-series on {v}", NotUnipotentError)[0]
+        for v in XYZ
+    ))
     try:
-        back = _exp_images(d, cap)
+        back = exponential(d)
     except NotLocallyNilpotentError:
         back = None
-    if back != list(u.pullbacks.values()):
+    if back != u:
         raise NotUnipotentError("logarithm round-trip failed: u is not unipotent")
     return d
 

@@ -39,11 +39,11 @@ class MissingImageError(LndError):
 
 
 class NotLocallyNilpotentError(LndError):
-    """Nilpotency evidence was required but the verdict was inconclusive."""
+    """A nilpotency certificate was required, but its series hit a bound."""
 
 
 class NotUnipotentError(LndError):
-    """The logarithm series did not terminate within the configured cap."""
+    """The logarithm series hit a bound, or its round trip failed."""
 
 
 class NotInKernelError(LndError):

@@ -307,7 +307,7 @@ def verify_pres_lemma(
     }
     witness_elems: list[PresWitness] = []
     for j in (1, 2, 3):
-        for i in _effective_powers(law, point, j, count=3):
+        for i in _effective_powers(law, point, j):
             generator = GElem(one, Poly.zero(ZP), zv**i * pv**j)
             w2 = commutator(generator, chosen, law)
             expected = GElem(one, Poly.zero(ZP), zv**i * closed_forms[j])
@@ -330,20 +330,23 @@ def verify_pres_lemma(
     return PresLemmaReport(chosen.h, tuple(witness_elems), tuple(verdicts))
 
 
-def _effective_powers(
-    law: GroupLaw, point, j: int, count: int, cap: int = 64
-) -> list[int]:
+# Stage j uses the first 3 powers z^i, i <= 64, where mu rho1^i rho2^j != 1.
+_WITNESS_POWERS = 3
+_POWER_CAP = 64
+
+
+def _effective_powers(law: GroupLaw, point, j: int) -> list[int]:
     powers = []
-    for i in range(cap + 1):
+    for i in range(_POWER_CAP + 1):
         character = law.mu + law.rho1 * i + law.rho2 * j
         if character.evaluate(point) != 1:
             powers.append(i)
-            if len(powers) == count:
+            if len(powers) == _WITNESS_POWERS:
                 return powers
     if powers:
         return powers
     raise LawHypothesisError(
-        f"mu rho1^i rho2^{j} stays trivial for all i <= {cap}"
+        f"mu rho1^i rho2^{j} stays trivial for all i <= {_POWER_CAP}"
     )
 
 

@@ -5,10 +5,12 @@ import pytest
 
 from lnd.arith import (
     _CERT_PRIMES,
+    ALLOWANCE,
     XYZ,
     ZP,
     ZVAR,
     Poly,
+    WorkBudgetExceeded,
     _coprime_by_images,
     _gcd_prs,
     divide_exact,
@@ -56,6 +58,27 @@ def test_square_of_xz_plus_y2():
     # term-by-term expansion: (xz + y^2)^2 = x^2 z^2 + 2 x y^2 z + y^4
     q = p("x*z + y^2")
     assert q * q == p("x^2*z^2 + 2*x*y^2*z + y^4")
+
+
+def test_armed_allowance_charges_products_before_they_run():
+    import threading
+
+    a, square = parse_poly("x + y", XYZ), parse_poly("x^2 + 2*x*y + y^2", XYZ)
+    cube = square * a
+    token = ALLOWANCE.set([5])
+    try:
+        assert a * a == square  # 4 term pairs
+        with pytest.raises(WorkBudgetExceeded):
+            a * a  # 4 more would overdraw the last 1
+        # another thread does not see this context's allowance
+        results = []
+        worker = threading.Thread(target=lambda: results.append(a * a * a))
+        worker.start()
+        worker.join()
+        assert results == [cube]
+    finally:
+        ALLOWANCE.reset(token)
+    assert a * a * a == cube  # unmetered once disarmed
 
 
 def test_ring_mismatch_rejected():

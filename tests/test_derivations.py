@@ -8,6 +8,7 @@ from lnd.automorphisms import Automorphism, compose, identity
 from lnd.derivations import (
     Derivation,
     apply,
+    apply_exp,
     delta,
     derivation,
     exponential,
@@ -88,8 +89,12 @@ def test_nilpotency_orders():
 
 def test_nilpotency_inconclusive_for_euler():
     euler = derivation(X, Poly.zero(XYZ), Poly.zero(XYZ))
-    ev = is_locally_nilpotent(euler, cap=32)
+    ev = is_locally_nilpotent(euler)
     assert ev.status == "inconclusive"
+    # exp and apply_exp stop at the same step cap as the nilpotency check
+    for run in (lambda: exponential(euler), lambda: apply_exp(euler, X)):
+        with pytest.raises(NotLocallyNilpotentError, match=r"step cap of 64 \(step 65\)"):
+            run()
 
 
 def test_exponential_translation():
@@ -319,6 +324,29 @@ def test_logarithm_budget_stops_runaway_growth():
 
     hostile = Automorphism(p("x^2 - 2*y - z"), p("y + z"), Z)
     started = time.monotonic()
-    with pytest.raises(NotUnipotentError):
+    with pytest.raises(NotUnipotentError) as info:
         logarithm(hostile)
+    assert time.monotonic() - started < 10
+    assert "work budget" in str(info.value) and "step cap" not in str(info.value)
+
+
+@pytest.mark.parametrize("power", [12, 30])
+def test_logarithm_of_large_exponential_within_budget(power):
+    # honest unipotent maps whose pullback of x has hundreds of terms
+    import time
+
+    d = derivation(p(f"(y + z + 1)^{power}"), p("z^5"), Poly.zero(XYZ))
+    u = exponential(d)
+    started = time.monotonic()
+    assert logarithm(u) == d
+    assert time.monotonic() - started < 20
+
+
+def test_apply_exp_stops_growing_iterates_on_work_budget():
+    import time
+
+    s8 = p("(x + y + z + 1)^8")
+    started = time.monotonic()
+    with pytest.raises(NotLocallyNilpotentError, match="work budget"):
+        apply_exp(derivation(s8, s8, s8), X)
     assert time.monotonic() - started < 10

@@ -6,6 +6,7 @@ from lnd.arith import XYZ, YZ, Poly, substitute
 from lnd.automorphisms import Automorphism, commutes
 from lnd.automorphisms import compose as compose_3d
 from lnd.quotient_geometry import (
+    FixedSchemeReport,
     PlaneAut,
     affine_symmetries,
     cyclotomic,
@@ -68,6 +69,7 @@ def test_is_inert():
         assert is_inert(g, d2)
     assert not is_inert(PlaneAut(Y + Z, Z), d2)
     assert is_inert(IDENTITY, d2)
+    assert not is_inert(PlaneAut(Y, Z + Poly.one(YZ)), d2)  # moves div(z^2)
 
 
 def test_inert_elements_form_group():
@@ -181,6 +183,22 @@ def test_fixed_scheme_check():
         report = fixed_scheme_check(plane_divisor(q(a_text)), multipliers)
         assert report.holds
         assert len(report.moved_multipliers) == 3
+
+
+def test_fixed_scheme_check_substitutes_each_divisor_once(monkeypatch):
+    from lnd import quotient_geometry
+
+    calls = []
+
+    def counting(p, images):
+        calls.append(p)
+        return substitute(p, images)
+
+    monkeypatch.setattr(quotient_geometry, "substitute", counting)
+    multipliers = [q("z"), q("y"), q("z + 1")]
+    report = fixed_scheme_check(plane_divisor(q("z^2")), multipliers)
+    assert len(calls) == 4  # the divisor and its three enlargements
+    assert report == FixedSchemeReport(True, tuple(multipliers), ())
 
 
 def test_affine_symmetries_higher_orders():
