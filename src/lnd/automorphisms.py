@@ -17,7 +17,7 @@ exponential of the negated logarithm.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
 from .arith import XYZ, Poly, exact_div, frac, substitute
@@ -27,6 +27,9 @@ from .errors import (
     RingMismatchError,
     SearchExhaustedError,
 )
+
+if TYPE_CHECKING:
+    from .derivations import Derivation
 
 
 class Automorphism:
@@ -106,8 +109,20 @@ def compose(g: Automorphism, h: Automorphism) -> Automorphism:
     return out
 
 
-def commutes(g: Automorphism, u: Automorphism) -> bool:
-    return compose(g, u) == compose(u, g)
+def commutes(g: Automorphism, d: Derivation) -> bool:
+    """True iff g commutes with exp(d), for a locally nilpotent d, tested by
+    intertwining: g*(d(v)) = d(g*(v)) for v = x, y, z (Freudenburg, Algebraic
+    Theory of Locally Nilpotent Derivations, ch. 2).  For any endomorphism:
+    if phi = g* commutes with exp(d), phi(exp(nd) p) = exp(nd)(phi p) for all
+    n >= 0 is a polynomial identity in n with linear term phi d = d phi;
+    conversely phi d = d phi gives phi d^k = d^k phi.  Both obey the Leibniz
+    rule along phi, so agreeing on the generators suffices."""
+    from . import derivations
+
+    return all(
+        pullback(g, img) == derivations.apply(d, q)
+        for img, q in zip(d.images, (g.pullback_x, g.pullback_y, g.pullback_z))
+    )
 
 
 def is_affine(g: Automorphism) -> bool:
@@ -172,17 +187,23 @@ def inverse_unipotent(u: Automorphism) -> Automorphism:
     return derivations.exponential(derivations.scale(Fraction(-1), d))
 
 
-def modification(f: Poly, u: Automorphism) -> Automorphism:
-    """exponential(f * log(u)) for f in the kernel of log(u)."""
+def _modifying(f: Poly, d: Derivation) -> Derivation:
+    """The derivation f * d, for f in the kernel of d."""
     from . import derivations
 
-    d = derivations.logarithm(u)
     f = f.to_ring(XYZ)
     if not derivations.apply(d, f).is_zero():
         raise NotInKernelError(
             f"modification factor {f} is not annihilated by the logarithm"
         )
-    return derivations.exponential(derivations.scale_poly(f, d))
+    return derivations.scale_poly(f, d)
+
+
+def modification(f: Poly, d: Derivation) -> Automorphism:
+    """exponential(f * d), the f-modification of exp(d), for f in ker d."""
+    from . import derivations
+
+    return derivations.exponential(_modifying(f, d))
 
 
 def mu_character(g: Automorphism, d: Poly) -> Fraction:
@@ -217,26 +238,25 @@ def conjugation_formula_check(
 
     The character formula does not by itself fix a composition order, and
     the order flips mu to its inverse; both orientations are tried and the
-    matching one is recorded.  Preconditions: g commutes with
-    the d-modification of u', and f lies in ker(log u').
+    matching one is recorded.  Preconditions: g commutes with the
+    d-modification of u' (tested on d log u'), and f lies in ker(log u').
     """
     from . import derivations
 
     d = d.to_ring(XYZ)
     f = f.to_ring(XYZ)
-    u = modification(d, u_prime)
-    if not commutes(g, u):
-        raise ValueError("g does not commute with the modified automorphism")
     dp = derivations.logarithm(u_prime)
+    if not commutes(g, _modifying(d, dp)):
+        raise ValueError("g does not commute with the modified automorphism")
     if not derivations.apply(dp, f).is_zero():
         raise NotInKernelError("f is not invariant for u'")
     mu = mu_character(g, d)
-    lhs = compose(inverse(g), compose(modification(f, u_prime), g))
+    lhs = compose(inverse(g), compose(modification(f, dp), g))
     gf = pullback(g, f)
-    rhs_mu = modification(gf * mu, u_prime)
+    rhs_mu = modification(gf * mu, dp)
     if lhs == rhs_mu:
         return ConjugationReport(True, mu, "mu", lhs, rhs_mu)
-    rhs_inv = modification(gf * (Fraction(1) / frac(mu)), u_prime)
+    rhs_inv = modification(gf * (Fraction(1) / frac(mu)), dp)
     if lhs == rhs_inv:
         return ConjugationReport(True, mu, "mu-inverse", lhs, rhs_inv)
     return ConjugationReport(False, mu, "none", lhs, rhs_mu)

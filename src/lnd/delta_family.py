@@ -40,6 +40,7 @@ from .derivations import (
     delta,
     exponential,
     is_irreducible,
+    is_locally_nilpotent,
     lie_bracket,
     plinth_search,
     scale,
@@ -95,7 +96,8 @@ def n_elem(h, f) -> NElem:
 
 
 class DeltaContext(NamedTuple):
-    """Validated plinth-family data; immutable, including the convention."""
+    """Validated plinth-family data; immutable, including the convention.
+    u' = exp(D') and u = exp(D) are held as D' and D; e = exp(E) is built."""
 
     P: Poly  # in (x, y, z)
     d: Poly  # in (z,): stored over XYZ with z-support only
@@ -104,10 +106,8 @@ class DeltaContext(NamedTuple):
     a: Poly
     D_prime: Derivation
     E: Derivation
-    D: Derivation
-    u_prime: Automorphism
+    D: Derivation  # d D'
     e: Automorphism
-    u: Automorphism
     convention: str
     deg_max: int
 
@@ -127,9 +127,16 @@ def _realization_word(
     return [w_h, w_f] if conv == E_OUTER else [w_f, w_h]
 
 
+def shift_in_P(f: Poly, h: Poly, a_prime: Poly) -> Poly:
+    """f(z, P + h a') in the kernel ring; f itself when h = 0."""
+    if h.is_zero():
+        return f
+    pv = Poly.variable(ZP, "P")
+    return substitute(f, {"z": Poly.variable(ZP, "z"), "P": pv + h * a_prime})
+
+
 def _shifted_product(lhs: NElem, rhs: NElem, a_prime_zp: Poly) -> NElem:
-    shift = {"z": Poly.variable(ZP, "z"), "P": Poly.variable(ZP, "P") - rhs.h * a_prime_zp}
-    return NElem(lhs.h + rhs.h, substitute(lhs.f, shift) + rhs.f)
+    return NElem(lhs.h + rhs.h, shift_in_P(lhs.f, -rhs.h, a_prime_zp) + rhs.f)
 
 
 def _resolve_convention(e_der, d_prime, a_prime_zp, p_poly) -> str:
@@ -163,7 +170,8 @@ def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaConte
 
     Runs the plinth search with kernel generators [z, P], forms the
     complement from its output, and checks every structural invariant; any
-    failure raises ContextError with the offending fact.
+    failure raises ContextError with the offending fact.  D' is certified
+    by its series; D = d D' needs none, as d in ker D' gives (dD')^k = d^k D'^k.
     """
     P = P.to_ring(XYZ)
     if d is None:
@@ -174,10 +182,8 @@ def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaConte
     if max(P.degree_in("x"), P.degree_in("y")) < 1:
         raise ContextError("P must have positive degree in (x, y)")
     d_prime = delta(P)
-    try:
-        u_prime = exponential(d_prime)
-    except NotLocallyNilpotentError:
-        raise ContextError("no nilpotency certificate for the derivation of P") from None
+    if not is_locally_nilpotent(d_prime).is_nilpotent:
+        raise ContextError("no nilpotency certificate for the derivation of P")
     z_poly = Poly.variable(XYZ, "z")
     q_poly, a_prime = plinth_search(d_prime, [z_poly, P], deg_max)
     if not is_univariate_in(a_prime, "z"):
@@ -202,7 +208,6 @@ def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaConte
         raise ContextError("context invariant failed: E locally nilpotent") from None
     a = d * a_prime
     d_full = Derivation(*(d * img for img in d_prime.images))
-    u = exponential(d_full)
     convention = _resolve_convention(e_der, d_prime, a_prime.to_ring(ZP), P)
     return DeltaContext(
         P=P,
@@ -213,9 +218,7 @@ def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaConte
         D_prime=d_prime,
         E=e_der,
         D=d_full,
-        u_prime=u_prime,
         e=e_aut,
-        u=u,
         convention=convention,
         deg_max=deg_max,
     )
@@ -289,10 +292,7 @@ def n_mul(lhs: NElem, rhs: NElem, ctx: DeltaContext) -> NElem:
 
 def n_inverse(n: NElem, ctx: DeltaContext) -> NElem:
     """(-h, -f(P + h a')); both products with n give the identity."""
-    z = Poly.variable(ZP, "z")
-    pv = Poly.variable(ZP, "P")
-    shifted = substitute(n.f, {"z": z, "P": pv + n.h * ctx.a_prime_zp()})
-    return NElem(-n.h, -shifted)
+    return NElem(-n.h, -shift_in_P(n.f, n.h, ctx.a_prime_zp()))
 
 
 def m_derivation(ctx: DeltaContext, n: NElem) -> Derivation:

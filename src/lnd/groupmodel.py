@@ -25,10 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import XYZ, ZP, Poly, frac, is_univariate_in, substitute
+from .arith import XYZ, ZP, Poly, frac, is_univariate_in
 from .automorphisms import Automorphism, commutes, compose, inverse, modification, mu_character
-from .delta_family import expand_kernel_poly, n_elem, n_to_aut
-from .derivations import apply, logarithm
+from .delta_family import expand_kernel_poly, n_elem, n_to_aut, shift_in_P
+from .derivations import apply, logarithm, scale_poly
 from .errors import LawHypothesisError, RingMismatchError, Validated
 
 # First distinct primes; a torus point with these coordinates kills a
@@ -184,9 +184,7 @@ def g_mul(a: GElem, b: GElem, law: GroupLaw) -> GElem:
     if len(a.torus) != law.rank or len(b.torus) != law.rank:
         raise ValueError("element rank does not match the law")
     h_c, f_c = _conjugate_fiber(law, b.torus, a.h, a.f)
-    pv = Poly.variable(ZP, "P")
-    zv = Poly.variable(ZP, "z")
-    shifted = substitute(f_c, {"z": zv, "P": pv - b.h * law.a_prime})
+    shifted = shift_in_P(f_c, -b.h, law.a_prime)
     torus = tuple(x * y for x, y in zip(a.torus, b.torus))
     return GElem(torus, h_c + b.h, shifted + b.f)
 
@@ -194,10 +192,7 @@ def g_mul(a: GElem, b: GElem, law: GroupLaw) -> GElem:
 def g_inverse(a: GElem, law: GroupLaw) -> GElem:
     inv_point = tuple(Fraction(1) / frac(c) for c in a.torus)
     h_c, f_c = _conjugate_fiber(law, inv_point, a.h, a.f)
-    pv = Poly.variable(ZP, "P")
-    zv = Poly.variable(ZP, "z")
-    f_part = -substitute(f_c, {"z": zv, "P": pv + h_c * law.a_prime})
-    return GElem(inv_point, -h_c, f_part)
+    return GElem(inv_point, -h_c, -shift_in_P(f_c, h_c, law.a_prime))
 
 
 @lru_cache(maxsize=None)
@@ -210,9 +205,7 @@ def commutator_convention(law: GroupLaw) -> str:
     pv = Poly.variable(ZP, "P")
     q_el = g_elem((Fraction(1),) * law.rank, 0, pv)
     h_el = g_elem((Fraction(1),) * law.rank, 1, 0)
-    expected_f = pv - substitute(
-        pv, {"z": Poly.variable(ZP, "z"), "P": pv + law.a_prime}
-    )
+    expected_f = pv - shift_in_P(pv, Poly.one(ZP), law.a_prime)
     expected = GElem(q_el.torus, Poly.zero(ZP), expected_f)
     for conv in (COMM_ABAB, COMM_INV_FIRST):
         if _commutator_with(q_el, h_el, law, conv) == expected:
@@ -383,10 +376,10 @@ def char_commutator_check(ctx, h: Poly, f: Poly) -> CharCommutatorReport:
     n = n_elem(h, f)
     g = n_to_aut(n, ctx)
     p2 = expand_kernel_poly(ctx, Poly.variable(ZP, "P") ** 2)
-    inner = aut_commutator(modification(p2, ctx.u_prime), ctx.e)
+    inner = aut_commutator(modification(p2, ctx.D_prime), ctx.e)
     lhs = aut_commutator(g, inner)
     factor = n.h * ctx.a_prime_zp() ** 2 * (-2)
-    rhs = modification(expand_kernel_poly(ctx, factor), ctx.u_prime)
+    rhs = modification(expand_kernel_poly(ctx, factor), ctx.D_prime)
     return CharCommutatorReport(lhs == rhs, lhs, rhs, factor)
 
 
@@ -423,21 +416,20 @@ def nonfence_commutator_check(
     for name, p in (("d", d), ("f", f), ("v", v)):
         if not apply(d_prime, p).is_zero():
             raise ValueError(f"{name} is not invariant for u'")
-    u = modification(d, u_prime)
-    if not commutes(t, u):
+    if not commutes(t, scale_poly(d, d_prime)):
         raise ValueError("t does not commute with the modified automorphism")
     mu_t = mu_character(t, d)
     rho_t = mu_character(t, v)
     t_inv = inverse(t)
-    inner = aut_commutator(t_inv, modification(v**k, u_prime))
-    lhs = aut_commutator(compose(t, modification(f, u_prime)), inner)
+    inner = aut_commutator(t_inv, modification(v**k, d_prime))
+    lhs = aut_commutator(compose(t, modification(f, d_prime)), inner)
     gamma = mu_t * rho_t**k
     beta = (Fraction(1) / mu_t) * rho_t**k
     for orientation, value in (("mu", gamma), ("mu-inverse", beta)):
         scalar = (1 - Fraction(1) / value) * (1 - value)
-        rhs = modification(v**k * scalar, u_prime)
+        rhs = modification(v**k * scalar, d_prime)
         if lhs == rhs:
             return NonfenceCommutatorReport(True, orientation, scalar, lhs, rhs)
     scalar = (1 - Fraction(1) / gamma) * (1 - gamma)
-    rhs = modification(v**k * scalar, u_prime)
+    rhs = modification(v**k * scalar, d_prime)
     return NonfenceCommutatorReport(False, "none", scalar, lhs, rhs)

@@ -26,6 +26,7 @@ from .arith import (
     substitute,
 )
 from .automorphisms import Automorphism, commutes
+from .derivations import Derivation
 from .errors import RingMismatchError, Validated, VerificationError
 
 
@@ -159,8 +160,7 @@ def affine_symmetries(a: Poly) -> DivisorSymmetry:
 
     The center is -c_{d-1}/(d c_d).  After recentring, a monomial means the
     full torus acts; otherwise the order is the gcd of the support-exponent
-    differences, certified by direct substitution for order <= 2 and inside
-    Q[t]/(cyclotomic) for larger orders.
+    differences, certified inside Q[t]/(cyclotomic(order)).
     """
     if "z" not in a.vars or not is_univariate_in(a, "z"):
         raise ValueError("expected a polynomial in z alone")
@@ -187,20 +187,8 @@ def affine_symmetries(a: Poly) -> DivisorSymmetry:
 
 
 def _certify_symmetry(recentred: Poly, order: int, k0: int) -> None:
-    """Check a(zeta t) = zeta^k0 a(t) for zeta of the claimed order.
-
-    Order 1 is vacuous and order 2 is substitution by -1; beyond that the
-    identity is verified with exact arithmetic in Q[t]/(cyclotomic(order)).
-    """
-    if order == 1:
-        return
-    if order == 2:
-        z_ring = recentred.vars
-        flipped = recentred.substitute({"z": -Poly.variable(z_ring, "z")})
-        expected = recentred * (Fraction(-1) ** k0)
-        if flipped != expected:
-            raise VerificationError("order-2 symmetry failed direct substitution")
-        return
+    """Check a(zeta t) = zeta^k0 a(t) for zeta of the claimed order exactly
+    in Q[t]/(cyclotomic(order)), orders 1 (t - 1) and 2 (t + 1) included."""
     modulus = cyclotomic(order)
     t_ring = ("t",)
     t = Poly.variable(t_ring, "t")
@@ -220,8 +208,8 @@ def _certify_symmetry(recentred: Poly, order: int, k0: int) -> None:
 def lift_to_H(g: PlaneAut, div: PlaneDivisor) -> Automorphism:
     """Lift a divisor-preserving plane automorphism to (lambda x, g(y, z)).
 
-    The lift commutes with the modified translation (x + a, y, z), which is
-    verified before returning.
+    The lift commutes with the modified translation (x + a, y, z) = exp(a d/dx),
+    which is verified against the derivation (a, 0, 0) before returning.
     """
     lam = preserves_divisor(g, div)
     if lam is None:
@@ -231,12 +219,8 @@ def lift_to_H(g: PlaneAut, div: PlaneDivisor) -> Automorphism:
         g.pullback_y.to_ring(XYZ),
         g.pullback_z.to_ring(XYZ),
     )
-    translation = Automorphism(
-        Poly.variable(XYZ, "x") + div.a.to_ring(XYZ),
-        Poly.variable(XYZ, "y"),
-        Poly.variable(XYZ, "z"),
-    )
-    if not commutes(sigma, translation):
+    zero = Poly.zero(XYZ)
+    if not commutes(sigma, Derivation(div.a.to_ring(XYZ), zero, zero)):
         raise VerificationError("lift fails to commute with the modified translation")
     return sigma
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from lnd.automorphisms import (
     quotient_action,
 )
 from lnd.delta_family import make_context, n_elem, n_to_aut
-from lnd.derivations import delta, exponential, logarithm, scale_poly
+from lnd.derivations import Derivation, delta, exponential, logarithm, scale_poly
 from lnd.errors import (
     NotInKernelError,
     NotUnipotentError,
@@ -35,6 +36,7 @@ P = p("x*z + y^2")
 D_P = delta(P)
 U_P = exponential(D_P)
 TRANSLATION = Automorphism(p("x + 1"), Y, Z)
+DDX = Derivation(Poly.one(XYZ), Poly.zero(XYZ), Poly.zero(XYZ))  # log TRANSLATION
 
 
 def test_compose_identity_neutral():
@@ -58,7 +60,7 @@ def test_compose_associative_random():
     rng = random.Random(41)
     for _ in range(8):
         mods = [
-            modification(Poly.const(XYZ, rng.randint(-3, 3)) * Z + Poly.const(XYZ, rng.randint(-3, 3)), U_P)
+            modification(Poly.const(XYZ, rng.randint(-3, 3)) * Z + Poly.const(XYZ, rng.randint(-3, 3)), D_P)
             for _ in range(3)
         ]
         swap = Automorphism(X, Z, Y)
@@ -113,18 +115,58 @@ def test_inverse_is_built_once_and_linked(build):
 
 
 def test_commutes():
-    assert commutes(exponential(D_P), exponential(scale_poly(Z, D_P)))
+    assert commutes(exponential(D_P), scale_poly(Z, D_P))
     swap_yz = Automorphism(X, Z, Y)
-    assert commutes(swap_yz, TRANSLATION)
+    assert commutes(swap_yz, DDX)
     swap_xy = Automorphism(Y, X, Z)
-    assert not commutes(swap_xy, TRANSLATION)
+    assert not commutes(swap_xy, DDX)
+
+
+def _commutes_by_composition(g, u):
+    return compose(g, u) == compose(u, g)
+
+
+def test_commutes_by_intertwining_matches_composition():
+    """commutes(g, D) against the oracle compose(g, exp D) == compose(exp D, g)."""
+    from lnd.quotient_geometry import PlaneAut, lift_to_H, plane_divisor
+
+    ctx = make_context(P, d=Z, deg_max=3)
+    u, u_prime, e = exponential(ctx.D), exponential(ctx.D_prime), ctx.e
+    rng = random.Random(73)
+
+    def rand_zp(z_only):
+        out = Poly.zero(ZP)
+        for _ in range(3):
+            ez = rng.randint(0, 2)
+            ep = 0 if z_only else rng.randint(1, 2)
+            out = out + Poly(ZP, {(ez, ep): Fraction(rng.randint(1, 9))})
+        return out
+
+    cases = []  # (g, D, exp D, expected)
+    for _ in range(6):
+        g = n_to_aut(n_elem(rand_zp(True), rand_zp(False)), ctx)
+        cases += [(g, ctx.D, u, True), (g, ctx.D_prime, u_prime, True)]
+        cases.append((g, ctx.E, e, False))  # f involves P: [f D', E] = -E(f) D' != 0
+    y, z = (Poly.variable(("y", "z"), v) for v in ("y", "z"))
+    for text in ("z^3 - z", "z^2", "z^4 - 2*z^2"):
+        div = plane_divisor(parse_poly(text, ("y", "z")))
+        d_a = Derivation(div.a.to_ring(XYZ), Poly.zero(XYZ), Poly.zero(XYZ))
+        for plane in (PlaneAut(-y, -z), PlaneAut(y + div.a, z)):
+            cases.append((lift_to_H(plane, div), d_a, exponential(d_a), True))
+    swap_xy = Automorphism(Y, X, Z)
+    cases.append((swap_xy, DDX, TRANSLATION, False))
+    # endomorphisms that are not invertible
+    cases.append((Automorphism(X, Poly.zero(XYZ), Poly.zero(XYZ)), DDX, TRANSLATION, True))
+    cases.append((Automorphism(X * X, Y, Z), DDX, TRANSLATION, False))
+    for g, d, exp_d, expected in cases:
+        assert commutes(g, d) == _commutes_by_composition(g, exp_d) == expected, (g, d)
 
 
 def test_modification_basic():
-    assert modification(Poly.one(XYZ), U_P) == U_P
-    assert modification(Z, U_P) == exponential(scale_poly(Z, D_P))
+    assert modification(Poly.one(XYZ), D_P) == U_P
+    assert modification(Z, D_P) == exponential(scale_poly(Z, D_P))
     with pytest.raises(NotInKernelError):
-        modification(X, TRANSLATION)
+        modification(X, DDX)
 
 
 def test_modification_additive_in_f():
@@ -132,8 +174,8 @@ def test_modification_additive_in_f():
     for _ in range(6):
         f1 = Z * rng.randint(-4, 4) + P * rng.randint(-2, 2)
         f2 = Poly.const(XYZ, rng.randint(-4, 4)) + Z * Z * rng.randint(-2, 2)
-        lhs = compose(modification(f1, U_P), modification(f2, U_P))
-        assert lhs == modification(f1 + f2, U_P)
+        lhs = compose(modification(f1, D_P), modification(f2, D_P))
+        assert lhs == modification(f1 + f2, D_P)
 
 
 def test_mu_character():
@@ -157,13 +199,13 @@ def test_conjugation_formula_z_flip():
     assert report.holds
     # mu = 1 and g*(z) = -z, so the conjugate is the (-z)-modification
     assert report.mu == 1
-    assert report.lhs == modification(p("-z"), u_prime)
+    assert report.lhs == modification(p("-z"), DDX)
 
 
 def test_conjugation_formula_in_n():
     # g a modification composed with an admissible complement for the family
     e = Automorphism(p("x - 1"), Y, Z)
-    g = compose(modification(Z * 2 + Poly.one(XYZ), U_P), e)
+    g = compose(modification(Z * 2 + Poly.one(XYZ), D_P), e)
     report = conjugation_formula_check(g, P, U_P, Poly.one(XYZ))
     assert report.holds
 
@@ -187,7 +229,7 @@ def test_express_in_kernel():
 
 
 def test_quotient_action_modification_is_identity():
-    g = modification(Z + P * 2, U_P)
+    g = modification(Z + P * 2, D_P)
     g1, g2 = quotient_action(g, [Z, P], 4, ("z", "P"))
     assert g1 == parse_poly("z", ("z", "P"))
     assert g2 == parse_poly("P", ("z", "P"))
@@ -218,8 +260,8 @@ def test_membership_characterization_of_modifications():
     from lnd.arith import divide_exact
     from lnd.derivations import apply
 
-    g = modification(P - Z * 5, U_P)
-    assert commutes(g, U_P)
+    g = modification(P - Z * 5, D_P)
+    assert commutes(g, D_P)
     g1, g2 = quotient_action(g, [Z, P], 6, ("z", "P"))
     assert (g1, g2) == (parse_poly("z", ("z", "P")), parse_poly("P", ("z", "P")))
     log_g = logarithm(g)

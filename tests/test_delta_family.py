@@ -79,9 +79,7 @@ def test_context_slice_case():
 def test_context_with_modification_factor():
     assert CTX_Z.a == p("z^2")
     assert CTX_Z.a_prime == p("z")
-    assert CTX_Z.u == exponential(
-        __import__("lnd.derivations", fromlist=["scale_poly"]).scale_poly(p("z"), CTX.D_prime)
-    )
+    assert exponential(CTX_Z.D) == exponential(scale_poly(p("z"), CTX.D_prime))
 
 
 def test_context_rejects_non_nilpotent():
@@ -148,8 +146,9 @@ def test_n_to_aut_basics():
 
     assert n_to_aut(n_elem(0, 0), CTX) == identity()
     assert n_to_aut(n_elem(k("1"), k("0")), CTX) == CTX.e
-    assert n_to_aut(n_elem(k("0"), k("1")), CTX) == CTX.u_prime
-    assert CTX.u_prime.pullback_x == p("x - 2*y - z")
+    u_prime = exponential(CTX.D_prime)
+    assert n_to_aut(n_elem(k("0"), k("1")), CTX) == u_prime
+    assert u_prime.pullback_x == p("x - 2*y - z")
 
 
 def test_homomorphism_property_random():
@@ -161,12 +160,18 @@ def test_homomorphism_property_random():
         assert lhs == rhs
 
 
+def _commutes_by_composition(g, u):
+    return compose(g, u) == compose(u, g)
+
+
 def test_images_commute_with_u_and_uprime():
     rng = random.Random(61)
+    u, u_prime = exponential(CTX_Z.D), exponential(CTX_Z.D_prime)
     for _ in range(10):
         g = n_to_aut(rand_nelem(rng, 2), CTX_Z)
-        assert commutes(g, CTX_Z.u)
-        assert commutes(g, CTX_Z.u_prime)
+        assert _commutes_by_composition(g, u)
+        assert _commutes_by_composition(g, u_prime)
+        assert commutes(g, CTX_Z.D) and commutes(g, CTX_Z.D_prime)
 
 
 def test_aut_to_n_roundtrip():
@@ -190,7 +195,7 @@ def test_aut_to_n_rejects_outsiders():
         aut_to_n(double_flip, CTX)
     homothety = Automorphism(p("2*x"), p("2*y"), p("2*z"))
     # commutes with u but acts nontrivially on the quotient: not in N
-    assert commutes(homothety, CTX.u)
+    assert commutes(homothety, CTX.D)
     with pytest.raises(NotInNError):
         aut_to_n(homothety, CTX)
 
@@ -393,9 +398,8 @@ def test_complement_choice_does_not_change_n():
     assert apply(e2_der, CTX.P) == -CTX.a_prime
     assert lie_bracket(CTX.D_prime, e2_der).is_zero()
     assert is_irreducible(e2_der)
-    e2 = exponential(e2_der)
     for h in (k("1"), k("z^2 - 3"), k("-2*z")):
-        g = compose(modification(h.to_ring(XYZ), e2), n_to_aut(n_elem(k("0"), k("z*P")), CTX))
+        g = compose(modification(h.to_ring(XYZ), e2_der), n_to_aut(n_elem(k("0"), k("z*P")), CTX))
         recovered = aut_to_n(g, CTX)
         assert recovered.h == h
         # E2 - E is the z-modification of D', so the factor shifts by h z

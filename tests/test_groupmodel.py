@@ -273,7 +273,7 @@ def test_char_commutator_reproduces_factor():
     report = char_commutator_check(ctx, k("1"), k("0"))
     assert report.holds
     assert report.expected_factor == k("-2*z^2")
-    assert report.rhs == modification(p("-2*z^2"), ctx.u_prime)
+    assert report.rhs == modification(p("-2*z^2"), ctx.D_prime)
     report = char_commutator_check(ctx, k("z"), k("P"))
     assert report.holds
     assert report.expected_factor == k("-2*z^3")
