@@ -9,8 +9,6 @@ from .arith import (
     ZVAR,
     divide_exact,
     gcd_multivariate,
-    integrate_in,
-    partial_derivative,
     poly_to_str,
     substitute,
 )

@@ -314,9 +314,6 @@ class Poly:
             out[raised] = exact_div(coeff, e + 1)
         return _raw(self.vars, out)
 
-    def substitute(self, images: Mapping[str, "Poly"]) -> "Poly":
-        return substitute(self, images)
-
     def to_ring(self, vars: tuple[str, ...]) -> "Poly":
         """Re-express over another variable list, matching by name.
 
@@ -436,14 +433,6 @@ def substitute(p: Poly, images: Mapping[str, Poly]) -> Poly:
     one target ring, which becomes the ring of the result.
     """
     return _Substitution(images).apply(p)
-
-
-def partial_derivative(p: Poly, var: str) -> Poly:
-    return p.partial_derivative(var)
-
-
-def integrate_in(p: Poly, var: str) -> Poly:
-    return p.integrate_in(var)
 
 
 def divide_exact(p: Poly, q: Poly) -> Poly:

@@ -131,7 +131,6 @@ def is_affine(g: Automorphism) -> bool:
 
 def _affine_inverse(g: Automorphism) -> Automorphism:
     """Invert an affine map by solving the 3x3 linear part exactly."""
-    names = XYZ
     rows = []
     consts = []
     for img in (g.pullback_x, g.pullback_y, g.pullback_z):
@@ -139,7 +138,7 @@ def _affine_inverse(g: Automorphism) -> Automorphism:
         consts.append(img.coefficient((0, 0, 0)))
     inverse_images = []
     for i in range(3):
-        # solve A^T? no: we need h with A*h_images + b = vars; columns are rows of A.
+        # Column i of A^-1 solves A col = e_i; A[k][j] is v_j's coefficient in g*(v_k).
         rhs = [Fraction(1) if j == i else Fraction(0) for j in range(3)]
         col = linalg.solve([list(r) for r in rows], rhs)
         if col is None:
@@ -152,7 +151,7 @@ def _affine_inverse(g: Automorphism) -> Automorphism:
         for j in range(3):
             coeff = inverse_images[j][i]
             if coeff:
-                acc = acc + (Poly.variable(XYZ, names[j]) - Poly.const(XYZ, consts[j])) * coeff
+                acc = acc + (Poly.variable(XYZ, XYZ[j]) - Poly.const(XYZ, consts[j])) * coeff
         images.append(acc)
     h = Automorphism(*images)
     if compose(g, h) != identity() or compose(h, g) != identity():

@@ -3,8 +3,8 @@ complements, and the group N of pairs (h, f) with the shifted product law.
 
 A context packages a kernel generator P in x, y with z-coefficients together
 with everything derived from it: the derivation D' that kills z and P, a
-plinth element Q with D'(Q) = a', the complement E that kills z and Q, the
-optional modification factor d, and the resolved composition convention.
+plinth element Q with D'(Q) = a', the complement E that kills z and Q, and
+the optional modification factor d.
 
 NElem pairs (h, f) live in the abstract kernel ring Q[z, P]; h uses z only.
 They model both group elements h.e o f.u' and derivations h E + f D'.  The
@@ -12,9 +12,16 @@ product law is
 
     (h, f) . (hb, fb) = (h + hb, f(P - hb a') + fb)
 
-and the map (h, f) -> h.e o f.u' is a group isomorphism onto N under the
-composition convention recorded in the context (resolved empirically at
-construction, since the source calculus never fixes the order).
+and (h, f) -> exp(hE) o exp(fD') is a group isomorphism onto N.  The order
+of the two factors (E_OUTER: the u'-modification acts first on points) is
+forced by the law.  Pullbacks compose in reverse, so the pullback of the
+product word is exp(fb D') exp(hb E) exp(f D') exp(h E) as ring maps, the
+rightmost applied first.  Let phi = exp(hb E).  Since [E, D'] = 0 and hb in
+Q[z] is killed by both derivations, phi (f D') phi^-1 = phi(f) D'; since
+E(P) = -a' and E(a') = E(z) = 0, phi(f(z, P)) = f(z, P - hb a').  So
+exp(hb E) exp(f D') = exp(f(P - hb a') D') exp(hb E), the two D'-factors
+merge because their coefficients lie in ker D', and the E-factors merge, which
+leaves exactly the realization of the product pair.
 """
 
 from __future__ import annotations
@@ -57,9 +64,8 @@ from .errors import (
     VerificationError,
 )
 
-# Composition conventions for realizing (h, f) as an automorphism.
+# The realization order forced by the product law (see the module docstring).
 E_OUTER = "e-outer"  # compose(h.e, f.u'): the u'-modification acts first
-U_OUTER = "u-outer"  # compose(f.u', h.e): the complement acts first
 
 
 class _NElem(NamedTuple):
@@ -96,35 +102,25 @@ def n_elem(h, f) -> NElem:
 
 
 class DeltaContext(NamedTuple):
-    """Validated plinth-family data; immutable, including the convention.
-    u' = exp(D') and u = exp(D) are held as D' and D; e = exp(E) is built."""
+    """Validated plinth-family data; immutable.  u' = exp(D') and u = exp(D)
+    are held as D' and D; e = exp(E) is built."""
 
     P: Poly  # in (x, y, z)
     d: Poly  # in (z,): stored over XYZ with z-support only
     Q: Poly
     a_prime: Poly
-    a: Poly
     D_prime: Derivation
     E: Derivation
     D: Derivation  # d D'
     e: Automorphism
-    convention: str
-    deg_max: int
-
-    @property
-    def kernel_gens(self) -> list[Poly]:
-        return [Poly.variable(XYZ, "z"), self.P]
 
     def a_prime_zp(self) -> Poly:
         return self.a_prime.to_ring(ZP)
 
 
-def _realization_word(
-    e_der: Derivation, d_prime: Derivation, h_amb: Poly, f_amb: Poly, conv: str
-) -> list[Derivation]:
-    w_h = scale_poly(h_amb, e_der)
-    w_f = scale_poly(f_amb, d_prime)
-    return [w_h, w_f] if conv == E_OUTER else [w_f, w_h]
+def _realization_word(ctx: DeltaContext, h_amb: Poly, f_amb: Poly) -> list[Derivation]:
+    """The E_OUTER word [h E, f D'] of exp(hE) o exp(fD')."""
+    return [scale_poly(h_amb, ctx.E), scale_poly(f_amb, ctx.D_prime)]
 
 
 def shift_in_P(f: Poly, h: Poly, a_prime: Poly) -> Poly:
@@ -139,39 +135,19 @@ def _shifted_product(lhs: NElem, rhs: NElem, a_prime_zp: Poly) -> NElem:
     return NElem(lhs.h + rhs.h, shift_in_P(lhs.f, -rhs.h, a_prime_zp) + rhs.f)
 
 
-def _resolve_convention(e_der, d_prime, a_prime_zp, p_poly) -> str:
-    """Try both realization orders against the product law on fixed pairs,
-    as word(a.b) == word(a) + word(b): composing two realizations
-    concatenates their exponential words."""
-    z = Poly.variable(ZP, "z")
-    pv = Poly.variable(ZP, "P")
-    pairs = [
-        (n_elem(Poly.one(ZP), pv), n_elem(Poly.one(ZP), Poly.zero(ZP))),
-        (n_elem(z, pv * pv), n_elem(z * z, pv + z)),
-    ]
-
-    def word(n: NElem, conv: str) -> list[Derivation]:
-        h_amb = n.h.to_ring(XYZ)
-        f_amb = substitute(n.f, {"z": Poly.variable(XYZ, "z"), "P": p_poly})
-        return _realization_word(e_der, d_prime, h_amb, f_amb, conv)
-
-    for conv in (E_OUTER, U_OUTER):
-        if all(
-            compose_exp_word(word(_shifted_product(a, b, a_prime_zp), conv))
-            == compose_exp_word(word(a, conv) + word(b, conv))
-            for a, b in pairs
-        ):
-            return conv
-    raise ContextError("no composition convention satisfies the product law")
-
-
 def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaContext:
     """Build and verify a context for the kernel generator P (and factor d).
 
     Runs the plinth search with kernel generators [z, P], forms the
-    complement from its output, and checks every structural invariant; any
-    failure raises ContextError with the offending fact.  D' is certified
-    by its series; D = d D' needs none, as d in ker D' gives (dD')^k = d^k D'^k.
+    complement from its output, and checks what the construction does not
+    prove; any failure raises ContextError with the offending fact.  D' is
+    certified by its series; D = d D' needs none, as d in ker D' gives
+    (dD')^k = d^k D'^k.  Facts the construction proves are not checked;
+    with delta(p) = {p, .} for {f, g} = f_x g_y - f_y g_x (z a constant):
+      D'(P) = {P, P} = 0, and D'(z) = 0 as delta has zero z-image;
+      a' != 0 and D'(Q) = a' are certified by plinth_search;
+      E(P) = {Q, P} = -D'(Q) = -a';
+      [D', E] = delta({P, Q}) by Jacobi, = delta(a') = 0 as a' lies in Q[z].
     """
     P = P.to_ring(XYZ)
     if d is None:
@@ -184,43 +160,29 @@ def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaConte
     d_prime = delta(P)
     if not is_locally_nilpotent(d_prime).is_nilpotent:
         raise ContextError("no nilpotency certificate for the derivation of P")
-    z_poly = Poly.variable(XYZ, "z")
-    q_poly, a_prime = plinth_search(d_prime, [z_poly, P], deg_max)
+    q_poly, a_prime = plinth_search(d_prime, [Poly.variable(XYZ, "z"), P], deg_max)
     if not is_univariate_in(a_prime, "z"):
         raise ContextError(f"plinth generator is not in Q[z]: {a_prime}")
     e_der = delta(q_poly)
-    checks = [
-        (apply(d_prime, P).is_zero(), "D'(P) = 0"),
-        (apply(d_prime, z_poly).is_zero(), "D'(z) = 0"),
-        (not a_prime.is_zero(), "a' != 0"),
-        (apply(d_prime, q_poly) == a_prime, "D'(Q) = a'"),
-        (apply(e_der, P) == -a_prime, "E(P) = -a'"),
-        (lie_bracket(d_prime, e_der).is_zero(), "[D', E] = 0"),
+    for ok, fact in (
         (is_irreducible(d_prime), "D' irreducible"),
         (is_irreducible(e_der), "E irreducible"),
-    ]
-    for ok, fact in checks:
+    ):
         if not ok:
             raise ContextError(f"context invariant failed: {fact}")
     try:
         e_aut = exponential(e_der)
     except NotLocallyNilpotentError:
         raise ContextError("context invariant failed: E locally nilpotent") from None
-    a = d * a_prime
-    d_full = Derivation(*(d * img for img in d_prime.images))
-    convention = _resolve_convention(e_der, d_prime, a_prime.to_ring(ZP), P)
     return DeltaContext(
         P=P,
         d=d,
         Q=q_poly,
         a_prime=a_prime,
-        a=a,
         D_prime=d_prime,
         E=e_der,
-        D=d_full,
+        D=Derivation(*(d * img for img in d_prime.images)),
         e=e_aut,
-        convention=convention,
-        deg_max=deg_max,
     )
 
 
@@ -308,7 +270,7 @@ def m_derivation(ctx: DeltaContext, n: NElem) -> Derivation:
 
 
 def n_to_aut(n: NElem, ctx: DeltaContext) -> Automorphism:
-    """Realize (h, f) as h.e o f.u' under the recorded convention.
+    """Realize (h, f) as h.e o f.u' (E_OUTER, see the module docstring).
 
     The pullbacks are produced by the terminating exp-series of the two
     modification factors (equal to composing the modifications, with no
@@ -317,7 +279,7 @@ def n_to_aut(n: NElem, ctx: DeltaContext) -> Automorphism:
     """
     h_amb = n.h.to_ring(XYZ)
     f_amb = expand_kernel_poly(ctx, n.f)
-    word = _realization_word(ctx.E, ctx.D_prime, h_amb, f_amb, ctx.convention)
+    word = _realization_word(ctx, h_amb, f_amb)
     fwd = compose_exp_word(word)
     fwd._inverse = lambda: compose_exp_word(
         [scale(Fraction(-1), w) for w in reversed(word)]
@@ -332,16 +294,15 @@ def compose_with_family(g: Automorphism, n: NElem, ctx: DeltaContext) -> Automor
     realized automorphism) but avoids expanding powers of large images.
     """
     f_amb = expand_kernel_poly(ctx, n.f)
-    word = _realization_word(ctx.E, ctx.D_prime, n.h.to_ring(XYZ), f_amb, ctx.convention)
+    word = _realization_word(ctx, n.h.to_ring(XYZ), f_amb)
     return compose_exp_word([g, *word])
 
 
 def _strip_complement(
     ctx: DeltaContext, g: Automorphism, h_amb: Poly
 ) -> Automorphism:
-    """Remove the h.e factor from g per the recorded convention."""
-    w_neg = scale_poly(-h_amb, ctx.E)
-    return compose_exp_word([w_neg, g] if ctx.convention == E_OUTER else [g, w_neg])
+    """Remove the outer h.e factor from g."""
+    return compose_exp_word([scale_poly(-h_amb, ctx.E), g])
 
 
 def _modification_factor(ctx: DeltaContext, residual: Automorphism) -> Poly:
@@ -403,7 +364,7 @@ def exp_m_decompose(n: NElem, ctx: DeltaContext) -> Poly:
     except NotInNError as exc:
         raise VerificationError(str(exc)) from None
     g_zp = express_in_zp(ctx, f_amb)
-    word = _realization_word(ctx.E, ctx.D_prime, h_amb, f_amb, ctx.convention)
+    word = _realization_word(ctx, h_amb, f_amb)
     if compose_exp_word(word) != big:
         raise VerificationError("decomposition does not recompose")
     return g_zp

@@ -14,9 +14,11 @@ support of a' (so a' must be a z-monomial once rho1 is nontrivial); the
 default nu = rho1^deg(a') / rho2 is the unique compatible choice and is the
 one realized by diagonal torus elements acting on the concrete family.
 
-The commutator convention is resolved empirically per law: the order that
-reproduces the derived-subgroup identity [(1,0,q), (1,h0,f0)] =
-(1, 0, q - q(P + h0 a')) is recorded and used throughout.
+The commutator is [a, b] = a b a^-1 b^-1 for every law, as for
+automorphisms.  On elements with the unit torus point the torus acts
+trivially, so the derived-subgroup identity [(1,0,q), (1,h0,f0)] =
+(1, 0, q - q(P + h0 a')) follows from the fiber law alone, whatever the
+characters.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ from .errors import LawHypothesisError, RingMismatchError, Validated
 # First distinct primes; a torus point with these coordinates kills a
 # character exactly when its exponent vector is zero.
 _PRIMES = (2, 3, 5, 7, 11, 13)
-
-COMM_ABAB = "a.b.a-.b-"  # [a, b] = a b a^-1 b^-1
-COMM_INV_FIRST = "a-.b-.a.b"  # [a, b] = a^-1 b^-1 a b
 
 
 class CharacterVector(NamedTuple):
@@ -195,34 +194,10 @@ def g_inverse(a: GElem, law: GroupLaw) -> GElem:
     return GElem(inv_point, -h_c, -shift_in_P(f_c, h_c, law.a_prime))
 
 
-@lru_cache(maxsize=None)
-def commutator_convention(law: GroupLaw) -> str:
-    """The bracket order reproducing (1, 0, q - q(P + h0 a')) for the law.
-
-    Both orders are computed once on q = P, h0 = 1 and the match is
-    recorded; with the shifted product law as stated this lands on
-    a b a^-1 b^-1."""
-    pv = Poly.variable(ZP, "P")
-    q_el = g_elem((Fraction(1),) * law.rank, 0, pv)
-    h_el = g_elem((Fraction(1),) * law.rank, 1, 0)
-    expected_f = pv - shift_in_P(pv, Poly.one(ZP), law.a_prime)
-    expected = GElem(q_el.torus, Poly.zero(ZP), expected_f)
-    for conv in (COMM_ABAB, COMM_INV_FIRST):
-        if _commutator_with(q_el, h_el, law, conv) == expected:
-            return conv
-    raise LawHypothesisError("no bracket order reproduces the derived identity")
-
-
-def _commutator_with(a: GElem, b: GElem, law: GroupLaw, conv: str) -> GElem:
-    ai, bi = g_inverse(a, law), g_inverse(b, law)
-    if conv == COMM_ABAB:
-        return g_mul(g_mul(g_mul(a, b, law), ai, law), bi, law)
-    return g_mul(g_mul(g_mul(ai, bi, law), a, law), b, law)
-
-
 def commutator(a: GElem, b: GElem, law: GroupLaw) -> GElem:
-    """[a, b] under the convention recorded for the law."""
-    return _commutator_with(a, b, law, commutator_convention(law))
+    """[a, b] = a b a^-1 b^-1."""
+    ai, bi = g_inverse(a, law), g_inverse(b, law)
+    return g_mul(g_mul(g_mul(a, b, law), ai, law), bi, law)
 
 
 # -- the presentation lemma ----------------------------------------------------
@@ -357,7 +332,7 @@ def derived_witness(law: GroupLaw, h, scale=1) -> GElem:
 
 
 def aut_commutator(a: Automorphism, b: Automorphism) -> Automorphism:
-    """[a, b] = a b a^-1 b^-1, matching the recorded group-law convention."""
+    """[a, b] = a b a^-1 b^-1, as for group elements."""
     return compose(compose(a, b), compose(inverse(a), inverse(b)))
 
 

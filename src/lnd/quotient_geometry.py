@@ -173,8 +173,9 @@ def affine_symmetries(a: Poly) -> DivisorSymmetry:
     center = -coeffs.get(d - 1, Fraction(0)) / (d * coeffs[d])
     z_ring = ("z",)
     z = Poly.variable(z_ring, "z")
-    recentred = Poly(z_ring, {(e,): c for e, c in coeffs.items()}).substitute(
-        {"z": z + Poly.const(z_ring, center)}
+    recentred = substitute(
+        Poly(z_ring, {(e,): c for e, c in coeffs.items()}),
+        {"z": z + Poly.const(z_ring, center)},
     )
     support = sorted(sum(m) for m in recentred.terms)
     if len(support) == 1:

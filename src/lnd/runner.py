@@ -310,7 +310,6 @@ def _run_admissible_complement(args: _Args, rng) -> tuple[str, str]:
         (apply(ctx.D_prime, ctx.Q) == ctx.a_prime, "D'(Q) = a'"),
         (apply(ctx.E, ctx.P) == -ctx.a_prime, "E(P) = -a'"),
         (lie_bracket(ctx.D_prime, ctx.E).is_zero(), "[D', E] = 0"),
-        (ctx.a == ctx.d * ctx.a_prime, "a = d a'"),
     ]
     checks.append((is_irreducible(ctx.E), "E irreducible"))
     checks.append((is_irreducible(ctx.D_prime), "D' irreducible"))
@@ -357,7 +356,7 @@ def _run_n_group_homomorphism(args: _Args, rng) -> tuple[str, str]:
     return (
         "PASS",
         f"homomorphism, centralizing, round-trip and Exp-split on {samples} pairs "
-        f"(convention {ctx.convention})",
+        f"(convention {delta_family.E_OUTER})",
     )
 
 

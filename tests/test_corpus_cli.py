@@ -486,3 +486,24 @@ def test_reports_match_golden_files(path):
         if golden.exists():
             text = runner.format_report(report, full=full)
             assert text.encode("utf-8") == golden.read_bytes(), golden.name
+
+
+def test_benchmark_bindings_resolve():
+    """perfbench wraps lnd functions by name: every SPANS target resolves,
+    and the worker's handler table covers the directives in order."""
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [target for group in spans.SPANS.values() for target in group]
+    assert targets
+    for module, attr in targets:
+        obj = importlib.import_module(f"lnd.{module}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"lnd.{module}.{attr}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"lnd.{module}.{attr}"
+    assert tuple(runner._HANDLERS) == corpus.DIRECTIVES

@@ -9,7 +9,6 @@ from lnd.automorphisms import Automorphism, commutes, compose, quotient_action
 from lnd.delta_family import (
     compose_with_family,
     E_OUTER,
-    U_OUTER,
     _realization_word,
     ad_identity_check,
     aut_to_n,
@@ -26,13 +25,15 @@ from lnd.delta_family import (
     n_to_aut,
 )
 from lnd.derivations import (
+    apply,
     compose_exp_word,
     exponential,
     is_irreducible,
+    lie_bracket,
     scale_poly,
     standard_decomposition,
 )
-from lnd.errors import ContextError, NotInNError
+from lnd.errors import ContextError, NotInNError, SearchExhaustedError
 from lnd.syntax import parse_poly
 
 
@@ -63,10 +64,9 @@ def rand_nelem(rng, deg=3):
 def test_context_data():
     assert CTX.Q == p("y")
     assert CTX.a_prime == p("z")
-    assert CTX.a == p("z")
+    assert CTX.d * CTX.a_prime == p("z")
     assert CTX.E.images == (p("-1"), p("0"), p("0"))
     assert CTX.e == Automorphism(p("x - 1"), p("y"), p("z"))
-    assert CTX.convention == E_OUTER
 
 
 def test_context_slice_case():
@@ -77,7 +77,7 @@ def test_context_slice_case():
 
 
 def test_context_with_modification_factor():
-    assert CTX_Z.a == p("z^2")
+    assert CTX_Z.d * CTX_Z.a_prime == p("z^2")
     assert CTX_Z.a_prime == p("z")
     assert exponential(CTX_Z.D) == exponential(scale_poly(p("z"), CTX.D_prime))
 
@@ -299,23 +299,78 @@ def _law_pairs():
     ]
 
 
+U_OUTER = "u-outer"  # the reversed word [f D', h E], which the law rules out
+
+
+def _word(ctx, n, conv):
+    f_amb = substitute(n.f, {"z": p("z"), "P": ctx.P})
+    word = _realization_word(ctx, n.h.to_ring(XYZ), f_amb)
+    return word if conv == E_OUTER else word[::-1]
+
+
+def _word_law_holds(ctx):
+    """Per order, whether word(a.b) composes to word(a) + word(b) on the law pairs."""
+    return {
+        conv: all(
+            compose_exp_word(_word(ctx, n_mul(a, b, ctx), conv))
+            == compose_exp_word(_word(ctx, a, conv) + _word(ctx, b, conv))
+            for a, b in _law_pairs()
+        )
+        for conv in (E_OUTER, U_OUTER)
+    }
+
+
 @pytest.mark.parametrize("ctx", [CTX, CTX_Z], ids=["C", "CZ"])
 def test_convention_by_exp_words(ctx):
-    assert ctx.convention == E_OUTER
-
-    def word(n, conv):
-        f_amb = substitute(n.f, {"z": p("z"), "P": ctx.P})
-        return _realization_word(ctx.E, ctx.D_prime, n.h.to_ring(XYZ), f_amb, conv)
-
-    law_holds = {}
     for conv in (E_OUTER, U_OUTER):
-        law_holds[conv] = True
         for a, b in _law_pairs():
-            joined = compose_exp_word(word(a, conv) + word(b, conv))
-            composed = compose(compose_exp_word(word(a, conv)), compose_exp_word(word(b, conv)))
+            joined = compose_exp_word(_word(ctx, a, conv) + _word(ctx, b, conv))
+            composed = compose(
+                compose_exp_word(_word(ctx, a, conv)), compose_exp_word(_word(ctx, b, conv))
+            )
             assert joined == composed
-            law_holds[conv] &= compose_exp_word(word(n_mul(a, b, ctx), conv)) == joined
-    assert law_holds == {E_OUTER: True, U_OUTER: False}
+    assert _word_law_holds(ctx) == {E_OUTER: True, U_OUTER: False}
+
+
+def _random_context(rng):
+    """make_context on P = c m(z) x + q(y, z), with x and y swapped half the
+    time, and a random d in Q[z]; None when the draw is rejected."""
+    x, y = (p("x"), p("y")) if rng.random() < 0.5 else (p("y"), p("x"))
+    m = _rand_z_poly(rng, rng.randint(0, 2)).to_ring(XYZ)
+    q_yz = Poly.zero(XYZ)
+    for _ in range(rng.randint(1, 3)):
+        q_yz = q_yz + y ** rng.randint(1, 3) * p("z") ** rng.randint(0, 2) * rng.randint(-4, 4)
+    big_p = m * x * rng.randint(1, 3) + q_yz + p("z") * rng.randint(-2, 2)
+    d = _rand_z_poly(rng, rng.randint(0, 2))
+    try:
+        return make_context(big_p, d.to_ring(("z",)), deg_max=3)
+    except (ContextError, SearchExhaustedError):
+        return None
+
+
+def test_random_contexts_satisfy_the_construction_and_the_e_outer_law():
+    # make_context checks none of these facts: the construction proves them
+    started = time.monotonic()
+    rng = random.Random(211)
+    contexts = []
+    for _ in range(200):
+        ctx = _random_context(rng)
+        if ctx is not None:
+            contexts.append(ctx)
+        if len(contexts) == 20:
+            break
+    assert len(contexts) == 20
+    assert len({(ctx.P, ctx.d) for ctx in contexts}) == 20
+    for ctx in contexts:
+        assert apply(ctx.D_prime, ctx.P).is_zero()
+        assert apply(ctx.D_prime, p("z")).is_zero()
+        assert not ctx.a_prime.is_zero()
+        assert apply(ctx.D_prime, ctx.Q) == ctx.a_prime
+        assert apply(ctx.E, ctx.P) == -ctx.a_prime
+        assert lie_bracket(ctx.D_prime, ctx.E).is_zero()
+        assert _word_law_holds(ctx) == {E_OUTER: True, U_OUTER: False}, ctx.P
+    elapsed = time.monotonic() - started
+    assert elapsed < 10, f"20 random contexts took {elapsed:.1f}s"
 
 
 def test_criterion_strips_through_standard_decomposition():
@@ -334,7 +389,7 @@ def test_quotient_action_of_n_elements():
     for _ in range(8):
         n = rand_nelem(rng, 2)
         g = n_to_aut(n, CTX)
-        g1, g2 = quotient_action(g, CTX.kernel_gens, 8, ZP)
+        g1, g2 = quotient_action(g, [p("z"), CTX.P], 8, ZP)
         assert g1 == zv
         assert g2 == pv - n.h * CTX.a_prime_zp()
 
@@ -437,7 +492,7 @@ def test_plinth_search_exhaustion_signal():
     from lnd.errors import SearchExhaustedError
 
     with pytest.raises(SearchExhaustedError):
-        plinth_search(CTX.D_prime, CTX.kernel_gens, 0)
+        plinth_search(CTX.D_prime, [p("z"), CTX.P], 0)
 
 
 def test_context_with_cubic_kernel_generator():
@@ -483,6 +538,6 @@ def test_divisor_shift_vanishes_exactly_when_d_divides_h():
             continue
         g = n_to_aut(n_elem(h, k("0")), CTX_Z)
         shift = CTX_Z.P - pullback(g, CTX_Z.P)
-        a_divides = divides(CTX_Z.a, shift)
+        a_divides = divides(CTX_Z.d * CTX_Z.a_prime, shift)
         d_divides = divides(CTX_Z.d, h.to_ring(XYZ))
         assert a_divides == d_divides, h

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lnd.arith import XYZ, Poly, divides
+from lnd.arith import XYZ, Poly, divides, substitute
 from lnd.automorphisms import Automorphism, compose, identity
 from lnd.derivations import (
     Derivation,
@@ -56,8 +56,8 @@ def rand_poly(rng, deg=2, nterms=3):
 
 def rand_derivation(rng):
     """Random triangular derivation: certified locally nilpotent."""
-    img_x = rand_poly(rng).substitute({"x": Poly.zero(XYZ), "y": Y, "z": Z})
-    img_y = rand_poly(rng).substitute({"x": Poly.zero(XYZ), "y": Poly.zero(XYZ), "z": Z})
+    img_x = substitute(rand_poly(rng), {"x": Poly.zero(XYZ), "y": Y, "z": Z})
+    img_y = substitute(rand_poly(rng), {"x": Poly.zero(XYZ), "y": Poly.zero(XYZ), "z": Z})
     return Derivation(img_x, img_y, Poly.zero(XYZ))
 
 

@@ -98,7 +98,7 @@ def test_affine_symmetries_three_line_fence():
     assert sym.lambda_exponent % 2 == 1  # the scaling value alpha^k0 is -1
     # direct substitution oracle: a(-z) = -a(z)
     a = parse_poly("z^3 - z", ("z",))
-    assert a.substitute({"z": -Poly.variable(("z",), "z")}) == -a
+    assert substitute(a, {"z": -Poly.variable(("z",), "z")}) == -a
 
 
 def test_affine_symmetries_torus_case():
