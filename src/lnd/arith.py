@@ -1,15 +1,21 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from monomials to nonzero Fraction coefficients,
-together with an ordered tuple of variable names.  The monomial for a ring
-with variables (x, y, z) is an exponent tuple (ex, ey, ez).
+A polynomial is an ordered tuple of variable names, a positive int `den`
+and a map `terms` from monomials to nonzero int numerators; its value is
+sum(terms[m] * m) / den.  The monomial for a ring with variables (x, y, z)
+is an exponent tuple (ex, ey, ez).
 
-  x*z + y^2   over ("x", "y", "z")   ->   {(1, 0, 1): 1, (0, 2, 0): 1}
+  x*z + y^2/2   over ("x", "y", "z")   ->   den 2, {(1, 0, 1): 2, (0, 2, 0): 1}
 
-Everything is exact: coefficients are `fractions.Fraction`, no rounding ever
-occurs and equality of polynomials is equality of canonical term maps (no
-zero coefficient is ever stored).  All values are immutable once built, so
-they can be shared freely.
+Everything is exact and the form is canonical: gcd(den, *numerators) == 1,
+no numerator is zero, and the zero polynomial is den 1 with no terms.  A
+larger shared denominator k * den would need k to divide den and every
+numerator, so each value has exactly one form and equality of polynomials
+is equality of (vars, den, terms).  Products and sums run on the int
+numerators alone; one gcd restores the form, and only when den != 1, so
+integer polynomials never pay for it.  Exact rational coefficients come
+from `coefficient`, `coefficients` and `leading_coeff`.  All values are
+immutable once built, so they can be shared freely.
 
 The canonical term order is graded lexicographic with the earlier variable
 bigger (x > y > z for the ambient ring); printing emits terms in descending
@@ -28,11 +34,6 @@ from typing import Iterable, Mapping
 
 from .errors import MissingImageError, NonDivisibleError, RingMismatchError
 
-# Coefficients are stored as plain int whenever the value is integral (int
-# and Fraction compare and hash equal for equal values, so this is purely a
-# speed representation; no observable behavior depends on it).
-Coef = int | Fraction
-
 Monomial = tuple[int, ...]
 
 # Standard rings used throughout the higher modules.
@@ -40,21 +41,6 @@ XYZ = ("x", "y", "z")
 ZP = ("z", "P")
 YZ = ("y", "z")
 ZVAR = ("z",)
-
-
-def frac(value) -> Fraction:
-    """Coerce an int/Fraction/str into an exact Fraction."""
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _intern(value) -> Coef:
-    """Normalize integral Fractions to int (faster arithmetic)."""
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    f = Fraction(value)
-    return f.numerator if f.denominator == 1 else f
 
 
 class WorkBudgetExceeded(Exception):
@@ -67,35 +53,22 @@ class WorkBudgetExceeded(Exception):
 ALLOWANCE: ContextVar[list[int] | None] = ContextVar("lnd_allowance", default=None)
 
 
-def exact_div(a: Coef, b: Coef) -> Coef:
-    """a / b as an exact rational (int when integral)."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r == 0:
-            return q
-        return Fraction(a, b)
-    return _intern(frac(a) / frac(b))
-
-
 def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     """Sort key for graded-lex order (earlier variables are bigger)."""
     return (sum(mono), mono)
 
 
 class Poly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial: int numerators over one shared denominator."""
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "den", "terms", "_hash")
 
-    def __init__(self, vars: tuple[str, ...], terms: Mapping[Monomial, Coef]):
-        canonical: dict[Monomial, Coef] = {}
-        for mono, coeff in terms.items():
-            c = _intern(coeff)
-            if c:
-                canonical[tuple(mono)] = c
-        object.__setattr__(self, "vars", tuple(vars))
-        object.__setattr__(self, "terms", canonical)
-        object.__setattr__(self, "_hash", None)
+    def __init__(self, vars: tuple[str, ...], terms: Mapping[Monomial, int | Fraction]):
+        items = [(tuple(mono), c) for mono, c in terms.items() if c]
+        den = math.lcm(*(c.denominator for _, c in items))
+        _SET_VARS(self, tuple(vars))
+        _SET_DEN(self, den)
+        _SET_TERMS(self, {m: c.numerator * (den // c.denominator) for m, c in items})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Poly is immutable")
@@ -104,26 +77,22 @@ class Poly:
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "Poly":
-        return cls(vars, {})
+        return _raw(tuple(vars), 1, {})
 
     @classmethod
     def one(cls, vars: tuple[str, ...]) -> "Poly":
-        return cls.const(vars, 1)
+        return _raw(tuple(vars), 1, {(0,) * len(vars): 1})
 
     @classmethod
-    def const(cls, vars: tuple[str, ...], value) -> "Poly":
-        c = frac(value)
-        if not c:
-            return cls.zero(vars)
-        return cls(vars, {(0,) * len(vars): c})
+    def const(cls, vars: tuple[str, ...], value: int | Fraction) -> "Poly":
+        return cls(vars, {(0,) * len(vars): value})
 
     @classmethod
     @lru_cache(maxsize=None)
     def variable(cls, vars: tuple[str, ...], name: str) -> "Poly":
         if name not in vars:
             raise RingMismatchError(f"variable {name!r} not in ring {vars}")
-        mono = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {mono: Fraction(1)})
+        return _raw(vars, 1, {tuple(1 if v == name else 0 for v in vars): 1})
 
     # -- predicates and views ----------------------------------------------
 
@@ -133,12 +102,10 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def constant_value(self) -> Coef:
-        if self.is_zero():
-            return 0
+    def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
+        return self.coefficient((0,) * len(self.vars))
 
     def total_degree(self) -> int:
         """Max total degree of the support; -1 for the zero polynomial."""
@@ -161,29 +128,31 @@ class Poly:
                     present.add(self.vars[i])
         return present
 
-    def coefficient(self, mono: Monomial) -> Coef:
-        return self.terms.get(tuple(mono), 0)
+    def coefficient(self, mono: Monomial) -> Fraction:
+        return Fraction(self.terms.get(tuple(mono), 0), self.den)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in descending graded-lex order (the canonical print order)."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+    def coefficients(self) -> dict[Monomial, Fraction]:
+        """The exact coefficient of every monomial of the support."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.terms.items()}
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=grlex_key)
 
-    def leading_coeff(self) -> Coef:
-        return self.terms[self.leading_monomial()]
+    def leading_coeff(self) -> Fraction:
+        return Fraction(self.terms[self.leading_monomial()], self.den)
 
     def monic(self) -> "Poly":
         """Scale so the graded-lex leading coefficient equals 1."""
-        if self.is_zero():
+        if not self.terms:
             return self
-        lc = self.leading_coeff()
-        if lc == 1:
+        lc = self.terms[self.leading_monomial()]
+        if lc == self.den:
             return self
-        return self * (Fraction(1) / frac(lc))
+        sign = 1 if lc > 0 else -1
+        return _form(self.vars, abs(lc), {m: c * sign for m, c in self.terms.items()})
 
     def _var_index(self, var: str) -> int:
         try:
@@ -201,63 +170,63 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        out = dict(self.terms)
-        get = out.get
-        for mono, coeff in other.terms.items():
-            s = get(mono, 0) + coeff
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        return _raw(self.vars, out)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        out = dict(self.terms)
-        get = out.get
-        for mono, coeff in other.terms.items():
-            s = get(mono, 0) - coeff
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        return _raw(self.vars, out)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        return _combine(self, other, -1)
 
     def __neg__(self) -> "Poly":
-        return _raw(self.vars, {m: -c for m, c in self.terms.items()})
+        return _raw(self.vars, self.den, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
+        if isinstance(other, Poly):
+            self._check_ring(other)
+            a, b = self.terms, other.terms
+            allowance = ALLOWANCE.get()
+            if allowance is not None:
+                allowance[0] -= len(a) * len(b)
+                if allowance[0] < 0:
+                    raise WorkBudgetExceeded
+            p, q = (self, other) if len(a) <= len(b) else (other, self)
+            a, b = p.terms, q.terms
+            if not a:
+                return p
+            if len(a) == 1:
+                (ma, ca), = a.items()
+                if ca == p.den and not any(ma):
+                    return q  # p is the constant 1
+                out = {tuple(map(add, ma, mb)): ca * cb for mb, cb in b.items()}
+            else:
+                out = {}
+                get = out.get
+                for ma, ca in a.items():
+                    for mb, cb in b.items():
+                        mono = tuple(map(add, ma, mb))
+                        s = get(mono, 0) + ca * cb
+                        if s:
+                            out[mono] = s
+                        else:
+                            del out[mono]
+            return _form(self.vars, self.den * other.den, out)
         if isinstance(other, (int, Fraction)):
-            c = _intern(other)
-            if not c:
-                return Poly.zero(self.vars)
-            if c == 1:
+            n, d = other.numerator, other.denominator
+            if n == d:
                 return self
-            return _raw(self.vars, {m: k * c for m, k in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_ring(other)
-        a, b = self.terms, other.terms
-        allowance = ALLOWANCE.get()
-        if allowance is not None:
-            allowance[0] -= len(a) * len(b)
-            if allowance[0] < 0:
-                raise WorkBudgetExceeded
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[Monomial, Coef] = {}
-        get = out.get
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                mono = tuple(map(add, ma, mb))
-                s = get(mono, 0) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return _raw(self.vars, out)
+            if not n:
+                return Poly.zero(self.vars)
+            return _form(self.vars, self.den * d, {m: c * n for m, c in self.terms.items()})
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -281,38 +250,36 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.vars == other.vars
+            and self.den == other.den
             and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.vars, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.vars, self.den, frozenset(self.terms.items())))
+            _SET_HASH(self, h)
+            return h
 
     # -- calculus and structure -------------------------------------------
 
     def partial_derivative(self, var: str) -> "Poly":
         i = self._var_index(var)
-        out: dict[Monomial, Coef] = {}
-        for mono, coeff in self.terms.items():
+        out: dict[Monomial, int] = {}
+        for mono, c in self.terms.items():
             e = mono[i]
-            if e == 0:
-                continue
-            lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
-            out[lowered] = coeff * e
-        return _raw(self.vars, out)
+            if e:
+                out[mono[:i] + (e - 1,) + mono[i + 1 :]] = c * e
+        return _form(self.vars, self.den, out)
 
     def integrate_in(self, var: str) -> "Poly":
         """Formal antiderivative with zero constant term in `var`."""
         i = self._var_index(var)
-        out: dict[Monomial, Coef] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[i]
-            raised = mono[:i] + (e + 1,) + mono[i + 1 :]
-            out[raised] = exact_div(coeff, e + 1)
-        return _raw(self.vars, out)
+        k = math.lcm(*(m[i] + 1 for m in self.terms))
+        out = {m[:i] + (m[i] + 1,) + m[i + 1 :]: c * (k // (m[i] + 1))
+               for m, c in self.terms.items()}
+        return _form(self.vars, self.den * k, out)
 
     def to_ring(self, vars: tuple[str, ...]) -> "Poly":
         """Re-express over another variable list, matching by name.
@@ -325,8 +292,8 @@ class Poly:
         positions: list[int | None] = [
             vars.index(v) if v in vars else None for v in self.vars
         ]
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
+        out: dict[Monomial, int] = {}
+        for mono, c in self.terms.items():
             target = [0] * len(vars)
             for i, e in enumerate(mono):
                 if not e:
@@ -337,8 +304,8 @@ class Poly:
                         f"cannot move {self.vars[i]!r}-term into ring {vars}"
                     )
                 target[j] = e
-            out[tuple(target)] = coeff
-        return Poly(vars, out)
+            out[tuple(target)] = c
+        return _raw(vars, self.den, out)
 
     # -- printing -----------------------------------------------------------
 
@@ -349,13 +316,48 @@ class Poly:
         return f"Poly({'+'.join(self.vars)}: {poly_to_str(self)})"
 
 
-def _raw(vars: tuple[str, ...], terms: dict[Monomial, Fraction]) -> Poly:
-    """Build a Poly from terms already known to be canonical."""
-    p = Poly.__new__(Poly)
-    object.__setattr__(p, "vars", vars)
-    object.__setattr__(p, "terms", terms)
-    object.__setattr__(p, "_hash", None)
+_SET_VARS, _SET_DEN, _SET_TERMS, _SET_HASH = (
+    getattr(Poly, slot).__set__ for slot in Poly.__slots__
+)
+
+
+def _raw(vars: tuple[str, ...], den: int, terms: dict[Monomial, int]) -> Poly:
+    """Build a Poly from a form already known to be canonical."""
+    p = object.__new__(Poly)
+    _SET_VARS(p, vars)
+    _SET_DEN(p, den)
+    _SET_TERMS(p, terms)
     return p
+
+
+def _form(vars: tuple[str, ...], den: int, terms: dict[Monomial, int]) -> Poly:
+    """The canonical Poly for terms / den (den > 0, no zero numerator)."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
+    return _raw(vars, den, terms)
+
+
+def _combine(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign * q, on the numerators over the lcm of the denominators."""
+    den = p.den
+    if den == q.den:
+        out, factor = dict(p.terms), sign
+    else:
+        den = math.lcm(den, q.den)
+        scale = den // p.den
+        out = {m: c * scale for m, c in p.terms.items()}
+        factor = sign * (den // q.den)
+    get = out.get
+    for mono, c in q.terms.items():
+        s = get(mono, 0) + c * factor
+        if s:
+            out[mono] = s
+        else:
+            del out[mono]
+    return _form(p.vars, den, out)
 
 
 class _Substitution:
@@ -384,18 +386,18 @@ class _Substitution:
             return Poly.zero(self.target)
         split = [(i, self.images[v]) for i, v in enumerate(p.vars) if v in present]
         out = _horner(list(p.terms.items()), split, 0)
-        if isinstance(out, Poly):
-            return out
-        return _raw(self.target, {(0,) * len(self.target): out})
+        if not isinstance(out, Poly):
+            out = _raw(self.target, 1, {(0,) * len(self.target): out})
+        return out if p.den == 1 else _form(out.vars, out.den * p.den, out.terms)
 
 
 def _horner(terms: list, split: list[tuple[int, Poly]], k: int):
-    """Evaluate the distinct-monomial `terms` by Horner's rule in the
-    variables split[k:], given as (position, image): split on the first,
-    sum x^e p_e = (..(p_top * img^(top - e2) + p_e2) ..) * img^(e_last).
+    """Evaluate the distinct-monomial `terms` (int numerators) by Horner's
+    rule in the variables split[k:], given as (position, image): split on
+    the first, sum x^e p_e = (..(p_top * img^(top - e2) + p_e2) ..) * img^(e_last).
 
-    A single term is its coefficient times its image powers, so a constant
-    comes back as a scalar rather than a constant Poly.
+    A single term is its numerator times its image powers, so a constant
+    comes back as an int rather than a constant Poly.
     """
     if len(terms) == 1:
         (mono, acc), = terms
@@ -417,12 +419,12 @@ def _horner(terms: list, split: list[tuple[int, Poly]], k: int):
         else:
             folded = dict(acc.terms)
             zero = (0,) * len(acc.vars)
-            s = folded.get(zero, 0) + part
+            s = folded.get(zero, 0) + part * acc.den
             if s:
                 folded[zero] = s
             else:
                 del folded[zero]
-            acc = _raw(acc.vars, folded)
+            acc = _form(acc.vars, acc.den, folded)
     return acc * img ** exps[-1] if exps[-1] else acc
 
 
@@ -449,8 +451,8 @@ def divide_exact(p: Poly, q: Poly) -> Poly:
     q_lead = q.leading_monomial()
     q_lc = q.terms[q_lead]
     remainder = p
-    quotient: dict[Monomial, Coef] = {}
-    while not remainder.is_zero():
+    quotient: dict[Monomial, Fraction] = {}
+    while remainder.terms:
         lead = remainder.leading_monomial()
         diff = tuple(a - b for a, b in zip(lead, q_lead))
         if any(d < 0 for d in diff):
@@ -458,9 +460,9 @@ def divide_exact(p: Poly, q: Poly) -> Poly:
                 f"leading term {_mono_str(p.vars, lead)} not divisible by "
                 f"{_mono_str(p.vars, q_lead)}"
             )
-        coeff = exact_div(remainder.terms[lead], q_lc)
-        quotient[diff] = coeff
-        remainder = remainder - _raw(p.vars, {diff: coeff}) * q
+        c = Fraction(remainder.terms[lead] * q.den, remainder.den * q_lc)
+        quotient[diff] = c
+        remainder = remainder - _raw(p.vars, c.denominator, {diff: c.numerator}) * q
     return Poly(p.vars, quotient)
 
 
@@ -491,12 +493,6 @@ def divides(q: Poly, p: Poly) -> bool:
 # One prime per attempt; the evaluation point of an attempt is a fixed
 # function of the attempt and variable index, so every run certifies alike.
 _CERT_PRIMES = (2147483647, 2147483629, 2147483587)
-
-
-def _integral_terms(p: Poly) -> dict[Monomial, int]:
-    """The terms of p times the lcm of its denominators: an integer polynomial."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
 
 
 def _image_mod(
@@ -537,7 +533,7 @@ def _gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
 def _coprime_by_images(p: Poly, q: Poly) -> bool:
     """True only if gcd(p, q) is a constant, proved by modular images.
 
-    Scale p and q to integer polynomials P and Q.  For each variable v in
+    Take the integer numerator polynomials P = p.den * p and Q = q.den * q.  For each variable v in
     which both have positive degree, map Z[vars] -> GF(prime)[v] by reducing
     mod a fixed prime and setting every other variable to a fixed point,
     chosen so the leading coefficient of P in v does not vanish there; then
@@ -560,17 +556,16 @@ def _coprime_by_images(p: Poly, q: Poly) -> bool:
     shared = [i for i in range(len(p.vars)) if deg_p[i] and deg_q[i]]
     if not shared:
         return True
-    int_p, int_q = _integral_terms(p), _integral_terms(q)
     for i in shared:
         for attempt, prime in enumerate(_CERT_PRIMES):
             point = [
                 0x9E3779B1 * (attempt * len(p.vars) + j + 1) % prime
                 for j in range(len(p.vars))
             ]
-            image_p = _image_mod(int_p, i, point, prime)
+            image_p = _image_mod(p.terms, i, point, prime)
             if len(image_p) - 1 < deg_p[i]:
                 continue  # lc_v(P) vanishes at this point: try the next one
-            image_q = _image_mod(int_q, i, point, prime)
+            image_q = _image_mod(q.terms, i, point, prime)
             if len(_gcd_mod(image_p, image_q, prime)) > 1:
                 return False
             break
@@ -581,12 +576,10 @@ def _coprime_by_images(p: Poly, q: Poly) -> bool:
 
 def _univ_split(p: Poly, i: int) -> dict[int, Poly]:
     """View p as univariate in variable index i; coefficients keep the ring."""
-    out: dict[int, dict[Monomial, Coef]] = {}
-    for mono, coeff in p.terms.items():
-        e = mono[i]
-        rest = mono[:i] + (0,) + mono[i + 1 :]
-        out.setdefault(e, {})[rest] = coeff
-    return {e: _raw(p.vars, terms) for e, terms in out.items()}
+    out: dict[int, dict[Monomial, int]] = {}
+    for mono, c in p.terms.items():
+        out.setdefault(mono[i], {})[mono[:i] + (0,) + mono[i + 1 :]] = c
+    return {e: _form(p.vars, p.den, terms) for e, terms in out.items()}
 
 
 def _shift(p: Poly, i: int, e: int) -> Poly:
@@ -594,7 +587,7 @@ def _shift(p: Poly, i: int, e: int) -> Poly:
     if e == 0 or p.is_zero():
         return p
     return _raw(
-        p.vars, {m[:i] + (m[i] + e,) + m[i + 1 :]: c for m, c in p.terms.items()}
+        p.vars, p.den, {m[:i] + (m[i] + e,) + m[i + 1 :]: c for m, c in p.terms.items()}
     )
 
 
@@ -712,9 +705,10 @@ def poly_to_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
     pieces: list[str] = []
-    for idx, (mono, coeff) in enumerate(p.sorted_terms()):
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
+    terms = sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+    for idx, (mono, c) in enumerate(terms):
+        negative = c < 0
+        mag = Fraction(abs(c), p.den) if p.den != 1 else abs(c)
         vars_part = _mono_str(p.vars, mono)
         if vars_part == "1":
             body = str(mag)

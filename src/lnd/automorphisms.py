@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
-from .arith import XYZ, Poly, exact_div, frac, substitute
+from .arith import XYZ, Poly, substitute
 from .errors import (
     NotInKernelError,
     NotInvertibleError,
@@ -213,7 +213,7 @@ def mu_character(g: Automorphism, d: Poly) -> Fraction:
     image = pullback(g, d)
     if image.is_zero():
         raise NotInvertibleError("pullback of the divisor polynomial vanished")
-    ratio = exact_div(image.leading_coeff(), d.leading_coeff())
+    ratio = image.leading_coeff() / d.leading_coeff()
     if image != d * ratio:
         raise ValueError(f"g*({d}) = {image} is not proportional to {d}")
     return ratio
@@ -255,7 +255,7 @@ def conjugation_formula_check(
     rhs_mu = modification(gf * mu, dp)
     if lhs == rhs_mu:
         return ConjugationReport(True, mu, "mu", lhs, rhs_mu)
-    rhs_inv = modification(gf * (Fraction(1) / frac(mu)), dp)
+    rhs_inv = modification(gf * (1 / mu), dp)
     if lhs == rhs_inv:
         return ConjugationReport(True, mu, "mu-inverse", lhs, rhs_inv)
     return ConjugationReport(False, mu, "none", lhs, rhs_mu)
@@ -317,7 +317,7 @@ def express_in_kernel(
     index = {m: i for i, m in enumerate(monomials)}
     rows = [[Fraction(0)] * len(products) for _ in monomials]
     for j, (_, kp) in enumerate(products):
-        for mono, coeff in kp.terms.items():
+        for mono, coeff in kp.coefficients().items():
             rows[index[mono]][j] = coeff
     rhs = [f.coefficient(m) for m in monomials]
     solution = linalg.solve(rows, rhs)

@@ -198,6 +198,11 @@ def expand_kernel_poly(ctx: DeltaContext, f: Poly) -> Poly:
     return substitute(f, {"z": Poly.variable(XYZ, "z"), "P": ctx.P})
 
 
+def _x_coefficient(p: Poly, n: int) -> Poly:
+    """The coefficient of x^n in p, a polynomial in y and z."""
+    return Poly(XYZ, {(0,) + m[1:]: c for m, c in p.coefficients().items() if m[0] == n})
+
+
 def express_in_zp(ctx: DeltaContext, g: Poly) -> Poly:
     """Write an ambient kernel element as a polynomial in (z, P).
 
@@ -210,18 +215,12 @@ def express_in_zp(ctx: DeltaContext, g: Poly) -> Poly:
         return Poly.zero(ZP)
     p_poly = ctx.P
     if p_poly.degree_in("x") == 1:
-        lc = Poly.zero(XYZ)
-        for mono, coeff in p_poly.terms.items():
-            if mono[0] == 1:
-                lc = lc + Poly(XYZ, {(0,) + mono[1:]: coeff})
+        lc = _x_coefficient(p_poly, 1)
         out = Poly.zero(ZP)
         remainder = g
         while not remainder.is_zero():
             n = remainder.degree_in("x")
-            top = Poly.zero(XYZ)
-            for mono, coeff in remainder.terms.items():
-                if mono[0] == n:
-                    top = top + Poly(XYZ, {(0,) + mono[1:]: coeff})
+            top = _x_coefficient(remainder, n)
             try:
                 c = divide_exact(top, lc**n) if n else top
             except NonDivisibleError:

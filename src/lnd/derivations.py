@@ -21,7 +21,6 @@ from .arith import (
     Poly,
     WorkBudgetExceeded,
     divide_exact,
-    exact_div,
     gcd_many,
     grlex_key,
     substitute,
@@ -177,13 +176,20 @@ def exponential(d: Derivation) -> Automorphism:
     The series on each generator is its own nilpotency certificate; if a
     series bound stops it first, this raises NotLocallyNilpotentError.
     """
-    fwd = Automorphism(*(
+    return _exponential_with_orders(d)[0]
+
+
+def _exponential_with_orders(d: Derivation) -> tuple[Automorphism, tuple[int, int, int]]:
+    """exponential(d) and the vanishing order of d on each generator, the
+    step at which its series stopped."""
+    series = [
         _series(partial(apply, d), Poly.variable(XYZ, v), _EXP_WEIGHTS,
-                f"exp-series on {v}", NotLocallyNilpotentError)[0]
+                f"exp-series on {v}", NotLocallyNilpotentError)
         for v in XYZ
-    ))
+    ]
+    fwd = Automorphism(*(pullback for pullback, _ in series))
     fwd._inverse = lambda: exponential(scale(Fraction(-1), d))
-    return fwd
+    return fwd, tuple(order for _, order in series)
 
 
 def apply_exp(w: Derivation, p: Poly) -> Poly:
@@ -263,8 +269,9 @@ def _poly_rows(polys: list[Poly]) -> tuple[list[tuple[int, ...]], list[list[Frac
     monomials = sorted(
         {m for p in polys for m in p.terms}, key=grlex_key, reverse=True
     )
-    rows = [[p.coefficient(m) for m in monomials] for p in polys]
-    return monomials, rows
+    zero = Fraction(0)
+    coeffs = [p.coefficients() for p in polys]
+    return monomials, [[c.get(m, zero) for m in monomials] for c in coeffs]
 
 
 def _echelon_polys(polys: list[Poly]) -> list[Poly]:
@@ -291,7 +298,7 @@ def _reduce_against(p: Poly, echelon: list[Poly]) -> Poly:
         lead = row.leading_monomial()
         coeff = p.coefficient(lead)
         if coeff:
-            p = p - row * exact_div(coeff, row.leading_coeff())
+            p = p - row * (coeff / row.leading_coeff())
     return p
 
 
@@ -325,23 +332,9 @@ def plinth_search(
     if not products:
         products = [((), Poly.one(XYZ))]
     # Unknowns: q-coefficients then combination coefficients; rows demand
-    # d(Q) - sum c_e K_e = 0.
-    support = sorted(
-        {m for p in d_of_q for m in p.terms}
-        | {m for _, kp in products for m in kp.terms},
-        key=grlex_key,
-        reverse=True,
-    )
-    index = {m: i for i, m in enumerate(support)}
-    ncols = len(q_monomials) + len(products)
-    rows = [[Fraction(0)] * ncols for _ in support]
-    for j, dq in enumerate(d_of_q):
-        for mono, coeff in dq.terms.items():
-            rows[index[mono]][j] = coeff
-    for j, (_, kp) in enumerate(products):
-        for mono, coeff in kp.terms.items():
-            rows[index[mono]][len(q_monomials) + j] = -coeff
-    basis = linalg.nullspace(rows, ncols)
+    # d(Q) - sum c_e K_e = 0, one per monomial of the joint support.
+    _, columns = _poly_rows(d_of_q + [-kp for _, kp in products])
+    basis = linalg.nullspace(list(zip(*columns)), len(columns))
     candidates = []
     for vec in basis:
         a_poly = Poly.zero(XYZ)
@@ -396,13 +389,8 @@ def preslice_search(d: Derivation, deg_max: int) -> Poly:
     monomials = _monomials_up_to(deg_max)
     basis_polys = [Poly(XYZ, {m: Fraction(1)}) for m in monomials]
     second = [apply(d, apply(d, p)) for p in basis_polys]
-    support = sorted({m for p in second for m in p.terms}, key=grlex_key, reverse=True)
-    index = {m: i for i, m in enumerate(support)}
-    rows = [[Fraction(0)] * len(monomials) for _ in support]
-    for j, p in enumerate(second):
-        for mono, coeff in p.terms.items():
-            rows[index[mono]][j] = coeff
-    null = linalg.nullspace(rows, len(monomials))
+    _, columns = _poly_rows(second)
+    null = linalg.nullspace(list(zip(*columns)), len(monomials))
     solutions = []
     for vec in null:
         q = Poly(XYZ, {m: c for m, c in zip(monomials, vec) if c})

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import XYZ, ZP, Poly, frac, is_univariate_in
+from .arith import XYZ, ZP, Poly, is_univariate_in
 from .automorphisms import Automorphism, commutes, compose, inverse, modification, mu_character
 from .delta_family import expand_kernel_poly, n_elem, n_to_aut, shift_in_P
 from .derivations import apply, logarithm, scale_poly
@@ -49,7 +49,7 @@ class CharacterVector(NamedTuple):
             raise ValueError("torus point has the wrong rank")
         value = Fraction(1)
         for coord, e in zip(point, self.exponents):
-            coord = frac(coord)
+            coord = Fraction(coord)
             if coord == 0:
                 raise ValueError("torus points have nonzero coordinates")
             value *= coord**e
@@ -148,7 +148,7 @@ class GElem(Validated, _GElem):
 
 
 def g_elem(torus, h, f) -> GElem:
-    torus = tuple(frac(c) for c in torus)
+    torus = tuple(Fraction(c) for c in torus)
     if not isinstance(h, Poly):
         h = Poly.const(ZP, h)
     if not isinstance(f, Poly):
@@ -161,7 +161,7 @@ def g_identity(law: GroupLaw) -> GElem:
 
 
 def _scale_var(p: Poly, r_z: Fraction, r_p: Fraction) -> Poly:
-    return Poly(ZP, {m: c * r_z ** m[0] * r_p ** m[1] for m, c in p.terms.items()})
+    return Poly(ZP, {m: c * r_z ** m[0] * r_p ** m[1] for m, c in p.coefficients().items()})
 
 
 def _conjugate_fiber(
@@ -189,7 +189,7 @@ def g_mul(a: GElem, b: GElem, law: GroupLaw) -> GElem:
 
 
 def g_inverse(a: GElem, law: GroupLaw) -> GElem:
-    inv_point = tuple(Fraction(1) / frac(c) for c in a.torus)
+    inv_point = tuple(1 / Fraction(c) for c in a.torus)
     h_c, f_c = _conjugate_fiber(law, inv_point, a.h, a.f)
     return GElem(inv_point, -h_c, -shift_in_P(f_c, h_c, law.a_prime))
 

@@ -1,7 +1,9 @@
-"""Dense exact linear algebra over Fraction, sized for desk-scale systems.
+"""Exact linear algebra over Fraction, sized for desk-scale systems.
 
-Rows are lists of Fractions.  Everything returns fresh lists; nothing is
-mutated in place from the caller's point of view.
+Rows come in and go out as dense lists of Fractions; elimination runs on
+sparse {column: value} rows and touches only nonzero entries.  Everything
+returns fresh lists; nothing is mutated in place from the caller's point
+of view.
 """
 
 from __future__ import annotations
@@ -11,30 +13,43 @@ from fractions import Fraction
 Row = list[Fraction]
 
 
+def _subtract(row: dict[int, Fraction], f: Fraction, pivot_row: dict[int, Fraction]) -> None:
+    """row -= f * pivot_row, in place, dropping entries that cancel."""
+    get = row.get
+    for c, v in pivot_row.items():
+        s = get(c, 0) - f * v
+        if s:
+            row[c] = s
+        else:
+            del row[c]
+
+
 def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    Rows join a reduced basis one at a time: each is cleared at the basis
+    pivots, and if anything is left, its first column becomes a pivot and is
+    cleared from the basis rows.  The RREF of a row space is unique, so the
+    order of elimination does not change the result.
+    """
+    basis: dict[int, dict[int, Fraction]] = {}
+    for dense in rows:
+        row = {c: Fraction(v) for c, v in enumerate(dense) if v}
+        for pc in [c for c in row if c in basis]:
+            _subtract(row, row[pc], basis[pc])
+        if not row:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+        pivot = min(row)
+        inv = 1 / row[pivot]
+        row = {c: v * inv for c, v in row.items()}
+        for other in basis.values():
+            f = other.get(pivot)
+            if f:
+                _subtract(other, f, row)
+        basis[pivot] = row
+    pivots = sorted(basis)
+    columns, zero = range(len(rows[0]) if rows else 0), Fraction(0)
+    return [[basis[pc].get(c, zero) for c in columns] for pc in pivots], pivots
 
 
 def nullspace(rows: list[Row], ncols: int) -> list[Row]:
@@ -57,8 +72,7 @@ def solve(rows: list[Row], rhs: Row) -> Row | None:
     if not rows:
         return None if any(rhs) else []
     ncols = len(rows[0])
-    augmented = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented)
+    reduced, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
     x = [Fraction(0)] * ncols
     for row, pc in zip(reduced, pivots):
         if pc == ncols:

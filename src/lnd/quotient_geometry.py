@@ -20,8 +20,6 @@ from .arith import (
     Poly,
     divide_exact,
     divides,
-    exact_div,
-    frac,
     is_univariate_in,
     substitute,
 )
@@ -94,7 +92,7 @@ def preserves_divisor(g: PlaneAut, div: PlaneDivisor) -> Fraction | None:
     image = substitute(div.a, g.pullbacks)
     if image.is_zero():
         return None
-    ratio = frac(exact_div(image.leading_coeff(), div.a.leading_coeff()))
+    ratio = image.leading_coeff() / div.a.leading_coeff()
     if image == div.a * ratio:
         return ratio
     return None
@@ -164,9 +162,7 @@ def affine_symmetries(a: Poly) -> DivisorSymmetry:
     """
     if "z" not in a.vars or not is_univariate_in(a, "z"):
         raise ValueError("expected a polynomial in z alone")
-    coeffs: dict[int, Fraction] = {}
-    for mono, c in a.terms.items():
-        coeffs[sum(mono)] = frac(c)
+    coeffs = {sum(mono): c for mono, c in a.coefficients().items()}
     d = max(coeffs)
     if d < 1:
         raise ValueError("divisor polynomial must be non-constant")

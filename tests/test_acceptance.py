@@ -193,10 +193,10 @@ def _oracle_plinth(d, gens, deg_max):
     ncols = len(monos) + len(products)
     rows = [[Fraction(0)] * ncols for _ in support]
     for col, q in enumerate(images):
-        for mono, c in q.terms.items():
+        for mono, c in q.coefficients().items():
             rows[idx[mono]][col] = c
     for col, q in enumerate(products):
-        for mono, c in q.terms.items():
+        for mono, c in q.coefficients().items():
             rows[idx[mono]][len(monos) + col] = -c
     reduced, pivots = _oracle_rref(rows)
     pivot_set = set(pivots)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -120,7 +121,7 @@ def test_substitute_missing_image():
 def _naive_substitute(q, images, target):
     """Oracle: sum c * prod(image_v ** e), one factor at a time."""
     total = Poly.zero(target)
-    for mono, c in q.terms.items():
+    for mono, c in q.coefficients().items():
         term = Poly.const(target, c)
         for v, e in zip(q.vars, mono):
             for _ in range(e):
@@ -276,7 +277,7 @@ def _rand_rational_poly(rng, vars, deg=3, nterms=4):
     top = max(m[i] for m in out.terms)
     return Poly(
         vars,
-        {m: c * _CERT_PRIMES[0] if m[i] == top else c for m, c in out.terms.items()},
+        {m: c * _CERT_PRIMES[0] if m[i] == top else c for m, c in out.coefficients().items()},
     )
 
 
@@ -375,3 +376,88 @@ def test_print_formats():
 def test_grlex_order_is_degree_then_lex():
     q = p("z + y^2 + x*y*z + 4")
     assert poly_to_str(q) == "x*y*z + y^2 + z + 4"
+
+
+# -- the (den, numerators) representation against a {mono: Fraction} oracle ----
+
+
+def _oracle_poly(rng, vars, nterms=3, deg=2):
+    """Random {mono: Fraction}: numerators of 60-64 bits, denominators up to 10^6."""
+    out = {}
+    for _ in range(nterms):
+        mono = [0] * len(vars)
+        for _ in range(rng.randint(0, deg)):
+            mono[rng.randrange(len(vars))] += 1
+        sign = rng.choice((-1, 1))
+        out[tuple(mono)] = Fraction(sign * rng.randrange(2**60, 2**64), rng.randint(1, 10**6))
+    return out
+
+
+def _o_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _o_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _o_substitute(a, images, target):
+    total = {}
+    for mono, c in a.items():
+        term = {(0,) * len(target): c}
+        for image, e in zip(images, mono):
+            for _ in range(e):
+                term = _o_mul(term, image)
+        total = _o_add(total, term)
+    return total
+
+
+def _check(poly, oracle, vars):
+    """poly is canonical and has exactly the oracle's coefficients."""
+    assert poly.vars == vars and type(poly.den) is int and poly.den >= 1
+    assert all(type(c) is int and c for c in poly.terms.values())
+    assert math.gcd(poly.den, *poly.terms.values()) == 1
+    assert {m: Fraction(c, poly.den) for m, c in poly.terms.items()} == oracle
+    rebuilt = Poly(vars, oracle)
+    assert rebuilt == poly and hash(rebuilt) == hash(poly)
+    assert parse_poly(str(poly), vars) == poly
+
+
+@pytest.mark.parametrize("vars, target, seed", [(XYZ, ZP, 61), (ZP, XYZ, 67)], ids=["xyz", "zP"])
+def test_representation_against_fraction_oracle(vars, target, seed):
+    rng = random.Random(seed)
+    for _ in range(12):
+        oa, ob = _oracle_poly(rng, vars), _oracle_poly(rng, vars)
+        a, b = Poly(vars, oa), Poly(vars, ob)
+        _check(a, oa, vars)
+        _check(a + b, _o_add(oa, ob), vars)
+        _check(a - b, _o_add(oa, ob, -1), vars)
+        _check(a - a, {}, vars)
+        _check(a * b, _o_mul(oa, ob), vars)
+        _check(a**3, _o_mul(oa, _o_mul(oa, oa)), vars)
+        k = rng.randrange(-(2**62), 2**62)
+        r = Fraction(rng.randrange(1, 2**62), rng.randint(1, 10**6))
+        _check(a * k, {m: c * k for m, c in oa.items() if c * k}, vars)
+        _check(r * a, {m: c * r for m, c in oa.items()}, vars)
+        s = Fraction(a.den, rng.randint(1, 10**6))  # cancels the denominator
+        _check(a * s, {m: c * s for m, c in oa.items()}, vars)
+        _check(divide_exact(a * b, b), oa, vars)
+        lead = max(oa, key=lambda m: (sum(m), m))
+        _check(a.monic(), {m: c / oa[lead] for m, c in oa.items()}, vars)
+        v = vars[rng.randrange(len(vars))]
+        i = vars.index(v)
+        derivative = {
+            m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in oa.items() if m[i]
+        }
+        _check(a.partial_derivative(v), derivative, vars)
+        images = [_oracle_poly(rng, target, nterms=2, deg=1) for _ in vars]
+        got = substitute(a, {v: Poly(target, img) for v, img in zip(vars, images)})
+        _check(got, _o_substitute(oa, images, target), target)

@@ -350,3 +350,26 @@ def test_apply_exp_stops_growing_iterates_on_work_budget():
     with pytest.raises(NotLocallyNilpotentError, match="work budget"):
         apply_exp(derivation(s8, s8, s8), X)
     assert time.monotonic() - started < 10
+
+
+def test_work_accounting_of_exp_log_is_pinned(monkeypatch):
+    # The series budget counts len(a) * len(b) for every armed product, before
+    # any shortcut in the kernel; the total for this round trip is fixed.
+    from lnd import derivations
+    from lnd.arith import ALLOWANCE
+
+    armed = []
+
+    class Recording:
+        def set(self, value):
+            armed.append(value)
+            return ALLOWANCE.set(value)
+
+        def reset(self, token):
+            ALLOWANCE.reset(token)
+
+    d = derivation(p("(y + z + 1)^12"), p("z^5"), Poly.zero(XYZ))
+    monkeypatch.setattr(derivations, "ALLOWANCE", Recording())
+    assert logarithm(exponential(d)) == d
+    assert len(armed) == 9  # exp, log and log's round-trip exp, 3 generators each
+    assert sum(derivations.WORK_BUDGET - a[0] for a in armed) == 31_392

@@ -1,0 +1,76 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from lnd.linalg import nullspace, rref, solve
+
+
+def _dense_rref(rows):
+    """Oracle: dense Gauss-Jordan elimination, column by column."""
+    m = [list(map(Fraction, r)) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def _sparse_matrix(rng, nrows, ncols, density):
+    rows = [
+        [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < density else 0
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+    if nrows > 2 and rng.random() < 0.5:
+        # rank deficiency: one row a combination of two others
+        a, b, c = rng.sample(range(nrows), 3)
+        k = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        rows[c] = [x + k * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sparse_rref_matches_dense_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 14)
+        rows = _sparse_matrix(rng, nrows, ncols, rng.choice([0.1, 0.25, 0.6]))
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == _dense_rref(rows)
+        assert all(isinstance(v, Fraction) for row in reduced for v in row)
+
+
+def test_rref_zero_and_empty_matrices():
+    assert rref([]) == _dense_rref([]) == ([], [])
+    assert rref([[]]) == _dense_rref([[]]) == ([], [])
+    zero = [[0, 0, 0], [Fraction(0), 0, 0]]
+    assert rref(zero) == _dense_rref(zero) == ([], [])
+    assert nullspace(zero, 3) == [
+        [Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]
+    ]
+
+
+def test_solve_consistent_and_inconsistent():
+    rows = [[1, 2, 0], [2, 4, 0], [0, 0, 3]]
+    assert solve(rows, [3, 6, 9]) == [Fraction(3), Fraction(0), Fraction(3)]
+    assert solve(rows, [3, 7, 9]) is None
+    assert solve([], [0, 0]) == [] and solve([], [0, 1]) is None
