@@ -10,7 +10,7 @@ inverse slot holding its inverse, a zero-argument thunk that builds it, or
 None.  The constructions of this package fill the slot with a thunk: exp(-D)
 for an exponential, the reversed word for a pair of N, the reversed
 composition when both factors can be inverted.  With an empty slot, affine
-maps are inverted by an exact linear solve and unipotent maps as the
+maps are inverted by one exact row reduction and unipotent maps as the
 exponential of the negated logarithm.
 """
 
@@ -130,28 +130,26 @@ def is_affine(g: Automorphism) -> bool:
 
 
 def _affine_inverse(g: Automorphism) -> Automorphism:
-    """Invert an affine map by solving the 3x3 linear part exactly."""
-    rows = []
-    consts = []
-    for img in (g.pullback_x, g.pullback_y, g.pullback_z):
-        rows.append([img.coefficient(tuple(1 if i == j else 0 for j in range(3))) for i in range(3)])
-        consts.append(img.coefficient((0, 0, 0)))
-    inverse_images = []
-    for i in range(3):
-        # Column i of A^-1 solves A col = e_i; A[k][j] is v_j's coefficient in g*(v_k).
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(3)]
-        col = linalg.solve([list(r) for r in rows], rhs)
-        if col is None:
-            raise NotInvertibleError("affine map is singular")
-        inverse_images.append(col)
-    # h*(v_i) = sum_j inv[i][j] * (v_j - b_j)
+    """Invert an affine map g*(v) = A v + b by one reduction of [A | I]."""
+    # Row k of [A | I]: column (0, j) holds v_j's coefficient in g*(v_k).
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    rows, shifted = [], []
+    for k, img in enumerate((g.pullback_x, g.pullback_y, g.pullback_z)):
+        row = {(0, j): img.coefficient(unit) for j, unit in enumerate(units)}
+        row[1, k] = 1
+        rows.append(row)
+        b_k = Poly.const(XYZ, img.coefficient((0, 0, 0)))
+        shifted.append(Poly.variable(XYZ, XYZ[k]) - b_k)
+    reduced = linalg.rref(rows)
+    if min(reduced[-1])[0] == 1:
+        raise NotInvertibleError("affine map is singular")
+    # Row i is (e_i | row i of A^-1): h*(v_i) = sum_j A^-1[i][j] * (v_j - b_j).
     images = []
-    for i in range(3):
+    for row in reduced:
         acc = Poly.zero(XYZ)
-        for j in range(3):
-            coeff = inverse_images[j][i]
-            if coeff:
-                acc = acc + (Poly.variable(XYZ, XYZ[j]) - Poly.const(XYZ, consts[j])) * coeff
+        for (block, j), coeff in row.items():
+            if block == 1:
+                acc = acc + shifted[j] * coeff
         images.append(acc)
     h = Automorphism(*images)
     if compose(g, h) != identity() or compose(h, g) != identity():
@@ -309,26 +307,20 @@ def express_in_kernel(
     ring = f.vars
     gens = [g.to_ring(ring) for g in gens]
     products = kernel_products(gens, max(deg_max, 0))
-    monomials = sorted(
-        {m for _, kp in products for m in kp.terms} | set(f.terms),
-        key=lambda m: (sum(m), m),
-        reverse=True,
-    )
-    index = {m: i for i, m in enumerate(monomials)}
-    rows = [[Fraction(0)] * len(products) for _ in monomials]
+    # One equation per monomial: sum_j c_j * coefficient of m in product j = f_m.
+    target = f.coefficients()
+    equations: dict = {m: {} for m in target}
     for j, (_, kp) in enumerate(products):
         for mono, coeff in kp.coefficients().items():
-            rows[index[mono]][j] = coeff
-    rhs = [f.coefficient(m) for m in monomials]
-    solution = linalg.solve(rows, rhs)
+            equations.setdefault(mono, {})[j] = coeff
+    solution = linalg.solve(
+        list(equations.values()), [target.get(m, 0) for m in equations]
+    )
     if solution is None:
         raise SearchExhaustedError(
             f"{f} has no representation in the generators within degree {deg_max}"
         )
-    out = Poly.zero(var_names)
-    for (exps, _), coeff in zip(products, solution):
-        if coeff:
-            out = out + Poly(var_names, {exps: coeff})
+    out = Poly(var_names, {products[j][0]: coeff for j, coeff in solution.items()})
     check = substitute(out, dict(zip(var_names, gens))) if not out.is_zero() else Poly.zero(ring)
     if check != f:
         raise SearchExhaustedError("representation verification failed")

@@ -5,6 +5,10 @@ the Leibniz rule.  Local nilpotency is semi-decidable: iterating on the
 generators either reaches zero (a certificate, since the locally nilpotent
 elements form a subalgebra) or the budget runs out and the verdict is
 "inconclusive" - never "not locally nilpotent".
+
+The bounded plinth and preslice searches are each one exact elimination of
+tagged coefficient rows: blocks of monomial columns side by side, so the
+block a row's pivot falls in says which subspace the row belongs to.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .arith import (
     WorkBudgetExceeded,
     divide_exact,
     gcd_many,
-    grlex_key,
     substitute,
 )
 from .automorphisms import Automorphism, identity
@@ -253,53 +256,33 @@ def is_irreducible(d: Derivation) -> bool:
 # -- bounded linear-algebra searches ------------------------------------------
 
 
-def _monomials_up_to(deg: int) -> list[tuple[int, int, int]]:
-    out = [
-        (i, j, k)
+def _monomials_up_to(deg: int) -> list[Poly]:
+    """Every monomial of total degree <= deg, as a polynomial."""
+    return [
+        Poly(XYZ, {(i, j, k): 1})
         for i in range(deg + 1)
         for j in range(deg + 1 - i)
         for k in range(deg + 1 - i - j)
     ]
-    out.sort(key=grlex_key, reverse=True)
-    return out
 
 
-def _poly_rows(polys: list[Poly]) -> tuple[list[tuple[int, ...]], list[list[Fraction]]]:
-    """Coefficient rows of the polys over their joint support, descending grlex."""
-    monomials = sorted(
-        {m for p in polys for m in p.terms}, key=grlex_key, reverse=True
-    )
-    zero = Fraction(0)
-    coeffs = [p.coefficients() for p in polys]
-    return monomials, [[c.get(m, zero) for m in monomials] for c in coeffs]
+def _tagged(*blocks: Poly) -> dict:
+    """One sparse row of the blocks' coefficients, side by side.
 
-
-def _echelon_polys(polys: list[Poly]) -> list[Poly]:
-    """RREF of the span, as polynomials, pivots on the largest grlex monomials.
-
-    Every nonzero element of the span has its leading monomial among the
-    pivot monomials, so the last row realizes the minimal achievable leading
-    monomial (hence minimal total degree, since graded-lex refines degree).
+    Column (b, -deg m, -m) holds the coefficient of m in block b, so the
+    blocks follow each other, each in descending graded-lex order, and
+    every pivot falls on the largest monomial that its block allows.
     """
-    nonzero = [p for p in polys if not p.is_zero()]
-    if not nonzero:
-        return []
-    ring = nonzero[0].vars
-    monomials, rows = _poly_rows(nonzero)
-    reduced, _ = linalg.rref(rows)
-    return [
-        Poly(ring, {m: c for m, c in zip(monomials, row) if c}) for row in reduced
-    ]
+    row = {}
+    for b, p in enumerate(blocks):
+        for (i, j, k), c in p.coefficients().items():
+            row[b, -i - j - k, -i, -j, -k] = c
+    return row
 
 
-def _reduce_against(p: Poly, echelon: list[Poly]) -> Poly:
-    """Eliminate the pivot monomials of an echelon basis from p."""
-    for row in echelon:
-        lead = row.leading_monomial()
-        coeff = p.coefficient(lead)
-        if coeff:
-            p = p - row * (coeff / row.leading_coeff())
-    return p
+def _block(row: dict, b: int) -> Poly:
+    """The polynomial in block b of a tagged row."""
+    return Poly(XYZ, {(-i, -j, -k): c for (rb, _, i, j, k), c in row.items() if rb == b})
 
 
 def plinth_search(
@@ -308,11 +291,18 @@ def plinth_search(
     """Find (Q, a) with d(Q) = a, a a nonzero combination of products of the
     kernel generators, minimizing the total degree of a.
 
-    Exact linear algebra over the monomial coefficients: the achievable a
-    form a subspace; echelonizing it with pivots on the largest graded-lex
-    monomials makes the last row the canonical minimal representative
-    (monic).  Q is then the particular solution, reduced modulo bounded
-    kernel elements, so the output is deterministic.
+    One exact elimination of tagged rows (d(Q) - a | a | Q): (d(m) | 0 | m)
+    for each monomial m of degree <= deg_max and (-K | K | 0) for each
+    product K of the generators.  Their span holds every such triple, and
+    its reduced rows with a zero first block span the pairs with d(Q) = a.
+    Among those, the rows with their pivot in the a-block carry the RREF of
+    the achievable a, pivots on the largest graded-lex monomials: every
+    achievable a leads with one of these pivots, so the last row leads with
+    the least monomial (hence least total degree, as graded-lex refines
+    degree) and is monic.  The rows with their pivot in the Q-block are the
+    RREF of the bounded kernel {Q : d(Q) = 0}, and the last a-row is zero at
+    their pivots, so its Q is reduced modulo bounded kernel elements and
+    the output is canonical.  d(Q) = a is checked once more at the end.
 
     The caller supplies generators of ker d, which are spot-checked.
     """
@@ -326,53 +316,17 @@ def plinth_search(
         raise SearchExhaustedError("the zero derivation has no plinth element")
     image_deg = max(img.total_degree() for img in d.images if not img.is_zero())
     a_bound = max(deg_max - 1 + image_deg, 0)
-    q_monomials = _monomials_up_to(deg_max)
-    d_of_q = [apply(d, Poly(XYZ, {m: Fraction(1)})) for m in q_monomials]
     products = kernel_products(gens, a_bound) if gens else []
     if not products:
         products = [((), Poly.one(XYZ))]
-    # Unknowns: q-coefficients then combination coefficients; rows demand
-    # d(Q) - sum c_e K_e = 0, one per monomial of the joint support.
-    _, columns = _poly_rows(d_of_q + [-kp for _, kp in products])
-    basis = linalg.nullspace(list(zip(*columns)), len(columns))
-    candidates = []
-    for vec in basis:
-        a_poly = Poly.zero(XYZ)
-        for (_, kp), coeff in zip(products, vec[len(q_monomials):]):
-            if coeff:
-                a_poly = a_poly + kp * coeff
-        candidates.append(a_poly)
-    achievable = _echelon_polys(candidates)
+    rows = [_tagged(apply(d, m), Poly.zero(XYZ), m) for m in _monomials_up_to(deg_max)]
+    rows += [_tagged(-kp, kp) for _, kp in products]
+    achievable = [row for row in linalg.rref(rows) if min(row)[0] == 1]
     if not achievable:
         raise SearchExhaustedError(
             f"no plinth element with deg(Q) <= {deg_max}; raise the bound"
         )
-    a = achievable[-1].monic()
-    # Particular solution with d(Q) = a: solve for a combination of the
-    # nullspace basis whose a-part equals a.
-    monomials, rows_a = _poly_rows(candidates + [a])
-    coeff_rows = [list(col) for col in zip(*rows_a[:-1])] if candidates else []
-    target = [a.coefficient(m) for m in monomials]
-    combo = linalg.solve(coeff_rows, target)
-    if combo is None:
-        raise VerificationError("echelon element not reachable (internal)")
-    q_poly = Poly.zero(XYZ)
-    for vec, c in zip(basis, combo):
-        if c:
-            for mono, qc in zip(q_monomials, vec[: len(q_monomials)]):
-                if qc:
-                    q_poly = q_poly + Poly(XYZ, {mono: qc * c})
-    # Canonicalize Q modulo bounded kernel elements (solutions of d(Q) = 0).
-    kernel_polys = []
-    for vec, a_poly in zip(basis, candidates):
-        if a_poly.is_zero():
-            kq = Poly.zero(XYZ)
-            for mono, qc in zip(q_monomials, vec[: len(q_monomials)]):
-                if qc:
-                    kq = kq + Poly(XYZ, {mono: qc})
-            if not kq.is_zero():
-                kernel_polys.append(kq)
-    q_poly = _reduce_against(q_poly, _echelon_polys(kernel_polys))
+    q_poly, a = _block(achievable[-1], 2), _block(achievable[-1], 1)
     if apply(d, q_poly) != a:
         raise VerificationError("plinth search produced an inconsistent pair")
     return q_poly, a
@@ -381,25 +335,26 @@ def plinth_search(
 def preslice_search(d: Derivation, deg_max: int) -> Poly:
     """A polynomial f with d(f) != 0 and d(d(f)) = 0, degree <= deg_max.
 
-    Smallest-leading-monomial representative of the bounded solution space,
-    reduced modulo bounded kernel elements and normalized monic.
+    One elimination of tagged rows (d(d(f)) | f | d(f)), one row
+    (d(d(m)) | m | d(m)) per monomial m: the reduced rows with their pivot
+    in the f-block are the RREF of the bounded solutions of d(d(f)) = 0, so
+    the last whose d(f)-block is nonzero is the monic f of least leading
+    monomial.  It is already reduced modulo bounded kernel elements: they
+    are solutions too, so they lead with these pivots; f is zero at every
+    pivot but its own, and one leading with f's pivot would differ from f
+    by later rows, all in the kernel, putting f in the kernel.
     """
     if d.is_zero():
         raise ValueError("the zero derivation admits no preslice")
-    monomials = _monomials_up_to(deg_max)
-    basis_polys = [Poly(XYZ, {m: Fraction(1)}) for m in monomials]
-    second = [apply(d, apply(d, p)) for p in basis_polys]
-    _, columns = _poly_rows(second)
-    null = linalg.nullspace(list(zip(*columns)), len(monomials))
-    solutions = []
-    for vec in null:
-        q = Poly(XYZ, {m: c for m, c in zip(monomials, vec) if c})
-        solutions.append(q)
-    first_kernel = _echelon_polys([q for q in solutions if apply(d, q).is_zero()])
-    for q in reversed(_echelon_polys(solutions)):
-        if not apply(d, q).is_zero():
-            return _reduce_against(q, first_kernel).monic()
-    raise SearchExhaustedError(f"no preslice of degree <= {deg_max}")
+    rows = []
+    for m in _monomials_up_to(deg_max):
+        dm = apply(d, m)
+        rows.append(_tagged(apply(d, dm), m, dm))
+    reduced = linalg.rref(rows)
+    found = [row for row in reduced if min(row)[0] == 1 and max(row)[0] == 2]
+    if not found:
+        raise SearchExhaustedError(f"no preslice of degree <= {deg_max}")
+    return _block(found[-1], 1)
 
 
 def standard_decomposition(u: Automorphism) -> tuple[Poly, Automorphism]:

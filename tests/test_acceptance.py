@@ -27,6 +27,7 @@ from lnd.delta_family import (
 )
 from lnd.derivations import (
     Derivation,
+    apply,
     delta,
     exponential,
     is_irreducible,
@@ -166,8 +167,8 @@ def _oracle_rref(rows):
 
 def _oracle_plinth(d, gens, deg_max):
     """Brute-force search over all monomials of degree <= deg_max: find the
-    kernel combination a of least graded-lex leading monomial reachable as
-    d(Q), by plain elimination over the coefficient system."""
+    monic kernel combination a of least graded-lex leading monomial reachable
+    as d(Q), by plain dense elimination over the coefficient system."""
     from lnd.derivations import apply as apply_d
 
     monos = [
@@ -201,7 +202,7 @@ def _oracle_plinth(d, gens, deg_max):
     reduced, pivots = _oracle_rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    best = None
+    achievable = []
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
@@ -211,12 +212,18 @@ def _oracle_plinth(d, gens, deg_max):
         for q, c in zip(products, vec[len(monos):]):
             if c:
                 a_poly = a_poly + q * c
-        if a_poly.is_zero():
-            continue
-        key = max((sum(m), m) for m in a_poly.terms)
-        if best is None or key < best[0]:
-            best = (key, a_poly.monic())
-    return None if best is None else best[1]
+        if not a_poly.is_zero():
+            achievable.append(a_poly)
+    if not achievable:
+        return None
+    # The nullspace vectors' a span the achievable a, but the least leading
+    # monomial may need a combination of them: the last row of the RREF of
+    # their span, columns in descending graded-lex order, has it.
+    a_support = sorted(
+        {m for q in achievable for m in q.terms}, key=lambda m: (sum(m), m), reverse=True
+    )
+    echelon, _ = _oracle_rref([[q.coefficient(m) for m in a_support] for q in achievable])
+    return Poly(XYZ, {m: c for m, c in zip(a_support, echelon[-1]) if c})
 
 
 def test_criterion_3_worked_plinth_suite():
@@ -239,6 +246,40 @@ def test_criterion_3_worked_plinth_suite():
     assert lie_bracket(D_P, ctx.E).is_zero()
     assert is_irreducible(ctx.E)
     _report(3, "worked suite: Exp, plinth pair (y, z) vs oracle, complement -d/dx", started, 5)
+
+
+def _rand_z(rng, deg):
+    out = Z ** deg * Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    for e in range(deg):
+        out = out + Z ** e * rng.randint(-5, 5)
+    return out
+
+
+def _random_plinth_case(rng):
+    """delta(P) with kernel generators [z, P], P = c m(z) x + q(y, z) + k z
+    with x and y swapped half the time, as the random contexts of the delta
+    family tests; or a triangular f(y, z) d/dx with generators [y, z]."""
+    if rng.random() < 0.5:
+        f = _rand_triangular(rng).image_x
+        return Derivation(f, Poly.zero(XYZ), Poly.zero(XYZ)), [Y, Z]
+    x, y = (X, Y) if rng.random() < 0.5 else (Y, X)
+    big_p = _rand_z(rng, rng.randint(0, 2)) * x * rng.randint(1, 3) + Z * rng.randint(-2, 2)
+    for _ in range(rng.randint(1, 3)):
+        big_p = big_p + y ** rng.randint(1, 3) * Z ** rng.randint(0, 2) * rng.randint(-4, 4)
+    return delta(big_p), [Z, big_p]
+
+
+def test_plinth_search_agrees_with_the_oracle_on_random_derivations():
+    started = time.monotonic()
+    rng = random.Random(15)
+    for _ in range(60):
+        d, gens = _random_plinth_case(rng)
+        deg_max = rng.randint(1, 3)
+        q_poly, a_poly = plinth_search(d, gens, deg_max)
+        assert a_poly == _oracle_plinth(d, gens, deg_max), (d, deg_max)
+        assert apply(d, q_poly) == a_poly
+    elapsed = time.monotonic() - started
+    assert elapsed < 5, f"60 random plinth searches took {elapsed:.1f}s"
 
 
 def test_criterion_4_standard_decompositions():

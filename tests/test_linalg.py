@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lnd.linalg import nullspace, rref, solve
+from lnd.linalg import rref, solve
 
 
 def _dense_rref(rows):
@@ -48,29 +48,54 @@ def _sparse_matrix(rng, nrows, ncols, density):
     return rows
 
 
+def _sparse(rows, keys=None):
+    """Dense rows as {column: value} rows, column c keyed by keys[c]."""
+    keys = keys or range(len(rows[0]) if rows else 0)
+    return [{k: v for k, v in zip(keys, row) if v} for row in rows]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sparse_rref_matches_dense_oracle(seed):
     rng = random.Random(seed)
     for _ in range(60):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 14)
         rows = _sparse_matrix(rng, nrows, ncols, rng.choice([0.1, 0.25, 0.6]))
-        reduced, pivots = rref(rows)
-        assert (reduced, pivots) == _dense_rref(rows)
-        assert all(isinstance(v, Fraction) for row in reduced for v in row)
+        reduced = rref(_sparse(rows))
+        dense, pivots = _dense_rref(rows)
+        assert reduced == _sparse(dense)
+        assert [min(row) for row in reduced] == pivots
+        assert all(isinstance(v, Fraction) for row in reduced for v in row.values())
+
+
+def test_rref_orders_tuple_column_keys():
+    # tagged columns (block, -degree, name), as the plinth search uses them
+    rng = random.Random(4)
+    keys = sorted({(rng.randint(0, 2), -rng.randint(0, 3), rng.choice("xyz")) for _ in range(30)})
+    for _ in range(40):
+        rows = _sparse_matrix(rng, rng.randint(1, 10), len(keys), rng.choice([0.2, 0.5]))
+        shuffled = [dict(rng.sample(sorted(row.items()), len(row))) for row in _sparse(rows, keys)]
+        dense, pivots = _dense_rref(rows)
+        reduced = rref(shuffled)
+        assert reduced == _sparse(dense, keys)
+        assert [min(row) for row in reduced] == [keys[c] for c in pivots]
 
 
 def test_rref_zero_and_empty_matrices():
-    assert rref([]) == _dense_rref([]) == ([], [])
-    assert rref([[]]) == _dense_rref([[]]) == ([], [])
+    assert rref([]) == [] and _dense_rref([]) == ([], [])
+    assert rref([{}]) == [] and _dense_rref([[]]) == ([], [])
     zero = [[0, 0, 0], [Fraction(0), 0, 0]]
-    assert rref(zero) == _dense_rref(zero) == ([], [])
-    assert nullspace(zero, 3) == [
-        [Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(1)]
+    assert rref([{0: 0, 1: 0, 2: 0}, {1: Fraction(0)}]) == [] and _dense_rref(zero) == ([], [])
+    # The nullspace from tagged rows (column c of A | e_c), one per column:
+    # rows with a zero first block are its RREF, so every column of zero is free.
+    columns = [
+        {**{(0, r): row[c] for r, row in enumerate(zero)}, (1, c): 1} for c in range(3)
     ]
+    assert rref(columns) == [{(1, 0): 1}, {(1, 1): 1}, {(1, 2): 1}]
 
 
 def test_solve_consistent_and_inconsistent():
-    rows = [[1, 2, 0], [2, 4, 0], [0, 0, 3]]
-    assert solve(rows, [3, 6, 9]) == [Fraction(3), Fraction(0), Fraction(3)]
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {2: 3}]
+    assert solve(rows, [3, 6, 9]) == {0: Fraction(3), 2: Fraction(3)}
     assert solve(rows, [3, 7, 9]) is None
-    assert solve([], [0, 0]) == [] and solve([], [0, 1]) is None
+    assert solve([], []) == {}
+    assert solve([{}, {}], [0, 0]) == {} and solve([{}, {}], [0, 1]) is None
