@@ -152,7 +152,8 @@ def _affine_inverse(g: Automorphism) -> Automorphism:
                 acc = acc + shifted[j] * coeff
         images.append(acc)
     h = Automorphism(*images)
-    if compose(g, h) != identity() or compose(h, g) != identity():
+    # An affine one-sided inverse is two-sided (AB = I forces BA = I).
+    if compose(g, h) != identity():
         raise NotInvertibleError("affine inverse verification failed")
     return h
 

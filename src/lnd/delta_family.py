@@ -297,39 +297,13 @@ def compose_with_family(g: Automorphism, n: NElem, ctx: DeltaContext) -> Automor
     return compose_exp_word([g, *word])
 
 
-def _strip_complement(
-    ctx: DeltaContext, g: Automorphism, h_amb: Poly
-) -> Automorphism:
-    """Remove the outer h.e factor from g."""
-    return compose_exp_word([scale_poly(-h_amb, ctx.E), g])
+def _recover_pair(g: Automorphism, ctx: DeltaContext) -> NElem:
+    """The pair (h, f) that g realizes if g lies in N; uncertified.
 
-
-def _modification_factor(ctx: DeltaContext, residual: Automorphism) -> Poly:
-    """The f with residual = Exp(f D'), via the plinth element.
-
-    Exp(f D')*(Q) = Q + f a' since D'(Q) = a' lies in ker D', so f is that
-    exact quotient.  A failure here means the residual is not a
-    modification of u'; a success is certified by the caller, which
-    recomposes the whole pair.
-    """
-    shift = substitute(ctx.Q, residual.pullbacks) - ctx.Q
-    try:
-        f_amb = divide_exact(shift, ctx.a_prime)
-    except NonDivisibleError:
-        raise NotInNError("residual is not a modification of u'") from None
-    if not apply(ctx.D_prime, f_amb).is_zero():
-        raise NotInNError("residual is not a modification of u'")
-    return f_amb
-
-
-def aut_to_n(g: Automorphism, ctx: DeltaContext) -> NElem:
-    """Recover (h, f) from an automorphism, or prove it is not in N.
-
-    h comes from the exact division (P - g*(P)) / a' (must land in Q[z]);
-    stripping the h.e part leaves a residual whose factor f comes from the
-    exact division (residual*(Q) - Q) / a' and must be a polynomial in
-    (z, P).  The one certificate is that (h, f) realizes g again; every
-    failure, that one included, raises NotInNError.
+    h = (P - g*(P)) / a' must lie in Q[z].  Stripping h.e leaves Exp(f D'),
+    which maps Q to Q + f a' (D'(Q) = a' lies in ker D'), so f is
+    (residual*(Q) - Q) / a' and must lie in ker D' and in Q[z, P].  Failures
+    raise NotInNError; each caller certifies a success once.
     """
     moved = ctx.P - pullback(g, ctx.P)
     try:
@@ -338,9 +312,21 @@ def aut_to_n(g: Automorphism, ctx: DeltaContext) -> NElem:
         raise NotInNError("P-shift is not divisible by the plinth generator") from None
     if not is_univariate_in(h_amb, "z"):
         raise NotInNError("P-shift quotient does not lie in Q[z]")
-    residual = _strip_complement(ctx, g, h_amb)
-    f_amb = _modification_factor(ctx, residual)
-    result = NElem(h_amb.to_ring(ZP), express_in_zp(ctx, f_amb))
+    residual = compose_exp_word([scale_poly(-h_amb, ctx.E), g])
+    shift = substitute(ctx.Q, residual.pullbacks) - ctx.Q
+    try:
+        f_amb = divide_exact(shift, ctx.a_prime)
+    except NonDivisibleError:
+        raise NotInNError("residual is not a modification of u'") from None
+    if not apply(ctx.D_prime, f_amb).is_zero():
+        raise NotInNError("residual is not a modification of u'")
+    return NElem(h_amb.to_ring(ZP), express_in_zp(ctx, f_amb))
+
+
+def aut_to_n(g: Automorphism, ctx: DeltaContext) -> NElem:
+    """Recover (h, f) from g, or raise NotInNError if g is not in N; the
+    certificate is that the recovered pair realizes g again."""
+    result = _recover_pair(g, ctx)
     if n_to_aut(result, ctx) != g:
         raise NotInNError("recovered pair fails to reproduce the automorphism")
     return result
@@ -351,22 +337,17 @@ def exp_m_decompose(n: NElem, ctx: DeltaContext) -> Poly:
 
     Returns the factor g in (z, P) with Exp(hE + fD') realized by the pair
     (h, g); the derivation is exponentiated directly by its series, so this
-    realizes membership of the exponential in N.  The one certificate is
-    that the pair recomposes to the exponential.
+    realizes membership of the exponential in N.  The certificate is that
+    the recovered pair keeps h and recomposes to the exponential.
     """
-    w = m_derivation(ctx, n)
-    big = exponential(w)
-    h_amb = n.h.to_ring(XYZ)
-    residual = _strip_complement(ctx, big, h_amb)
+    big = exponential(m_derivation(ctx, n))
     try:
-        f_amb = _modification_factor(ctx, residual)
+        pair = _recover_pair(big, ctx)
     except NotInNError as exc:
         raise VerificationError(str(exc)) from None
-    g_zp = express_in_zp(ctx, f_amb)
-    word = _realization_word(ctx, h_amb, f_amb)
-    if compose_exp_word(word) != big:
+    if pair.h != n.h or n_to_aut(pair, ctx) != big:
         raise VerificationError("decomposition does not recompose")
-    return g_zp
+    return pair.f
 
 
 def combine_to_delta(ctx: DeltaContext, n: NElem) -> tuple[Poly, bool]:

@@ -21,6 +21,7 @@ from lnd.delta_family import make_context, n_elem, n_to_aut
 from lnd.derivations import Derivation, delta, exponential, logarithm, scale_poly
 from lnd.errors import (
     NotInKernelError,
+    NotInvertibleError,
     NotUnipotentError,
     SearchExhaustedError,
 )
@@ -84,11 +85,44 @@ def test_inverse_unipotent():
         inverse_unipotent(Automorphism(p("2*x"), Y, Z))
 
 
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _affine(m, b):
+    return Automorphism(
+        *(
+            sum(((X, Y, Z)[j] * m[i][j] for j in range(3)), Poly.const(XYZ, b[i]))
+            for i in range(3)
+        )
+    )
+
+
 def test_inverse_affine():
+    # The inverse is certified by one composition; both stay the oracle here.
     g = Automorphism(p("2*x + z + 1"), p("y - 3"), p("-z"))
     h = inverse(g)
     assert compose(g, h) == identity()
     assert compose(h, g) == identity()
+    rng = random.Random(43)
+    values = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 5)]
+    built = 0
+    while built < 25:
+        m = [[rng.choice(values) for _ in range(3)] for _ in range(3)]
+        if _det3(m) == 0:
+            continue
+        g = _affine(m, [rng.choice(values) for _ in range(3)])
+        h = inverse(g)
+        assert compose(g, h) == identity()
+        assert compose(h, g) == identity()
+        built += 1
+    singular = _affine([[1, 2, 0], [2, 4, 0], [0, 0, 1]], [1, 0, 0])
+    with pytest.raises(NotInvertibleError):
+        inverse(singular)
 
 
 @pytest.mark.parametrize(

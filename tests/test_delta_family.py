@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from lnd import corpus, delta_family, runner
 from lnd.arith import XYZ, ZP, Poly, gcd_many, substitute
 from lnd.automorphisms import Automorphism, commutes, compose, quotient_action
 from lnd.delta_family import (
     compose_with_family,
     E_OUTER,
     _realization_word,
+    _recover_pair,
     ad_identity_check,
     aut_to_n,
     combine_to_delta,
@@ -33,7 +35,7 @@ from lnd.derivations import (
     scale_poly,
     standard_decomposition,
 )
-from lnd.errors import ContextError, NotInNError, SearchExhaustedError
+from lnd.errors import ContextError, NotInNError, SearchExhaustedError, VerificationError
 from lnd.syntax import parse_poly
 
 
@@ -191,6 +193,7 @@ def test_aut_to_n_rejects_outsiders():
     # fixes P and Q, so both exact divisions succeed and only the final
     # recomposition rejects it
     double_flip = Automorphism(p("-x"), p("y"), p("-z"))
+    assert _recover_pair(double_flip, CTX) == n_elem(0, 0)
     with pytest.raises(NotInNError):
         aut_to_n(double_flip, CTX)
     homothety = Automorphism(p("2*x"), p("2*y"), p("2*z"))
@@ -208,6 +211,51 @@ def test_exp_m_decompose():
         n = rand_nelem(rng, 2)
         g_res = exp_m_decompose(n, CTX)
         assert aut_to_n(exponential(m_derivation(CTX, n)), CTX) == n_elem(n.h, g_res)
+
+
+def test_exp_m_decompose_certificate_rejects_a_wrong_exponential(monkeypatch):
+    # double_flip fixes P and Q, so the recovery returns (0, 0) and keeps
+    # h = 0; only the recomposition sees that the pair does not realize it
+    double_flip = Automorphism(p("-x"), p("y"), p("-z"))
+    monkeypatch.setattr(delta_family, "exponential", lambda d: double_flip)
+    with pytest.raises(VerificationError, match="^decomposition does not recompose$"):
+        exp_m_decompose(n_elem(k("0"), k("z*P")), CTX)
+
+
+CENTRALIZER_CORPUS = """
+context C { P = x*z + y^2; d = 1; deg_max = 3 }
+context CZ { P = x*z + y^2; d = z; deg_max = 3 }
+check n_group_homomorphism(C, samples = 5)
+check n_group_homomorphism(CZ, samples = 5)
+"""
+
+
+def test_round_trip_fails_when_the_recovered_pair_differs(monkeypatch):
+    def off_by_one(g, ctx):
+        pair = _recover_pair(g, ctx)
+        return n_elem(pair.h, pair.f + k("1"))
+
+    monkeypatch.setattr(delta_family, "_recover_pair", off_by_one)
+    report = runner.run(corpus.parse(CENTRALIZER_CORPUS), seed=0)
+    assert [e.verdict for e in report.entries] == ["FAIL", "FAIL"]
+    assert all(e.detail.startswith("round-trip fails on n(") for e in report.entries)
+
+
+def test_centralizer_work_is_pinned(monkeypatch):
+    # Poly x Poly term pairs of the whole run, contexts included (48,202
+    # when the round-trip also recomposed the recovered pair).
+    pairs = [0]
+    mul = Poly.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(b, Poly):
+            pairs[0] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    report = runner.run(corpus.parse(CENTRALIZER_CORPUS), seed=0)
+    assert [e.verdict for e in report.entries] == ["PASS", "PASS"]
+    assert pairs[0] == 39_523
 
 
 def test_ad_identity_instances():
