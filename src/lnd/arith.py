@@ -206,19 +206,7 @@ class Poly:
                 (ma, ca), = a.items()
                 if ca == p.den and not any(ma):
                     return q  # p is the constant 1
-                out = {tuple(map(add, ma, mb)): ca * cb for mb, cb in b.items()}
-            else:
-                out = {}
-                get = out.get
-                for ma, ca in a.items():
-                    for mb, cb in b.items():
-                        mono = tuple(map(add, ma, mb))
-                        s = get(mono, 0) + ca * cb
-                        if s:
-                            out[mono] = s
-                        else:
-                            del out[mono]
-            return _form(self.vars, self.den * other.den, out)
+            return _form(self.vars, self.den * other.den, _mul_terms(a, b))
         if isinstance(other, (int, Fraction)):
             n, d = other.numerator, other.denominator
             if n == d:
@@ -340,24 +328,44 @@ def _form(vars: tuple[str, ...], den: int, terms: dict[Monomial, int]) -> Poly:
     return _raw(vars, den, terms)
 
 
+def _mul_terms(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The numerators of the product of two numerator maps, a the shorter."""
+    if len(a) == 1:
+        (ma, ca), = a.items()
+        return {tuple(map(add, ma, mb)): ca * cb for mb, cb in b.items()}
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(map(add, ma, mb))
+            s = get(mono, 0) + ca * cb
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+    return out
+
+
 def _combine(p: Poly, q: Poly, sign: int) -> Poly:
     """p + sign * q, on the numerators over the lcm of the denominators."""
-    den = p.den
-    if den == q.den:
-        out, factor = dict(p.terms), sign
-    else:
-        den = math.lcm(den, q.den)
-        scale = den // p.den
-        out = {m: c * scale for m, c in p.terms.items()}
-        factor = sign * (den // q.den)
+    return _form(p.vars, *_add_terms(p.den, dict(p.terms), q.den, q.terms, sign))
+
+
+def _add_terms(den: int, out: dict, d: int, terms: Mapping, sign: int) -> tuple[int, dict]:
+    """out / den + sign * terms / d, numerator maps with no zero, as (lcm of
+    the denominators, numerators); adds into `out` when den is that lcm."""
+    lcm = den if den == d else math.lcm(den, d)
+    if lcm != den:
+        out = {m: c * (lcm // den) for m, c in out.items()}
+    factor = sign * (lcm // d)
     get = out.get
-    for mono, c in q.terms.items():
+    for mono, c in terms.items():
         s = get(mono, 0) + c * factor
         if s:
             out[mono] = s
         else:
             del out[mono]
-    return _form(p.vars, den, out)
+    return lcm, out
 
 
 class _Substitution:
@@ -417,14 +425,8 @@ def _horner(terms: list, split: list[tuple[int, Poly]], k: int):
         if isinstance(part, Poly):
             acc = acc + part
         else:
-            folded = dict(acc.terms)
-            zero = (0,) * len(acc.vars)
-            s = folded.get(zero, 0) + part * acc.den
-            if s:
-                folded[zero] = s
-            else:
-                del folded[zero]
-            acc = _form(acc.vars, acc.den, folded)
+            constant = {(0,) * len(acc.vars): part}
+            acc = _form(acc.vars, *_add_terms(acc.den, dict(acc.terms), 1, constant, 1))
     return acc * img ** exps[-1] if exps[-1] else acc
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import XYZ, YZ, ZVAR, Poly, poly_to_str
+from .arith import ALLOWANCE, XYZ, YZ, ZVAR, Poly, WorkBudgetExceeded, poly_to_str
 from .automorphisms import Automorphism
 from .derivations import Derivation
 from .errors import ParseError
@@ -57,6 +57,11 @@ DIRECTIVES = (
     "nonfence_commutator",
     "fixed_scheme",
 )
+
+# Term pairs the products of one polynomial body may spend while a corpus is
+# parsed, about 1 s of dense products on a 2-CPU x86 machine (Python 3.11).
+# The largest honest body measured spends 25; (x + y + z + 1)^30, 701,696.
+PARSE_WORK_BUDGET = 1_000_000
 
 # Identifiers usable bare inside polynomial arguments.
 _POLY_VARS = {"x", "y", "z", "P"}
@@ -169,7 +174,14 @@ class _CorpusParser(ExprParser):
         return tok
 
     def parse_expr_in(self, vars: tuple[str, ...]) -> Poly:
-        return eval_expr(self.parse_expr(), vars)
+        start, armed = self.peek(), ALLOWANCE.set([PARSE_WORK_BUDGET])
+        try:
+            return eval_expr(self.parse_expr(), vars)
+        except WorkBudgetExceeded:
+            message = f"expression exceeds the parse-time budget of {PARSE_WORK_BUDGET} term pairs"
+            raise ParseError(message, start.line, start.col) from None
+        finally:
+            ALLOWANCE.reset(armed)
 
     def parse_int(self, what: str = "an integer") -> int:
         sign = 1

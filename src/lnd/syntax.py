@@ -12,6 +12,12 @@ non-negative integer exponent.  `#` starts a comment running to end of line.
 Sums and products may be of any length; parentheses, unary minus and '^'
 nest at most MAX_NESTING deep.  Every diagnostic carries a (line, column)
 position, 1-based.
+
+`eval_expr` folds a tree in one pass into one {monomial: int} numerator map
+over a shared denominator, as a Poly stores its terms; only the power of a
+multi-term base runs Poly arithmetic.  Its products charge their term pairs
+to an armed `arith.ALLOWANCE`, which the corpus parser arms with
+`corpus.PARSE_WORK_BUDGET` for each polynomial body.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Poly
+from .arith import ALLOWANCE, Monomial, Poly, WorkBudgetExceeded, _add_terms, _form, _mul_terms
 from .errors import ParseError
 
 # Exponent guard against bombs like (x + y)^3000 or 7^99999999999 in
@@ -220,46 +226,61 @@ class ExprParser:
 
 
 def eval_expr(node: Expr, vars: tuple[str, ...]) -> Poly:
-    """Evaluate an expression AST into the given ring.
+    """Evaluate an expression AST into the given ring in one pass (module
+    docstring); a power past MAX_PARSED_POWER is a positioned ParseError."""
+    return _form(vars, *_fold(node, vars))
 
-    A power above MAX_PARSED_POWER of anything but a monomial with
-    coefficient 1 or -1 is a positioned ParseError; the core library itself
-    has no such limit.
-    """
-    if isinstance(node, Num):
-        return Poly.const(vars, node.value)
-    if isinstance(node, Var):
+
+def _fold(node: Expr, vars: tuple[str, ...]) -> tuple[int, dict[Monomial, int]]:
+    """(den, numerators) of node, no numerator zero, in a new map."""
+    kind = type(node)
+    if kind is Product:
+        den, acc = _fold(node.operands[0], vars)
+        allowance = ALLOWANCE.get()
+        for operand in node.operands[1:]:
+            d, terms = _fold(operand, vars)
+            if allowance is not None:
+                allowance[0] -= len(acc) * len(terms)
+                if allowance[0] < 0:
+                    raise WorkBudgetExceeded
+            a, b = (acc, terms) if len(acc) <= len(terms) else (terms, acc)
+            den, acc = den * d, _mul_terms(a, b)
+        return den, acc
+    if kind is Num:
+        n = node.value.numerator
+        return node.value.denominator, {(0,) * len(vars): n} if n else {}
+    if kind is Var:
         if node.name not in vars:
             raise ParseError(
                 f"unknown variable {node.name!r} (ring has {', '.join(vars)})",
                 node.line,
                 node.col,
             )
-        return Poly.variable(vars, node.name)
-    if isinstance(node, Neg):
-        return -eval_expr(node.operand, vars)
-    if isinstance(node, Sum):
-        total = eval_expr(node.operands[0], vars)
-        for sign, operand in zip(node.signs, node.operands[1:]):
-            value = eval_expr(operand, vars)
-            total = total + value if sign == "+" else total - value
-        return total
-    if isinstance(node, Product):
-        product = eval_expr(node.operands[0], vars)
-        for operand in node.operands[1:]:
-            product = product * eval_expr(operand, vars)
-        return product
-    if isinstance(node, Pow):
-        base = eval_expr(node.base, vars)
-        unit_monomial = len(base.terms) == 1 and abs(base.leading_coeff()) == 1
-        if node.exponent > MAX_PARSED_POWER and not unit_monomial:
+        return 1, dict(Poly.variable(vars, node.name).terms)
+    if kind is Pow:
+        den, terms = _fold(node.base, vars)
+        e = node.exponent
+        if len(terms) == 1 and abs(c := next(iter(terms.values()))) == den:
+            c, den = c // den, 1  # a unit monomial takes any exponent
+        elif e > MAX_PARSED_POWER:
             raise ParseError(
-                f"exponent {node.exponent} too large for a base other than"
+                f"exponent {e} too large for a base other than"
                 " a monomial with coefficient 1 or -1",
                 node.line,
                 node.col,
             )
-        return base**node.exponent
+        if len(terms) != 1:
+            power = _form(vars, den, terms) ** e
+            return power.den, dict(power.terms)
+        return den**e, {tuple([k * e for k in next(iter(terms))]): c**e}
+    if kind is Sum:
+        den, total = _fold(node.operands[0], vars)
+        for sign, operand in zip(node.signs, node.operands[1:]):
+            den, total = _add_terms(den, total, *_fold(operand, vars), 1 if sign == "+" else -1)
+        return den, total
+    if kind is Neg:
+        den, terms = _fold(node.operand, vars)
+        return den, {m: -c for m, c in terms.items()}
     raise TypeError(f"not an expression node: {node!r}")
 
 
