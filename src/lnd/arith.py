@@ -482,15 +482,20 @@ def divides(q: Poly, p: Poly) -> bool:
 # gcd_multivariate first tries to prove the gcd constant from univariate
 # images modulo a fixed word-size prime (_coprime_by_images; Brown, J. ACM
 # 18(4), 1971).  That certificate settles the coprime case, which is what the
-# irreducibility checks ask, without any coefficient growth.  Any other
-# outcome -- a nonconstant image gcd, or no usable evaluation point within
-# the fixed attempts -- falls back to _gcd_prs, the one exact path for
-# nonconstant gcds: recursive content / primitive-part reduction, picking the
-# highest-priority variable present, stripping contents (gcds in one fewer
-# variable), then a pseudo-remainder sequence on the primitive parts, keeping
-# remainders primitive at every step.  A bad prime or point can only cost
-# time, never change a result.  Output is normalized so the graded-lex
-# leading coefficient is 1.
+# irreducibility checks ask, without any coefficient growth.  Otherwise the
+# supports decide.  If one operand has positive degree in variables the other
+# lacks, every common divisor has degree 0 in them, so the gcd is the fold of
+# gcd(other, c) over the coefficients c in those variables, stopping at a
+# constant; this recurses until both supports agree.  Two operands in the
+# same one variable run a primitive Euclid on their dense int numerators
+# (_gcd_dense): pseudo-remainders, each divided by its integer content, so
+# coefficients stay near the size of the subresultants.  Only operands that
+# share a support of two or more variables reach _gcd_prs: recursive content
+# / primitive-part reduction, picking the highest-priority variable present,
+# stripping contents (gcds in one fewer variable), then a pseudo-remainder
+# sequence on the primitive parts, keeping remainders primitive at every
+# step.  A bad prime or point can only cost time, never change a result.
+# Output is normalized so the graded-lex leading coefficient is 1.
 
 # One prime per attempt; the evaluation point of an attempt is a fixed
 # function of the attempt and variable index, so every run certifies alike.
@@ -626,12 +631,100 @@ def gcd_multivariate(p: Poly, q: Poly) -> Poly:
     """A greatest common divisor, monic in graded-lex leading coefficient.
 
     A constant gcd is certified from modular images when it can be
-    (_coprime_by_images); everything else is the exact primitive PRS.
+    (_coprime_by_images); different supports reduce to coefficient gcds, one
+    shared variable is an integer Euclid, and only a shared support of two or
+    more variables runs the exact primitive PRS (comment block above).
     """
     p._check_ring(q)
-    if not p.is_zero() and not q.is_zero() and _coprime_by_images(p, q):
+    if p.is_zero() or q.is_zero():
+        return _gcd_prs(p, q)  # the other operand made monic, or gcd(0, 0)'s error
+    if _coprime_by_images(p, q):
         return Poly.one(p.vars)
-    return _gcd_prs(p, q)
+    return _gcd_reduced(p, q)
+
+
+def _gcd_reduced(p: Poly, q: Poly) -> Poly:
+    """gcd of nonzero p and q: coefficient folds until the supports agree,
+    then the integer Euclid in one variable or the PRS in more."""
+    support_p, support_q = p.variables_present(), q.variables_present()
+    if not support_p or not support_q:
+        return Poly.one(p.vars)
+    if support_q - support_p:
+        return _gcd_fold(p, q, support_q - support_p)
+    if support_p - support_q:
+        return _gcd_fold(q, p, support_p - support_q)
+    if len(support_p) > 1:
+        return _gcd_prs(p, q)
+    (var,) = support_p
+    return _gcd_dense(p, q, p.vars.index(var))
+
+
+def _gcd_fold(p: Poly, q: Poly, names: set[str]) -> Poly:
+    """gcd(p, q) for nonzero p of degree 0 in the variables `names`: a common
+    divisor has degree 0 in them too, so it divides every coefficient of q
+    in them, and the gcd is the fold over those coefficients."""
+    extra = {p.vars.index(v) for v in names}
+    coeffs: dict[Monomial, dict[Monomial, int]] = {}
+    for mono, c in q.terms.items():
+        key = tuple(e if i in extra else 0 for i, e in enumerate(mono))
+        rest = tuple(0 if i in extra else e for i, e in enumerate(mono))
+        coeffs.setdefault(key, {})[rest] = c
+    acc = p
+    for terms in coeffs.values():
+        acc = _gcd_reduced(acc, _raw(p.vars, 1, terms))
+        if acc.is_constant():
+            break
+    return acc
+
+
+def _gcd_dense(p: Poly, q: Poly, i: int) -> Poly:
+    """Monic gcd of nonzero p and q that involve only variable index i.
+
+    Over Q the denominators and integer contents are units, so this is the
+    primitive Euclid on the dense int numerators (low to high degree): each
+    pseudo-remainder is divided by its content; the last nonzero one is the
+    gcd up to a unit.
+    """
+    a, b = _dense(p.terms, i), _dense(q.terms, i)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _prem_dense(a, b)
+    zero = (0,) * len(p.vars)
+    terms = {zero[:i] + (k,) + zero[i + 1 :]: c for k, c in enumerate(a) if c}
+    return _raw(p.vars, 1, terms).monic()
+
+
+def _dense(terms: dict[Monomial, int], i: int) -> list[int]:
+    """Dense int coefficients (low to high) of a polynomial in variable i alone."""
+    out = [0] * (1 + max(m[i] for m in terms))
+    for mono, c in terms.items():
+        out[mono[i]] = c
+    return out
+
+
+def _prem_dense(a: list[int], b: list[int]) -> list[int]:
+    """A primitive pseudo-remainder of dense a by b (len(a) >= len(b) > 0):
+    each step scales by lc(b) / gcd(lc(b), lc(r)), one integer multiple of
+    lc(b)^k * a mod b; trailing zeros stripped."""
+    lb, db = b[-1], len(b) - 1
+    r = a[:]
+    while len(r) > db:
+        c = r.pop()
+        g = math.gcd(c, lb)
+        scale, c = lb // g, c // g
+        if scale != 1:
+            r = [x * scale for x in r]
+        shift = len(r) - db
+        for k in range(db):
+            r[shift + k] -= c * b[k]
+        while r and not r[-1]:
+            r.pop()
+    if r:
+        g = math.gcd(*r)
+        if g != 1:
+            r = [x // g for x in r]
+    return r
 
 
 def _gcd_prs(p: Poly, q: Poly) -> Poly:

@@ -16,8 +16,10 @@ position, 1-based.
 `eval_expr` folds a tree in one pass into one {monomial: int} numerator map
 over a shared denominator, as a Poly stores its terms; only the power of a
 multi-term base runs Poly arithmetic.  Its products charge their term pairs
-to an armed `arith.ALLOWANCE`, which the corpus parser arms with
-`corpus.PARSE_WORK_BUDGET` for each polynomial body.
+to an armed `arith.ALLOWANCE`, and the power of a one-term base the square
+of its coefficient's 64-bit limb count; the corpus parser arms
+`corpus.PARSE_WORK_BUDGET` for each polynomial body, the runner for the
+expression arguments of each directive value.
 """
 
 from __future__ import annotations
@@ -272,6 +274,11 @@ def _fold(node: Expr, vars: tuple[str, ...]) -> tuple[int, dict[Monomial, int]]:
         if len(terms) != 1:
             power = _form(vars, den, terms) ** e
             return power.den, dict(power.terms)
+        allowance = ALLOWANCE.get()
+        if allowance is not None:
+            allowance[0] -= _power_cost(c, e) + _power_cost(den, e)
+            if allowance[0] < 0:
+                raise WorkBudgetExceeded
         return den**e, {tuple([k * e for k in next(iter(terms))]): c**e}
     if kind is Sum:
         den, total = _fold(node.operands[0], vars)
@@ -282,6 +289,15 @@ def _fold(node: Expr, vars: tuple[str, ...]) -> tuple[int, dict[Monomial, int]]:
         den, terms = _fold(node.operand, vars)
         return den, {m: -c for m, c in terms.items()}
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _power_cost(n: int, e: int) -> int:
+    """Over-estimate of the cost of n**e in term pairs: the square of the
+    result's 64-bit limb count, since |n|**e < 2**(e * bits(n)); a power
+    of 0, 1 or -1 is free."""
+    if -1 <= n <= 1:
+        return 0
+    return (e * abs(n).bit_length() // 64 + 1) ** 2
 
 
 def expr_to_str(node: Expr) -> str:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -316,6 +317,72 @@ def test_gcd_certificate_skips_bad_points():
     a = Poly(XYZ, {(1, 1, 0): Fraction(big), (0, 0, 0): Fraction(1)})
     assert not _coprime_by_images(a, b)
     assert gcd_multivariate(a, b) == _gcd_prs(a, b) == Poly.one(XYZ)
+
+
+# Supports (as variable lists) of the two operands, and the ring they are
+# read in; a common factor lives in the variables both use.
+_SUPPORT_CASES = {
+    "z-against-zP": (ZP, ("z",), ("z", "P")),
+    "x-only": (XYZ, ("x",), ("x",)),
+    "y-only": (XYZ, ("y",), ("y",)),
+    "z-only": (XYZ, ("z",), ("z",)),
+    "xz-against-yz": (XYZ, ("x", "z"), ("y", "z")),
+    "x-against-y": (XYZ, ("x",), ("y",)),
+    "constant-against-xy": (XYZ, (), ("x", "y")),
+}
+
+
+def _rand_in(rng, vars, ring, deg, nterms=4):
+    """A random rational polynomial in the variables `vars`, read in `ring`."""
+    if not vars:
+        return Poly.const(ring, Fraction(rng.choice([-3, -1, 2, 7]), rng.randint(1, 5)))
+    return _rand_rational_poly(rng, vars, deg=deg, nterms=nterms).to_ring(ring)
+
+
+@pytest.mark.parametrize("case", sorted(_SUPPORT_CASES))
+def test_gcd_reduction_agrees_with_prs(case):
+    ring, left, right = _SUPPORT_CASES[case]
+    shared = tuple(v for v in left if v in right)
+    rng = random.Random(f"gcd-{case}")
+    nonconstant = 0
+    for _ in range(25):
+        factor = _rand_in(rng, shared, ring, deg=2, nterms=3)
+        a = _rand_in(rng, left, ring, deg=3) * factor
+        b = _rand_in(rng, right, ring, deg=3) * factor
+        if a.is_zero() or b.is_zero():
+            continue
+        g = gcd_multivariate(a, b)
+        assert g == _gcd_prs(a, b), (a, b)
+        if not factor.is_zero():
+            divide_exact(g, factor)
+        nonconstant += not g.is_constant()
+    assert nonconstant >= (10 if shared else 0)
+
+
+def test_gcd_reduction_with_constants_and_rational_coefficients():
+    half = Poly.const(ZP, Fraction(1, 2))
+    h = p("3/4*z^2 - 3/4", ZP)
+    assert gcd_multivariate(half, h) == gcd_multivariate(h, half) == Poly.one(ZP)
+    assert gcd_multivariate(h, p("1/2*z*P - 1/2*P + 5/3*z - 5/3", ZP)) == p("z - 1", ZP)
+
+
+def test_gcd_dense_degree_60_within_ceiling():
+    # a * g and b * g in z alone, each factor with 30-bit coefficients.  The
+    # integer Euclid takes about 0.06 s; _gcd_prs ran past 120 s on this pair.
+    rng = random.Random(60)
+
+    def rand_z(deg):
+        terms = {(0, 0, k): rng.randint(-(2**30), 2**30) for k in range(deg)}
+        terms[(0, 0, deg)] = rng.randint(1, 2**30)
+        return Poly(XYZ, terms)
+
+    g, a, b = rand_z(20), rand_z(40), rand_z(40)
+    assert _coprime_by_images(a, b)
+    start = time.perf_counter()
+    got = gcd_multivariate(a * g, b * g)
+    elapsed = time.perf_counter() - start
+    assert got == g.monic()
+    assert elapsed < 1.0, f"degree-60 gcd took {elapsed:.2f}s"
 
 
 def test_divide_exact_roundtrip():

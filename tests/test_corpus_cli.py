@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from lnd import cli, corpus, runner
+from lnd import cli, corpus, derivations, runner
 from lnd.errors import ParseError
 
 CORPORA = sorted((Path(__file__).resolve().parent.parent / "corpora").glob("*.corpus"))
@@ -154,6 +154,53 @@ def test_exponent_guard_covers_directive_arguments():
     assert entry.verdict == "ERROR"
     assert "too large" in entry.detail
 
+
+def test_directive_argument_budget_trips_as_an_error_line():
+    text = (
+        "context C { P = x*z + y^2; d = 1; deg_max = 3 }\n"
+        "check irreducibility_criterion(C, n(z, (z + P + 1)^300))\n"
+    )
+    case = corpus.parse(text)
+    start = time.perf_counter()
+    report = runner.run(case)
+    # About 0.4 s; the power alone would spend 109,614,756 term pairs.
+    assert time.perf_counter() - start < 6.0
+    (entry,) = report.entries
+    assert (entry.verdict, entry.detail) == (
+        "ERROR",
+        f"argument exceeds the parse-time budget of {corpus.PARSE_WORK_BUDGET} term pairs",
+    )
+
+
+
+def test_named_polynomials_as_keyword_arguments():
+    case = corpus.parse(
+        "context C { P = x*z + y^2; d = 1; deg_max = 3 }\n"
+        "unipoly a = z^2 + 1\n"
+        "check char_commutator(C, h = a)\n"
+        "check divisor_symmetry_expect(z^2, mu = a)\n"
+    )
+    report = runner.run(case)
+    assert [e.verdict for e in report.entries] == ["PASS", "ERROR"]
+    assert report.entries[1].detail == "cannot move 'z'-term into ring ()"
+
+def test_exp_log_roundtrip_certifies_once(monkeypatch):
+    # On a derivation, back == D is the certificate; only an automorphism's
+    # logarithm re-exponentiates to certify itself.
+    calls = []
+    exponential = derivations.exponential
+    monkeypatch.setattr(
+        derivations, "exponential", lambda d: calls.append(d) or exponential(d)
+    )
+    case = corpus.parse(
+        "derivation D { x -> -2*y; y -> z; z -> 0 }\n"
+        "automorphism U { x -> x - 2*y - z; y -> y + z; z -> z }\n"
+        "check exp_log_roundtrip(D)\n"
+        "check exp_log_roundtrip(U)\n"
+    )
+    report = runner.run(case)
+    assert [e.verdict for e in report.entries] == ["PASS", "PASS"]
+    assert len(calls) == 1
 
 def test_run_captures_definition_errors():
     case = corpus.parse(

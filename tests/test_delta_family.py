@@ -1,10 +1,11 @@
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lnd import corpus, delta_family, runner
+from lnd import arith, corpus, delta_family, runner
 from lnd.arith import XYZ, ZP, Poly, gcd_many, substitute
 from lnd.automorphisms import Automorphism, commutes, compose, quotient_action
 from lnd.delta_family import (
@@ -291,6 +292,20 @@ def test_irreducibility_criterion_heavy_tail_pair():
     elapsed = time.monotonic() - started
     assert rep.criterion_applies and rep.combined_irreducible
     assert elapsed < 2, f"heavy-tail pair took {elapsed:.1f}s"
+
+
+def test_irreducibility_corpus_never_reaches_the_prs(monkeypatch):
+    # gcd(h, f) with h in Q[z] folds over f's coefficients in P into integer
+    # Euclids in z, and the cofactor gcds are certified coprime; sending the
+    # nonconstant gcd(h, f) to the PRS costs 98 _gcd_prs calls here.
+    calls = []
+    prs = arith._gcd_prs
+    monkeypatch.setattr(arith, "_gcd_prs", lambda p, q: calls.append(p) or prs(p, q))
+    golden = Path(__file__).resolve().parent / "golden"
+    case = corpus.parse((golden / "irreducibility_1.corpus").read_text())
+    report = runner.format_report(runner.run(case))
+    assert report == (golden / "irreducibility_1.check.txt").read_text()
+    assert not calls
 
 
 def _rand_z_poly(rng, deg):

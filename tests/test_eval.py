@@ -229,3 +229,39 @@ def test_parse_time_budget_admits_an_honest_power():
     # pairs.
     (definition,) = corpus.parse("poly Q = (x + y + z + 1)^30\n").definitions
     assert len(definition.value.terms) == 5456
+
+
+@pytest.mark.parametrize("k", [2, 8, 999])
+def test_one_term_power_charged_to_the_parse_budget(k):
+    # (7^999)^999 would be a 2.8-million-bit integer: its charge, the square of
+    # the result's 64-bit limb count, overdraws the budget before it is built.
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        corpus.parse(f"poly Q = ((7^999)^999)^{k}\n")
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.line, err.value.col) == (1, 10)
+    assert "parse-time budget" in err.value.message
+
+
+# A product of two factors charges 1 term pair; 2^100 and 3^100 are at most
+# 4 limbs, 7^999 at most 47.
+@pytest.mark.parametrize(
+    "text, charge",
+    [
+        ("x^5000", 0),
+        ("(-x)^1001", 0),
+        ("(3*x)^4", 1 + 1),
+        ("(2/3*y)^100", 1 + 4**2 + 4**2),
+        ("7^999", 47**2),
+    ],
+)
+def test_one_term_power_charge(text, charge):
+    allowance = [10**9]
+    token = ALLOWANCE.set(allowance)
+    try:
+        got = eval_expr(_tree(text), XYZ)
+    finally:
+        ALLOWANCE.reset(token)
+    assert got == poly_fold(_tree(text), XYZ)
+    assert allowance == [10**9 - charge]
+
