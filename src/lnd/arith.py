@@ -444,28 +444,45 @@ def divide_exact(p: Poly, q: Poly) -> Poly:
 
     Non-divisibility is a meaningful signal for the callers (membership
     tests), so it gets its own exception rather than returning a remainder.
+    Long division on the int numerators, keeping s * p = q * quotient +
+    remainder: each step scales all three by |lc(q)| / gcd(lc(q), c), c the
+    leading remainder numerator, so that the new quotient term is an int,
+    charges an armed ALLOWANCE len(q.terms) and subtracts in place.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     p._check_ring(q)
-    if p.is_zero():
-        return Poly.zero(p.vars)
     q_lead = q.leading_monomial()
     q_lc = q.terms[q_lead]
-    remainder = p
-    quotient: dict[Monomial, Fraction] = {}
-    while remainder.terms:
-        lead = remainder.leading_monomial()
+    rest = [(m, c) for m, c in q.terms.items() if m != q_lead]
+    allowance = ALLOWANCE.get()
+    remainder, quotient, s = dict(p.terms), {}, 1
+    while remainder:
+        lead = max(remainder, key=grlex_key)
         diff = tuple(a - b for a, b in zip(lead, q_lead))
         if any(d < 0 for d in diff):
             raise NonDivisibleError(
                 f"leading term {_mono_str(p.vars, lead)} not divisible by "
                 f"{_mono_str(p.vars, q_lead)}"
             )
-        c = Fraction(remainder.terms[lead] * q.den, remainder.den * q_lc)
-        quotient[diff] = c
-        remainder = remainder - _raw(p.vars, c.denominator, {diff: c.numerator}) * q
-    return Poly(p.vars, quotient)
+        if allowance is not None:
+            allowance[0] -= len(q.terms)
+            if allowance[0] < 0:
+                raise WorkBudgetExceeded
+        scale = abs(q_lc) // math.gcd(remainder[lead], q_lc)
+        if scale != 1:
+            s *= scale
+            remainder = {m: c * scale for m, c in remainder.items()}
+            quotient = {m: c * scale for m, c in quotient.items()}
+        quotient[diff] = c = remainder.pop(lead) // q_lc
+        for m, cq in rest:
+            mono = tuple(map(add, diff, m))
+            v = remainder.get(mono, 0) - c * cq
+            if v:
+                remainder[mono] = v
+            else:
+                del remainder[mono]
+    return _form(p.vars, s * p.den, {m: c * q.den for m, c in quotient.items()})
 
 
 def divides(q: Poly, p: Poly) -> bool:

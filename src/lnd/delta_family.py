@@ -379,14 +379,12 @@ def irreducibility_criterion_check(ctx: DeltaContext, n: NElem) -> Irreducibilit
     """gcd(h, f) = 1 forces irreducibility of h E + f D'; otherwise the gcd
     is exactly the content of the combined derivation.
 
-    For nonconstant g = gcd(h, f) its monic expansion e divides every image
-    (expansion is a ring homomorphism), so the content is e times the gcd of
-    the exact cofactors, itself monic; cofactors are usually coprime, which
-    gcd_multivariate certifies from modular images.
+    For nonconstant g = gcd(h, f), w1 = (h/g) E + (f/g) D' with exact
+    cofactors in Q[z, P].  Expansion is a ring homomorphism, so h E + f D' =
+    expand(g) w1; gcd_many and products of monic polynomials are monic, so
+    the content is the monic expansion of g times gcd_many(w1's images);
+    those are usually coprime, which modular images certify.
     """
-    w = m_derivation(ctx, n)
-    if w.is_zero():
-        raise ValueError("zero combined derivation")
     if n.h.is_zero():
         g = n.f.monic()
     elif n.f.is_zero():
@@ -394,11 +392,15 @@ def irreducibility_criterion_check(ctx: DeltaContext, n: NElem) -> Irreducibilit
     else:
         g = gcd_multivariate(n.h, n.f)
     if g.is_constant():
+        w = m_derivation(ctx, n)
+        if w.is_zero():
+            raise ValueError("zero combined derivation")
         content = gcd_many(w.images)
         irreducible = content.is_constant()
         return IrreducibilityReport(g, content, True, irreducible, irreducible)
+    w1 = m_derivation(ctx, NElem(divide_exact(n.h, g), divide_exact(n.f, g)))
     expanded = expand_kernel_poly(ctx, g).monic()
-    content = expanded * gcd_many([divide_exact(img, expanded) for img in w.images])
+    content = expanded * gcd_many(w1.images)
     return IrreducibilityReport(g, content, False, None, expanded == content)
 
 

@@ -16,8 +16,8 @@ position, 1-based.
 `eval_expr` folds a tree in one pass into one {monomial: int} numerator map
 over a shared denominator, as a Poly stores its terms; only the power of a
 multi-term base runs Poly arithmetic.  Its products charge their term pairs
-to an armed `arith.ALLOWANCE`, and the power of a one-term base the square
-of its coefficient's 64-bit limb count; the corpus parser arms
+to an armed `arith.ALLOWANCE`, and a power b^e first the squared 64-bit
+limb counts of (b's numerator 1-norm)^e and den^e; the corpus parser arms
 `corpus.PARSE_WORK_BUDGET` for each polynomial body, the runner for the
 expression arguments of each directive value.
 """
@@ -271,14 +271,15 @@ def _fold(node: Expr, vars: tuple[str, ...]) -> tuple[int, dict[Monomial, int]]:
                 node.line,
                 node.col,
             )
+        allowance = ALLOWANCE.get()
+        if allowance is not None:  # the 1-norm bounds every numerator of the power
+            norm = c if len(terms) == 1 else sum(map(abs, terms.values()))
+            allowance[0] -= _power_cost(norm, e) + _power_cost(den, e)
+            if allowance[0] < 0:
+                raise WorkBudgetExceeded
         if len(terms) != 1:
             power = _form(vars, den, terms) ** e
             return power.den, dict(power.terms)
-        allowance = ALLOWANCE.get()
-        if allowance is not None:
-            allowance[0] -= _power_cost(c, e) + _power_cost(den, e)
-            if allowance[0] < 0:
-                raise WorkBudgetExceeded
         return den**e, {tuple([k * e for k in next(iter(terms))]): c**e}
     if kind is Sum:
         den, total = _fold(node.operands[0], vars)

@@ -17,6 +17,7 @@ from lnd.arith import (
     _gcd_prs,
     divide_exact,
     gcd_multivariate,
+    grlex_key,
     poly_to_str,
     substitute,
 )
@@ -392,8 +393,15 @@ def test_divide_exact_roundtrip():
 
 
 def test_divide_exact_obstruction():
-    with pytest.raises(NonDivisibleError):
-        divide_exact(p("z + 1"), p("z"))
+    for dividend, divisor, message in [
+        ("z + 1", "z", "leading term 1 not divisible by z"),
+        ("y^2 + 1", "x + 1", "leading term y^2 not divisible by x"),  # at once
+        ("x^2*z + x + 1", "-2/3*x*z + 1/5", "leading term x not divisible by x*z"),  # later
+        ("x^2*z + 1/3", "x*z", "leading term 1 not divisible by x*z"),  # at the end
+    ]:
+        with pytest.raises(NonDivisibleError) as err:
+            divide_exact(p(dividend), p(divisor))
+        assert str(err.value) == message
 
 
 def test_integrate_in_power_rule():
@@ -528,3 +536,75 @@ def test_representation_against_fraction_oracle(vars, target, seed):
         images = [_oracle_poly(rng, target, nterms=2, deg=1) for _ in vars]
         got = substitute(a, {v: Poly(target, img) for v, img in zip(vars, images)})
         _check(got, _o_substitute(oa, images, target), target)
+
+
+def _o_divide(a, b):
+    """Long division of {mono: Fraction} maps: (quotient, None) when b divides
+    a, else (None, the remainder's leading monomial that b's does not divide)."""
+    lead_b = max(b, key=grlex_key)
+    remainder, quotient = dict(a), {}
+    while remainder:
+        lead = max(remainder, key=grlex_key)
+        diff = tuple(x - y for x, y in zip(lead, lead_b))
+        if min(diff) < 0:
+            return None, lead
+        quotient[diff] = remainder[lead] / b[lead_b]
+        remainder = _o_add(remainder, _o_mul({diff: quotient[diff]}, b), -1)
+    return quotient, None
+
+
+def _mono_text(vars, mono):
+    return str(Poly(vars, {mono: 1}))
+
+
+@pytest.mark.parametrize(
+    "vars, seed", [(XYZ, 71), (ZP, 73), (ZVAR, 79)], ids=["xyz", "zP", "z"]
+)
+def test_divide_exact_against_fraction_oracle(monkeypatch, vars, seed):
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+    rng = random.Random(seed)
+    failures = set()  # whether each non-divisible case failed at its first step
+    for trial in range(16):
+        oa, ob = _oracle_poly(rng, vars, nterms=4), _oracle_poly(rng, vars)
+        lead_b = max(ob, key=grlex_key)
+        if (ob[lead_b] > 0) == (trial % 2 == 0):  # negative leading coefficient half the time
+            ob = {m: -c for m, c in ob.items()}
+        a, b = Poly(vars, oa), Poly(vars, ob)
+        assert a.den > 1 and b.den > 1  # denominators on both sides
+        product = a * b
+        quotient, _ = _o_divide(_o_mul(oa, ob), ob)
+        assert quotient == oa
+        # The charge is len(b.terms) per quotient term, checked to the unit.
+        charge = len(a.terms) * len(b.terms)
+        allowance = [charge]
+        token = ALLOWANCE.set(allowance)
+        try:
+            del products[:]
+            got = divide_exact(product, b)
+            assert not products  # no Poly product per quotient term
+            assert allowance == [0]
+            allowance[0] = charge - 1
+            with pytest.raises(WorkBudgetExceeded):
+                divide_exact(product, b)
+        finally:
+            ALLOWANCE.reset(token)
+        _check(got, quotient, vars)
+        # Adding one monomial makes b fail to divide, at the first leading
+        # term or at a later remainder; the message names that term.
+        extra = {tuple(rng.randint(0, 3) for _ in vars): Fraction(rng.randint(1, 9), 7)}
+        bad = _o_add(_o_mul(oa, ob), extra)
+        quotient, stuck = _o_divide(bad, ob)
+        if quotient is not None:  # b still divides, as a constant b always does
+            _check(divide_exact(Poly(vars, bad), b), quotient, vars)
+            continue
+        failures.add(stuck == max(bad, key=grlex_key))
+        with pytest.raises(NonDivisibleError) as err:
+            divide_exact(Poly(vars, bad), b)
+        assert str(err.value) == (
+            f"leading term {_mono_text(vars, stuck)} not divisible by"
+            f" {_mono_text(vars, lead_b)}"
+        )
+    # Each seed fails at a later remainder term; the xyz seed also at once.
+    assert False in failures and (vars != XYZ or True in failures)

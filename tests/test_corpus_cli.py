@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from lnd import cli, corpus, derivations, runner
+from lnd.arith import ALLOWANCE, XYZ
 from lnd.errors import ParseError
+from lnd.syntax import ExprParser, eval_expr, parse_poly, tokenize
 
 CORPORA = sorted((Path(__file__).resolve().parent.parent / "corpora").glob("*.corpus"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -171,6 +173,38 @@ def test_directive_argument_budget_trips_as_an_error_line():
         f"argument exceeds the parse-time budget of {corpus.PARSE_WORK_BUDGET} term pairs",
     )
 
+
+
+def test_multi_term_power_charged_by_its_coefficient_norm():
+    # The numerator 1-norm 7^99 + 1 (278 bits) bounds every coefficient of
+    # the 300th power: 1,304^2 = 1,700,416 term pairs are charged before the
+    # power runs (it ran 6.4 s with no error when only products were charged).
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        corpus.parse("poly Q = (7^99*x + 1)^300\n")
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.line, err.value.col) == (1, 10)
+    assert err.value.message == (
+        f"expression exceeds the parse-time budget of {corpus.PARSE_WORK_BUDGET} term pairs"
+    )
+
+
+def test_multi_term_power_norm_charge_of_an_honest_power():
+    # (x + y + z + 1)^30: 1-norm 4, so (30 * 3 // 64 + 1)^2 = 4 pairs on top
+    # of the products that the power itself charges.
+    base = parse_poly("x + y + z + 1", XYZ)
+    node = ExprParser(tokenize("(x + y + z + 1)^30")).parse_expr()
+    values, spent = [], []
+    for build in (lambda: base**30, lambda: eval_expr(node, XYZ)):
+        allowance = [corpus.PARSE_WORK_BUDGET]
+        token = ALLOWANCE.set(allowance)
+        try:
+            values.append(build())
+        finally:
+            ALLOWANCE.reset(token)
+        spent.append(corpus.PARSE_WORK_BUDGET - allowance[0])
+    assert spent == [701_696, 701_700]
+    assert values[0] == values[1]
 
 
 def test_named_polynomials_as_keyword_arguments():

@@ -244,7 +244,8 @@ def test_round_trip_fails_when_the_recovered_pair_differs(monkeypatch):
 
 def test_centralizer_work_is_pinned(monkeypatch):
     # Poly x Poly term pairs of the whole run, contexts included (48,198
-    # when the round-trip also recomposed the recovered pair).
+    # when the round-trip also recomposed the recovered pair, 39,519 while
+    # divide_exact multiplied each quotient term by the divisor).
     case = corpus.parse(CENTRALIZER_CORPUS)
     pairs = [0]
     mul = Poly.__mul__
@@ -257,7 +258,7 @@ def test_centralizer_work_is_pinned(monkeypatch):
     monkeypatch.setattr(Poly, "__mul__", counting_mul)
     report = runner.run(case, seed=0)
     assert [e.verdict for e in report.entries] == ["PASS", "PASS"]
-    assert pairs[0] == 39_519
+    assert pairs[0] == 39_198
 
 
 def test_ad_identity_instances():
@@ -308,6 +309,32 @@ def test_irreducibility_corpus_never_reaches_the_prs(monkeypatch):
     assert not calls
 
 
+def test_irreducibility_work_is_pinned(monkeypatch):
+    # Poly products and their term pairs over the whole run, and the
+    # divisions of the criterion: 34 directives with a nonconstant
+    # gcd(h, f) each divide h and f by it in Q[z, P].  Dividing the three
+    # images of h E + f D' by the expanded gcd in Q[x, y, z] instead took
+    # 1,419 products with 3,275 term pairs and 102 divisions.
+    products, divisions = [0, 0], []
+    mul, divide = Poly.__mul__, delta_family.divide_exact
+
+    def counting_mul(a, b):
+        if isinstance(b, Poly):
+            products[0] += 1
+            products[1] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(
+        delta_family, "divide_exact", lambda p, q: divisions.append(p.vars) or divide(p, q)
+    )
+    golden = Path(__file__).resolve().parent / "golden"
+    report = runner.run(corpus.parse((golden / "irreducibility_1.corpus").read_text()))
+    assert runner.format_report(report) == (golden / "irreducibility_1.check.txt").read_text()
+    assert products == [1_057, 2_579]
+    assert divisions == [ZP] * 68
+
+
 def _rand_z_poly(rng, deg):
     out = Poly(ZP, {(deg, 0): Fraction(rng.randint(1, 5), rng.randint(1, 3))})
     for e in range(deg):
@@ -339,6 +366,15 @@ def test_cofactor_content_agrees_with_image_gcd(ctx):
         assert not rep.criterion_applies
         assert rep.combined_content == gcd_many(m_derivation(ctx, n).images)
         assert rep.holds
+    # With h = 0 or f = 0 the gcd is the other component, which may involve P.
+    for h, f in (("0", "z + P"), ("0", "-2*z^2*P - 2*z*P^2 + 6"), ("3*z^2 - 3", "0")):
+        n = n_elem(k(h), k(f))
+        rep = irreducibility_criterion_check(ctx, n)
+        assert not rep.criterion_applies and rep.gcd_hf == k(f if h == "0" else h).monic()
+        assert rep.combined_content == gcd_many(m_derivation(ctx, n).images)
+        assert rep.holds
+    with pytest.raises(ValueError, match="zero combined derivation"):
+        irreducibility_criterion_check(ctx, n_elem(0, 0))
 
 
 def test_cofactor_content_with_shared_cofactor_factor():
