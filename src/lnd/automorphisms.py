@@ -220,11 +220,11 @@ def mu_character(g: Automorphism, d: Poly) -> Fraction:
 
 class ConjugationReport(NamedTuple):
     """Outcome of checking conjugation of a modification against the
-    character formula, recording which character orientation matched."""
+    character formula, recording which character orientation it takes."""
 
     holds: bool
     mu: Fraction
-    orientation: str  # "mu" or "mu-inverse"
+    orientation: str  # "mu", "mu-inverse", or "none" when it fails
     lhs: Automorphism
     rhs: Automorphism
 
@@ -232,12 +232,14 @@ class ConjugationReport(NamedTuple):
 def conjugation_formula_check(
     g: Automorphism, f: Poly, u_prime: Automorphism, d: Poly
 ) -> ConjugationReport:
-    """Check g^{-1} o (f.u') o g against modification(mu^{±1} g*(f), u').
+    """Check g^{-1} o (f.u') o g against modification(g*(f) / mu, u').
 
-    The character formula does not by itself fix a composition order, and
-    the order flips mu to its inverse; both orientations are tried and the
-    matching one is recorded.  Preconditions: g commutes with the
-    d-modification of u' (tested on d log u'), and f lies in ker(log u').
+    Preconditions: g commutes with the d-modification of u' (tested on
+    d log u'), and f lies in ker(log u').  With D' = log u' and
+    g*(d) = mu d, intertwining gives g* D' = D' g* / mu, so the conjugate
+    is exp(g*(f) / mu D'); only that right side is built.  exp is injective
+    on locally nilpotent derivations, so the orientation is "mu" exactly
+    when g*(f) mu D' equals g*(f) / mu D', and "mu-inverse" otherwise.
     """
     from . import derivations
 
@@ -251,13 +253,12 @@ def conjugation_formula_check(
     mu = mu_character(g, d)
     lhs = compose(inverse(g), compose(modification(f, dp), g))
     gf = pullback(g, f)
-    rhs_mu = modification(gf * mu, dp)
-    if lhs == rhs_mu:
-        return ConjugationReport(True, mu, "mu", lhs, rhs_mu)
-    rhs_inv = modification(gf * (1 / mu), dp)
-    if lhs == rhs_inv:
-        return ConjugationReport(True, mu, "mu-inverse", lhs, rhs_inv)
-    return ConjugationReport(False, mu, "none", lhs, rhs_mu)
+    proven = gf * (1 / mu)
+    rhs = modification(proven, dp)
+    if lhs != rhs:
+        return ConjugationReport(False, mu, "none", lhs, rhs)
+    same = derivations.scale_poly(gf * mu, dp) == derivations.scale_poly(proven, dp)
+    return ConjugationReport(True, mu, "mu" if same else "mu-inverse", lhs, rhs)
 
 
 # -- expressing invariants in kernel coordinates ------------------------------

@@ -364,7 +364,7 @@ def char_commutator_check(ctx, h: Poly, f: Poly) -> CharCommutatorReport:
 
 class NonfenceCommutatorReport(NamedTuple):
     holds: bool
-    orientation: str  # which character orientation matched
+    orientation: str  # "mu", "mu-inverse", or "none" when it fails
     scalar: Fraction
     lhs: Automorphism
     rhs: Automorphism
@@ -382,9 +382,12 @@ def nonfence_commutator_check(
 
     t must be diagonal on the declared quotient coordinates (checked through
     proportionality of pullbacks) and commute with the d-modification of u';
-    f must be u'-invariant.  The composition-order gap flips mu to its
-    inverse in the scalar, so both orientations are tried and the matching
-    one is recorded.
+    f must be u'-invariant.  Commuting with d D' gives t* D' = D' t* / mu,
+    so conjugation by t rescales exp(h D') to exp(t*(h) / mu D'), and all
+    modifications of D' by invariants commute; the commutator is therefore
+    exp((1 - 1/beta)(1 - beta) v^k D') with beta = rho^k / mu, and only
+    that right side is built.  The orientation is "mu" (with gamma =
+    mu rho^k's scalar) exactly when gamma's derivation equals beta's.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -400,15 +403,17 @@ def nonfence_commutator_check(
     mu_t = mu_character(t, d)
     rho_t = mu_character(t, v)
     t_inv = inverse(t)
-    inner = aut_commutator(t_inv, modification(v**k, d_prime))
+    vk = v**k
+    inner = aut_commutator(t_inv, modification(vk, d_prime))
     lhs = aut_commutator(compose(t, modification(f, d_prime)), inner)
     gamma = mu_t * rho_t**k
     beta = (Fraction(1) / mu_t) * rho_t**k
-    for orientation, value in (("mu", gamma), ("mu-inverse", beta)):
-        scalar = (1 - Fraction(1) / value) * (1 - value)
-        rhs = modification(v**k * scalar, d_prime)
-        if lhs == rhs:
-            return NonfenceCommutatorReport(True, orientation, scalar, lhs, rhs)
-    scalar = (1 - Fraction(1) / gamma) * (1 - gamma)
-    rhs = modification(v**k * scalar, d_prime)
-    return NonfenceCommutatorReport(False, "none", scalar, lhs, rhs)
+    scalar = (1 - Fraction(1) / beta) * (1 - beta)
+    rhs = modification(vk * scalar, d_prime)
+    gamma_scalar = (1 - Fraction(1) / gamma) * (1 - gamma)
+    orientation = "mu-inverse"
+    if scale_poly(vk * gamma_scalar, d_prime) == scale_poly(vk * scalar, d_prime):
+        orientation, scalar = "mu", gamma_scalar
+    if lhs != rhs:
+        return NonfenceCommutatorReport(False, "none", scalar, lhs, rhs)
+    return NonfenceCommutatorReport(True, orientation, scalar, lhs, rhs)

@@ -4,8 +4,8 @@ The quotient plane carries coordinates (y, z).  A divisor is a nonzero
 polynomial up to scalar, stored monic.  A vertical fence is a divisor whose
 polynomial depends on z alone: its components are parallel lines, pairwise
 disjoint.  For root divisors on the line this module computes the affine
-symmetry data (center, rotation order, scaling character) exactly, with the
-finite-order cases certified inside cyclotomic quotient rings.
+symmetry data (center, rotation order, scaling character) exactly, from the
+support of the recentred polynomial alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .arith import (
     XYZ,
     YZ,
     Poly,
-    divide_exact,
     divides,
     is_univariate_in,
     substitute,
@@ -110,30 +109,6 @@ def is_inert(g: PlaneAut, div: PlaneDivisor) -> bool:
 # -- affine symmetries of a root divisor on the line ---------------------------
 
 
-def cyclotomic(order: int) -> Poly:
-    """The cyclotomic polynomial of the given order, in the ring ("t",),
-    by the divisibility sieve over t^order - 1."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    t_ring = ("t",)
-    t = Poly.variable(t_ring, "t")
-    result = t**order - Poly.one(t_ring)
-    for d in range(1, order):
-        if order % d == 0:
-            result = divide_exact(result, cyclotomic(d))
-    return result
-
-
-def _mod_reduce(p: Poly, modulus: Poly) -> Poly:
-    """Remainder of a univariate p by a monic univariate modulus."""
-    deg_m = modulus.total_degree()
-    while not p.is_zero() and p.total_degree() >= deg_m:
-        lead = p.leading_monomial()
-        shift = Poly(p.vars, {(lead[0] - deg_m,): p.leading_coeff()})
-        p = p - shift * modulus
-    return p
-
-
 class DivisorSymmetry(NamedTuple):
     """Affine symmetry data of a root divisor on the line.
 
@@ -141,7 +116,8 @@ class DivisorSymmetry(NamedTuple):
     (multiplicity-weighted root centroid, computed from coefficients).
     order: rotation order e of the symmetry group, or None for the torus
     case (recentred polynomial is a monomial, so every scaling works).
-    lambda_exponent: k0 with the scaling character acting as alpha^k0.
+    lambda_exponent: k0 with the scaling character acting as alpha^k0;
+    every support exponent is congruent to k0 modulo the order.
     """
 
     center: Fraction
@@ -158,7 +134,8 @@ def affine_symmetries(a: Poly) -> DivisorSymmetry:
 
     The center is -c_{d-1}/(d c_d).  After recentring, a monomial means the
     full torus acts; otherwise the order is the gcd of the support-exponent
-    differences, certified inside Q[t]/(cyclotomic(order)).
+    differences.  That proves the symmetry: each support exponent e has
+    e = k0 (mod order), so cyclotomic(order) | t^order - 1 | t^e - t^k0.
     """
     if "z" not in a.vars or not is_univariate_in(a, "z"):
         raise ValueError("expected a polynomial in z alone")
@@ -178,25 +155,7 @@ def affine_symmetries(a: Poly) -> DivisorSymmetry:
         return DivisorSymmetry(center, None, support[0])
     base = support[0]
     order = math.gcd(*(e - base for e in support[1:]))
-    k0 = base % order
-    _certify_symmetry(recentred, order, k0)
-    return DivisorSymmetry(center, order, k0)
-
-
-def _certify_symmetry(recentred: Poly, order: int, k0: int) -> None:
-    """Check a(zeta t) = zeta^k0 a(t) for zeta of the claimed order exactly
-    in Q[t]/(cyclotomic(order)), orders 1 (t - 1) and 2 (t + 1) included."""
-    modulus = cyclotomic(order)
-    t_ring = ("t",)
-    t = Poly.variable(t_ring, "t")
-    for mono in recentred.terms:
-        e = sum(mono)
-        # zeta^e must equal zeta^k0, i.e. t^e - t^k0 reduces to zero
-        residue = _mod_reduce(t**e - t**k0, modulus)
-        if not residue.is_zero():
-            raise VerificationError(
-                f"support exponent {e} breaks the order-{order} symmetry"
-            )
+    return DivisorSymmetry(center, order, base % order)
 
 
 # -- lifting plane data to 3-space ---------------------------------------------

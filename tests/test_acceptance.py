@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from lnd import corpus, runner
-from lnd.arith import XYZ, YZ, ZP, ZVAR, Poly, gcd_multivariate, substitute
+from lnd.arith import XYZ, YZ, ZP, ZVAR, Poly, divide_exact, gcd_multivariate, substitute
 from lnd.automorphisms import Automorphism, compose
 from lnd.delta_family import (
     aut_to_n,
@@ -50,7 +50,6 @@ from lnd.groupmodel import (
 )
 from lnd.quotient_geometry import (
     affine_symmetries,
-    cyclotomic,
     fence_unipotent_witness,
     fixed_scheme_check,
     is_inert,
@@ -415,9 +414,26 @@ def test_criterion_8_irreducibility_criterion():
     _report(8, "100 coprime pairs irreducible; 20 contents stripped exactly", started, 15)
 
 
+def cyclotomic(order):
+    """The cyclotomic polynomial of the given order, in the ring ("t",),
+    by the divisibility sieve over t^order - 1."""
+    assert order >= 1
+    t = Poly.variable(("t",), "t")
+    result = t**order - Poly.one(("t",))
+    for d in range(1, order):
+        if order % d == 0:
+            result = divide_exact(result, cyclotomic(d))
+    return result
+
+
 def _oracle_cyclotomic_check(a, order, k0):
-    """Test-local reduction mod the cyclotomic polynomial (independent of
-    the library's quotient-ring helper)."""
+    """True iff a(zeta t) = zeta^k0 a(t) for zeta a primitive root of unity
+    of the given order, by reducing each t^e modulo cyclotomic(order).
+
+    `affine_symmetries` derives its order from the support alone; this is
+    the certificate that derivation makes redundant, kept as a test oracle.
+    `a` must already be recentred (its symmetry center at 0).
+    """
     modulus = cyclotomic(order)
     mod_coeffs = [modulus.coefficient((i,)) for i in range(modulus.total_degree() + 1)]
 
@@ -453,7 +469,14 @@ def test_criterion_9_divisor_symmetries():
     sym_b = affine_symmetries(b)
     assert (sym_b.center, sym_b.order) == (0, 3)
     assert cyclotomic(3) == parse_poly("t^2 + t + 1", ("t",))
+    assert _oracle_cyclotomic_check(a, sym.order, sym.lambda_exponent)
     assert _oracle_cyclotomic_check(b, 3, sym_b.lambda_exponent)
+    # a shifted center: the oracle checks the recentred polynomial
+    shifted = parse_poly("(z - 2)^3 + 1", ZVAR)
+    sym_s = affine_symmetries(shifted)
+    assert (sym_s.center, sym_s.order, sym_s.lambda_exponent) == (2, 3, 0)
+    recentred = substitute(shifted, {"z": parse_poly("z + 2", ZVAR)})
+    assert recentred == b and _oracle_cyclotomic_check(recentred, 3, 0)
     sym_c = affine_symmetries(parse_poly("z^2", ZVAR))
     assert sym_c.is_torus and sym_c.center == 0
     # no strictly larger finite order passes, checked up to 2e

@@ -224,6 +224,7 @@ def test_mu_character():
 def test_conjugation_formula_identity_g():
     report = conjugation_formula_check(identity(), Z, U_P, Poly.one(XYZ))
     assert report.holds
+    assert report.orientation == "mu"
 
 
 def test_conjugation_formula_z_flip():
@@ -250,6 +251,43 @@ def test_conjugation_formula_nontrivial_mu():
     report = conjugation_formula_check(g, Z, TRANSLATION, p("z^3"))
     assert report.holds
     assert report.mu == 8
+    # g*(z) = 2z and the conjugate is exp(g*(z)/8 d/dx), not exp(8 g*(z) d/dx)
+    assert report.orientation == "mu-inverse"
+    assert report.rhs == modification(p("2*z") * Fraction(1, 8), DDX)
+
+
+def test_conjugation_formula_mu_minus_one():
+    # mu = -1 is its own inverse, so the proven side carries the "mu" label
+    flip = Automorphism(p("-x"), Y, p("-z"))
+    report = conjugation_formula_check(flip, Z, TRANSLATION, p("z^3"))
+    assert report.holds
+    assert (report.mu, report.orientation) == (-1, "mu")
+    assert report.rhs == report.lhs == modification(Z, DDX)
+
+
+def test_conjugation_formula_identity_u_prime():
+    # log(identity) = 0, so both orientations give the same derivation
+    g = Automorphism(p("8*x"), Y, p("2*z"))
+    report = conjugation_formula_check(g, Z, identity(), p("z^3"))
+    assert report.holds
+    assert (report.mu, report.orientation) == (8, "mu")
+    assert report.rhs == identity()
+
+
+def test_conjugation_formula_builds_one_right_side(monkeypatch):
+    import lnd.automorphisms as automorphisms
+
+    calls = []
+
+    def counting(f, d):
+        calls.append(f)
+        return modification(f, d)
+
+    monkeypatch.setattr(automorphisms, "modification", counting)
+    g = Automorphism(p("8*x"), Y, p("2*z"))
+    report = conjugation_formula_check(g, Z, TRANSLATION, p("z^3"))
+    assert report.orientation == "mu-inverse"
+    assert len(calls) == 2  # f.u' on the left, the proven right side
 
 
 def test_express_in_kernel():

@@ -526,6 +526,17 @@ def test_divisor_symmetry_fail_paths():
     assert [e.verdict for e in report.entries] == ["FAIL", "FAIL", "FAIL"]
 
 
+def test_divisor_symmetry_order_is_read_off_the_support():
+    # the order is the gcd of the support differences, so a large order
+    # needs no reduction modulo a cyclotomic polynomial of high degree
+    case = corpus.parse("check divisor_symmetry_expect(z^5040 + 1, order = 5040, k0 = 0)\n")
+    start = time.perf_counter()
+    report = runner.run(case)
+    assert time.perf_counter() - start < 2.0
+    (entry,) = report.entries
+    assert (entry.verdict, entry.detail) == ("PASS", "center 0, order 5040, k0 = 0")
+
+
 def test_standard_decomposition_expect_fail_path():
     case = corpus.parse(
         "automorphism UZ { x -> x - 2*y*z - z^3; y -> y + z^2; z -> z }\n"

@@ -7,6 +7,7 @@ import pytest
 from lnd.arith import XYZ, ZP, Poly, substitute
 from lnd.automorphisms import Automorphism, identity, modification
 from lnd.delta_family import make_context
+from lnd.derivations import Derivation
 from lnd.errors import LawHypothesisError
 from lnd.groupmodel import (
     CharacterVector,
@@ -34,6 +35,7 @@ def p(text):
 
 
 LAW = make_group_law([-2], [1], [2], k("z"))
+DDX = Derivation(Poly.one(XYZ), Poly.zero(XYZ), Poly.zero(XYZ))  # log(x + 1, y, z)
 
 
 def rand_gelem(rng, law=LAW, allow_torus=True):
@@ -303,7 +305,36 @@ def test_nonfence_commutator():
     t = Automorphism(p("18*x"), p("2*y"), p("3*z"))  # mu = rho1 rho2^2 forced
     report = nonfence_commutator_check(u_prime, d, t, p("z"), p("y"), 1)
     assert report.holds
-    assert report.scalar != 0
+    # mu = 18, rho = 2: beta = rho/mu = 1/9 gives (1 - 9)(1 - 1/9) = -64/9
+    assert (report.orientation, report.scalar) == ("mu-inverse", Fraction(-64, 9))
+    assert report.rhs == modification(p("y") * Fraction(-64, 9), DDX)
+
+
+def test_nonfence_commutator_identity_u_prime_keeps_gamma():
+    # log(identity) = 0: both derivations vanish, so the "mu" label and
+    # gamma = mu rho = 36's scalar (1 - 1/36)(1 - 36) are reported
+    t = Automorphism(p("18*x"), p("2*y"), p("3*z"))
+    report = nonfence_commutator_check(identity(), p("y*z^2"), t, p("z"), p("y"), 1)
+    assert report.holds
+    assert (report.orientation, report.scalar) == ("mu", Fraction(-1225, 36))
+    assert report.lhs == report.rhs == identity()
+
+
+def test_nonfence_commutator_builds_one_right_side(monkeypatch):
+    import lnd.groupmodel as groupmodel
+
+    calls = []
+
+    def counting(f, d):
+        calls.append(f)
+        return modification(f, d)
+
+    monkeypatch.setattr(groupmodel, "modification", counting)
+    u_prime = Automorphism(p("x + 1"), p("y"), p("z"))
+    t = Automorphism(p("18*x"), p("2*y"), p("3*z"))
+    report = nonfence_commutator_check(u_prime, p("y*z^2"), t, p("z"), p("y"), 1)
+    assert report.orientation == "mu-inverse"
+    assert len(calls) == 3  # v^k.u', f.u' and the proven right side
 
 
 def test_nonfence_commutator_identity_t():
@@ -320,3 +351,5 @@ def test_nonfence_commutator_k_zero_scalar_case():
     t = Automorphism(p("2*x"), p("2*y"), p("z"))
     report = nonfence_commutator_check(u_prime, p("y*z^2"), t, p("0"), p("y"), 0)
     assert report.holds
+    # gamma = 2 and beta = 1/2 share the scalar -1/2, so the label is "mu"
+    assert (report.orientation, report.scalar) == ("mu", Fraction(-1, 2))

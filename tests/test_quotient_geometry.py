@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,6 @@ from lnd.quotient_geometry import (
     FixedSchemeReport,
     PlaneAut,
     affine_symmetries,
-    cyclotomic,
     fence_unipotent_witness,
     fixed_scheme_check,
     is_inert,
@@ -19,6 +19,7 @@ from lnd.quotient_geometry import (
     preserves_divisor,
 )
 from lnd.syntax import parse_poly
+from test_acceptance import _oracle_cyclotomic_check, cyclotomic
 
 
 def q(text):
@@ -203,12 +204,36 @@ def test_fixed_scheme_check_substitutes_each_divisor_once(monkeypatch):
 
 
 def test_affine_symmetries_higher_orders():
-    # support gaps of 4, 5, 6: certified inside the matching cyclotomic ring
+    # support gaps of 4, 5, 6; the cyclotomic oracle certifies each order
     for text, order, k0 in (("z^5 - z", 4, 1), ("z^6 + z", 5, 1), ("z^7 + z", 6, 1)):
-        sym = affine_symmetries(parse_poly(text, ("z",)))
+        a = parse_poly(text, ("z",))
+        sym = affine_symmetries(a)
         assert (sym.center, sym.order, sym.lambda_exponent) == (0, order, k0)
+        assert _oracle_cyclotomic_check(a, order, k0)
+        for bigger in range(order + 1, 2 * order + 1):
+            assert not any(_oracle_cyclotomic_check(a, bigger, j) for j in range(bigger))
+    # a shifted center: the order is read off the recentred support
+    sym = affine_symmetries(parse_poly("(z + 1/2)^7 - 3*(z + 1/2)^3", ("z",)))
+    assert (sym.center, sym.order, sym.lambda_exponent) == (Fraction(-1, 2), 4, 3)
+    assert _oracle_cyclotomic_check(parse_poly("z^7 - 3*z^3", ("z",)), 4, 3)
     # and no strictly larger order up to 2e passes the support test
     for text, order in (("z^5 - z", 4), ("z^7 + z", 6)):
         support = sorted(sum(m) for m in parse_poly(text, ("z",)).terms)
         for bigger in range(order + 1, 2 * order + 1):
             assert any((e - support[0]) % bigger for e in support[1:])
+
+
+def test_affine_symmetries_agree_with_the_cyclotomic_oracle():
+    # seeded supports k0 + order * j, shifted to a random center
+    rng = random.Random(20)
+    z = ("z",)
+    for _ in range(30):
+        order, k0 = rng.randint(2, 7), rng.randint(0, 6)
+        exps = {k0 + order * j for j in rng.sample(range(5), rng.randint(2, 4))}
+        recentred = Poly(z, {(e,): Fraction(rng.choice([-3, -1, 2, 5])) for e in exps})
+        center = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        a = substitute(recentred, {"z": Poly.variable(z, "z") - Poly.const(z, center)})
+        sym = affine_symmetries(a)
+        assert sym.center == center and sym.order % order == 0
+        assert sym.lambda_exponent == min(exps) % sym.order
+        assert _oracle_cyclotomic_check(recentred, sym.order, sym.lambda_exponent)
