@@ -17,25 +17,21 @@ from .automorphisms import (
     commutes,
     compose,
     conjugation_formula_check,
-    express_in_kernel,
     identity,
     inverse,
     inverse_unipotent,
     modification,
     mu_character,
-    quotient_action,
 )
 from .delta_family import (
     DeltaContext,
     NElem,
     ad_identity_check,
     aut_to_n,
-    combine_to_delta,
     exp_m_decompose,
     irreducibility_criterion_check,
     make_context,
     n_elem,
-    n_inverse,
     n_mul,
     n_to_aut,
 )
@@ -44,14 +40,12 @@ from .derivations import (
     NilpotencyEvidence,
     apply,
     delta,
-    derivation,
     exponential,
     is_irreducible,
     is_locally_nilpotent,
     lie_bracket,
     logarithm,
     plinth_search,
-    preslice_search,
     sat_instance_check,
     standard_decomposition,
 )

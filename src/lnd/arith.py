@@ -261,14 +261,6 @@ class Poly:
                 out[mono[:i] + (e - 1,) + mono[i + 1 :]] = c * e
         return _form(self.vars, self.den, out)
 
-    def integrate_in(self, var: str) -> "Poly":
-        """Formal antiderivative with zero constant term in `var`."""
-        i = self._var_index(var)
-        k = math.lcm(*(m[i] + 1 for m in self.terms))
-        out = {m[:i] + (m[i] + 1,) + m[i + 1 :]: c * (k // (m[i] + 1))
-               for m, c in self.terms.items()}
-        return _form(self.vars, self.den * k, out)
-
     def to_ring(self, vars: tuple[str, ...]) -> "Poly":
         """Re-express over another variable list, matching by name.
 

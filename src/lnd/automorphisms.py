@@ -21,12 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
 from .arith import XYZ, Poly, substitute
-from .errors import (
-    NotInKernelError,
-    NotInvertibleError,
-    RingMismatchError,
-    SearchExhaustedError,
-)
+from .errors import NotInKernelError, NotInvertibleError, RingMismatchError
 
 if TYPE_CHECKING:
     from .derivations import Derivation
@@ -259,92 +254,3 @@ def conjugation_formula_check(
         return ConjugationReport(False, mu, "none", lhs, rhs)
     same = derivations.scale_poly(gf * mu, dp) == derivations.scale_poly(proven, dp)
     return ConjugationReport(True, mu, "mu" if same else "mu-inverse", lhs, rhs)
-
-
-# -- expressing invariants in kernel coordinates ------------------------------
-
-
-def kernel_products(
-    gens: list[Poly], deg_max: int
-) -> list[tuple[tuple[int, ...], Poly]]:
-    """All products gens^e with expanded total degree <= deg_max."""
-    for g in gens:
-        if g.is_zero() or g.is_constant():
-            raise ValueError("kernel generators must be nonconstant")
-    degs = [g.total_degree() for g in gens]
-    products: list[tuple[tuple[int, ...], Poly]] = []
-
-    def extend(i: int, exps: tuple[int, ...], value: Poly, used: int) -> None:
-        if i == len(gens):
-            products.append((exps, value))
-            return
-        e = 0
-        current = value
-        while used + e * degs[i] <= deg_max:
-            extend(i + 1, exps + (e,), current, used + e * degs[i])
-            e += 1
-            if used + e * degs[i] <= deg_max:
-                current = current * gens[i]
-    extend(0, (), Poly.one(gens[0].vars), 0)
-    return products
-
-
-def express_in_kernel(
-    f: Poly,
-    gens: list[Poly],
-    deg_max: int,
-    var_names: tuple[str, ...] | None = None,
-) -> Poly:
-    """Write f as a polynomial in the generators, as an exact linear solve.
-
-    Searches products of the generators with expanded total degree at most
-    `deg_max`.  The result lives in a fresh ring with one variable per
-    generator (names default to g1, g2, ...) and substitutes back to f
-    exactly; failure to represent raises SearchExhaustedError.
-    """
-    if var_names is None:
-        var_names = tuple(f"g{i + 1}" for i in range(len(gens)))
-    if len(var_names) != len(gens):
-        raise ValueError("need one variable name per generator")
-    ring = f.vars
-    gens = [g.to_ring(ring) for g in gens]
-    products = kernel_products(gens, max(deg_max, 0))
-    # One equation per monomial: sum_j c_j * coefficient of m in product j = f_m.
-    target = f.coefficients()
-    equations: dict = {m: {} for m in target}
-    for j, (_, kp) in enumerate(products):
-        for mono, coeff in kp.coefficients().items():
-            equations.setdefault(mono, {})[j] = coeff
-    solution = linalg.solve(
-        list(equations.values()), [target.get(m, 0) for m in equations]
-    )
-    if solution is None:
-        raise SearchExhaustedError(
-            f"{f} has no representation in the generators within degree {deg_max}"
-        )
-    out = Poly(var_names, {products[j][0]: coeff for j, coeff in solution.items()})
-    check = substitute(out, dict(zip(var_names, gens))) if not out.is_zero() else Poly.zero(ring)
-    if check != f:
-        raise SearchExhaustedError("representation verification failed")
-    return out
-
-
-def quotient_action(
-    g: Automorphism,
-    gens: list[Poly],
-    deg_max: int,
-    var_names: tuple[str, ...] | None = None,
-) -> tuple[Poly, Poly]:
-    """The induced map on the algebraic quotient, in kernel coordinates.
-
-    Returns the re-expressions of g*(gen1), g*(gen2); errors if g does not
-    normalize the kernel ring within the degree bound.
-    """
-    if len(gens) != 2:
-        raise ValueError("expected exactly two kernel generators")
-    images = []
-    for gen in gens:
-        moved = pullback(g, gen.to_ring(XYZ))
-        bound = max(deg_max, moved.total_degree())
-        images.append(express_in_kernel(moved, gens, bound, var_names))
-    return images[0], images[1]

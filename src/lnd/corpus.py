@@ -1,4 +1,4 @@
-"""Corpus files: definitions plus check directives, and their canonical text.
+"""Corpus files: definitions plus check directives, and the text of a directive.
 
 Grammar (comments run from '#' to end of line):
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import ALLOWANCE, XYZ, YZ, ZVAR, Poly, WorkBudgetExceeded, poly_to_str
+from .arith import ALLOWANCE, XYZ, YZ, ZVAR, Poly, WorkBudgetExceeded
 from .automorphisms import Automorphism
 from .derivations import Derivation
 from .errors import ParseError
@@ -483,7 +483,7 @@ def parse(source: str) -> CorpusCase:
     return parser.parse_file()
 
 
-# -- canonical printing -------------------------------------------------------
+# -- directive text -----------------------------------------------------------
 
 
 def _value_text(value) -> str:
@@ -510,50 +510,3 @@ def directive_text(d: Directive) -> str:
     )
     return f"{d.name}({args})"
 
-
-def to_text(case: CorpusCase) -> str:
-    """Canonical corpus text; parse(to_text(parse(s))) round-trips."""
-    lines: list[str] = []
-    for definition in case.definitions:
-        kind, name, value = definition.kind, definition.name, definition.value
-        if kind in ("poly", "unipoly"):
-            lines.append(f"{kind} {name} = {poly_to_str(value)}")
-        elif kind == "derivation":
-            lines.append(
-                f"derivation {name} {{ x -> {value.image_x}; "
-                f"y -> {value.image_y}; z -> {value.image_z} }}"
-            )
-        elif kind == "automorphism":
-            if isinstance(value, tuple):
-                lines.append(f"automorphism {name} = compose({value[1]}, {value[2]})")
-            else:
-                lines.append(
-                    f"automorphism {name} {{ x -> {value.pullback_x}; "
-                    f"y -> {value.pullback_y}; z -> {value.pullback_z} }}"
-                )
-        elif kind == "planeaut":
-            lines.append(
-                f"planeaut {name} {{ y -> {value.pullback_y}; z -> {value.pullback_z} }}"
-            )
-        elif kind == "divisor":
-            lines.append(f"divisor {name} = {poly_to_str(value.a)}")
-        elif kind == "context":
-            lines.append(
-                f"context {name} {{ P = {poly_to_str(value.P)}; "
-                f"d = {poly_to_str(value.d)}; deg_max = {value.deg_max} }}"
-            )
-        elif kind == "law":
-            parts = [
-                f"mu = [{', '.join(map(str, value.mu))}]",
-                f"rho1 = [{', '.join(map(str, value.rho1))}]",
-                f"rho2 = [{', '.join(map(str, value.rho2))}]",
-            ]
-            if value.nu is not None:
-                parts.append(f"nu = [{', '.join(map(str, value.nu))}]")
-            parts.append(f"a' = {poly_to_str(value.a_prime)}")
-            lines.append(f"law {name} {{ {'; '.join(parts)} }}")
-        else:  # pragma: no cover
-            raise TypeError(f"unprintable definition kind {kind!r}")
-    for directive in case.directives:
-        lines.append(f"check {directive_text(directive)}")
-    return "\n".join(lines) + "\n"

@@ -27,6 +27,7 @@ leaves exactly the realization of the product pair.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import NamedTuple
 
 from .arith import (
@@ -39,7 +40,7 @@ from .arith import (
     is_univariate_in,
     substitute,
 )
-from .automorphisms import Automorphism, express_in_kernel, pullback
+from .automorphisms import Automorphism, pullback
 from .derivations import (
     Derivation,
     apply,
@@ -59,7 +60,6 @@ from .errors import (
     NotInNError,
     NotLocallyNilpotentError,
     RingMismatchError,
-    SearchExhaustedError,
     Validated,
     VerificationError,
 )
@@ -84,9 +84,6 @@ class NElem(Validated, _NElem):
         if not is_univariate_in(h, "z"):
             raise ValueError(f"h component must lie in Q[z]: {h}")
         return tuple.__new__(cls, (h, f))
-
-    def is_identity(self) -> bool:
-        return self.h.is_zero() and self.f.is_zero()
 
     def __str__(self) -> str:
         return f"n({self.h}, {self.f})"
@@ -198,49 +195,36 @@ def expand_kernel_poly(ctx: DeltaContext, f: Poly) -> Poly:
     return substitute(f, {"z": Poly.variable(XYZ, "z"), "P": ctx.P})
 
 
-def _x_coefficient(p: Poly, n: int) -> Poly:
-    """The coefficient of x^n in p, a polynomial in y and z."""
-    return Poly(XYZ, {(0,) + m[1:]: c for m, c in p.coefficients().items() if m[0] == n})
-
-
 def express_in_zp(ctx: DeltaContext, g: Poly) -> Poly:
-    """Write an ambient kernel element as a polynomial in (z, P).
+    """Write an ambient kernel element as a polynomial in (z, P), by peeling
+    with the complement E.
 
-    Fast structural extraction when P is linear in x (peel the top x-degree
-    coefficient, which must be f_n(z) * lc_x(P)^n); otherwise a bounded
-    linear solve with a little headroom for top-degree cancellation.
+    E(z) = 0 and E(P) = -a', so on Q[z, P] E acts as -a' d/dP: if g has
+    P-degree n with top coefficient c_n in Q[z], then E^(n+1)(g) = 0 and
+    E^n(g) = n! (-a')^n c_n.  Dividing that out gives c_n; subtracting
+    c_n P^n lowers the E-order, so at most n + 1 peels reach zero and the
+    result reproduces g exactly.  A failed division, or a c_n outside Q[z],
+    shows g is not in Q[z, P] and raises NotInNError.
     """
-    g = g.to_ring(XYZ)
-    if g.is_zero():
-        return Poly.zero(ZP)
-    p_poly = ctx.P
-    if p_poly.degree_in("x") == 1:
-        lc = _x_coefficient(p_poly, 1)
-        out = Poly.zero(ZP)
-        remainder = g
-        while not remainder.is_zero():
-            n = remainder.degree_in("x")
-            top = _x_coefficient(remainder, n)
-            try:
-                c = divide_exact(top, lc**n) if n else top
-            except NonDivisibleError:
-                raise NotInNError(f"{g} is not a polynomial in z and P") from None
-            if not is_univariate_in(c, "z"):
-                raise NotInNError(f"{g} is not a polynomial in z and P")
-            c_zp = c.to_ring(ZP)
-            out = out + c_zp * Poly.variable(ZP, "P") ** n
-            remainder = remainder - expand_kernel_poly(ctx, c_zp * Poly.variable(ZP, "P") ** n)
-        return out
-    bound = max(g.total_degree(), 1)
-    headroom = 2 * max(p_poly.total_degree(), 1)
-    for extra in (0, headroom, 2 * headroom):
+    pv = Poly.variable(ZP, "P")
+    out = Poly.zero(ZP)
+    remainder = g.to_ring(XYZ)
+    while not remainder.is_zero():
+        top, n = remainder, 0
+        step = apply(ctx.E, top)
+        while not step.is_zero():
+            top, n = step, n + 1
+            step = apply(ctx.E, top)
         try:
-            return express_in_kernel(
-                g, [Poly.variable(XYZ, "z"), p_poly], bound + extra, ZP
-            )
-        except SearchExhaustedError:
-            continue
-    raise NotInNError(f"{g} has no (z, P) representation within degree {bound + 2 * headroom}")
+            c = divide_exact(top, (-ctx.a_prime) ** n) * Fraction(1, factorial(n)) if n else top
+        except NonDivisibleError:
+            raise NotInNError(f"{g} is not a polynomial in z and P") from None
+        if not is_univariate_in(c, "z"):
+            raise NotInNError(f"{g} is not a polynomial in z and P")
+        term = c.to_ring(ZP) * pv**n
+        out = out + term
+        remainder = remainder - expand_kernel_poly(ctx, term)
+    return out
 
 
 # -- the group law -------------------------------------------------------------
@@ -249,11 +233,6 @@ def express_in_zp(ctx: DeltaContext, g: Poly) -> Poly:
 def n_mul(lhs: NElem, rhs: NElem, ctx: DeltaContext) -> NElem:
     """(h, f) . (hb, fb) = (h + hb, f(P - hb a') + fb)."""
     return _shifted_product(lhs, rhs, ctx.a_prime_zp())
-
-
-def n_inverse(n: NElem, ctx: DeltaContext) -> NElem:
-    """(-h, -f(P + h a')); both products with n give the identity."""
-    return NElem(-n.h, -shift_in_P(n.f, n.h, ctx.a_prime_zp()))
 
 
 def m_derivation(ctx: DeltaContext, n: NElem) -> Derivation:
@@ -348,17 +327,6 @@ def exp_m_decompose(n: NElem, ctx: DeltaContext) -> Poly:
     if pair.h != n.h or n_to_aut(pair, ctx) != big:
         raise VerificationError("decomposition does not recompose")
     return pair.f
-
-
-def combine_to_delta(ctx: DeltaContext, n: NElem) -> tuple[Poly, bool]:
-    """The combined potential F = h Q + f P - int(df/dP * P) dP, and whether
-    the derivation of F equals h E + f D' exactly."""
-    pv = Poly.variable(ZP, "P")
-    correction = (n.f.partial_derivative("P") * pv).integrate_in("P")
-    g_part = n.f * pv - correction
-    f_poly = n.h.to_ring(XYZ) * ctx.Q + expand_kernel_poly(ctx, g_part)
-    check = delta(f_poly).images == m_derivation(ctx, n).images
-    return f_poly, check
 
 
 class IrreducibilityReport(NamedTuple):

@@ -6,9 +6,9 @@ generators either reaches zero (a certificate, since the locally nilpotent
 elements form a subalgebra) or the budget runs out and the verdict is
 "inconclusive" - never "not locally nilpotent".
 
-The bounded plinth and preslice searches are each one exact elimination of
-tagged coefficient rows: blocks of monomial columns side by side, so the
-block a row's pivot falls in says which subspace the row belongs to.
+The bounded plinth search is one exact elimination of tagged coefficient
+rows: blocks of monomial columns side by side, so the block a row's pivot
+falls in says which subspace the row belongs to.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class Derivation(Validated, _Derivation):
         return f"(x -> {self.image_x}; y -> {self.image_y}; z -> {self.image_z})"
 
 
-def derivation(image_x, image_y, image_z) -> Derivation:
-    return Derivation(image_x.to_ring(XYZ), image_y.to_ring(XYZ), image_z.to_ring(XYZ))
-
-
 def apply(d: Derivation, p: Poly) -> Poly:
     """Leibniz-rule extension: sum of image_v * dp/dv."""
     p = p.to_ring(XYZ)
@@ -85,10 +81,6 @@ def apply(d: Derivation, p: Poly) -> Poly:
     terms = [img * p.partial_derivative(v) for img, v in zip(d.images, XYZ)
              if v in present and not img.is_zero()]
     return sum(terms[1:], terms[0]) if terms else Poly.zero(XYZ)
-
-
-def add(d: Derivation, e: Derivation) -> Derivation:
-    return Derivation(*(a + b for a, b in zip(d.images, e.images)))
 
 
 def scale(c: Fraction | int, d: Derivation) -> Derivation:
@@ -259,7 +251,7 @@ def is_irreducible(d: Derivation) -> bool:
     return gcd_many(d.images).is_constant()
 
 
-# -- bounded linear-algebra searches ------------------------------------------
+# -- the bounded plinth search ------------------------------------------------
 
 
 def _monomials_up_to(deg: int) -> list[Poly]:
@@ -291,6 +283,31 @@ def _block(row: dict, b: int) -> Poly:
     return Poly(XYZ, {(-i, -j, -k): c for (rb, _, i, j, k), c in row.items() if rb == b})
 
 
+def kernel_products(
+    gens: list[Poly], deg_max: int
+) -> list[tuple[tuple[int, ...], Poly]]:
+    """All products gens^e with expanded total degree <= deg_max."""
+    for g in gens:
+        if g.is_zero() or g.is_constant():
+            raise ValueError("kernel generators must be nonconstant")
+    degs = [g.total_degree() for g in gens]
+    products: list[tuple[tuple[int, ...], Poly]] = []
+
+    def extend(i: int, exps: tuple[int, ...], value: Poly, used: int) -> None:
+        if i == len(gens):
+            products.append((exps, value))
+            return
+        e = 0
+        current = value
+        while used + e * degs[i] <= deg_max:
+            extend(i + 1, exps + (e,), current, used + e * degs[i])
+            e += 1
+            if used + e * degs[i] <= deg_max:
+                current = current * gens[i]
+    extend(0, (), Poly.one(gens[0].vars), 0)
+    return products
+
+
 def plinth_search(
     d: Derivation, kernel_gens: list[Poly], deg_max: int
 ) -> tuple[Poly, Poly]:
@@ -312,8 +329,6 @@ def plinth_search(
 
     The caller supplies generators of ker d, which are spot-checked.
     """
-    from .automorphisms import kernel_products
-
     gens = [g.to_ring(XYZ) for g in kernel_gens]
     for g in gens:
         if not apply(d, g).is_zero():
@@ -336,31 +351,6 @@ def plinth_search(
     if apply(d, q_poly) != a:
         raise VerificationError("plinth search produced an inconsistent pair")
     return q_poly, a
-
-
-def preslice_search(d: Derivation, deg_max: int) -> Poly:
-    """A polynomial f with d(f) != 0 and d(d(f)) = 0, degree <= deg_max.
-
-    One elimination of tagged rows (d(d(f)) | f | d(f)), one row
-    (d(d(m)) | m | d(m)) per monomial m: the reduced rows with their pivot
-    in the f-block are the RREF of the bounded solutions of d(d(f)) = 0, so
-    the last whose d(f)-block is nonzero is the monic f of least leading
-    monomial.  It is already reduced modulo bounded kernel elements: they
-    are solutions too, so they lead with these pivots; f is zero at every
-    pivot but its own, and one leading with f's pivot would differ from f
-    by later rows, all in the kernel, putting f in the kernel.
-    """
-    if d.is_zero():
-        raise ValueError("the zero derivation admits no preslice")
-    rows = []
-    for m in _monomials_up_to(deg_max):
-        dm = apply(d, m)
-        rows.append(_tagged(apply(d, dm), m, dm))
-    reduced = linalg.rref(rows)
-    found = [row for row in reduced if min(row)[0] == 1 and max(row)[0] == 2]
-    if not found:
-        raise SearchExhaustedError(f"no preslice of degree <= {deg_max}")
-    return _block(found[-1], 1)
 
 
 def standard_decomposition(u: Automorphism) -> tuple[Poly, Automorphism]:

@@ -137,11 +137,6 @@ class GElem(Validated, _GElem):
                 raise ValueError("torus coordinates must be nonzero")
         return tuple.__new__(cls, (torus, h, f))
 
-    def is_identity(self) -> bool:
-        return (
-            all(c == 1 for c in self.torus) and self.h.is_zero() and self.f.is_zero()
-        )
-
     def __str__(self) -> str:
         torus = ", ".join(str(c) for c in self.torus)
         return f"({torus}; {self.h}; {self.f})"

@@ -49,18 +49,3 @@ def rref(rows: Iterable[Mapping]) -> list[dict]:
         basis[pivot] = row
     return [basis[pc] for pc in sorted(basis)]
 
-
-def solve(rows: list[Mapping], rhs: list) -> dict | None:
-    """One solution of A x = b, one equation per row, with the free columns
-    set to 0, as sparse {column: value}; None when the system is inconsistent."""
-    augmented = [
-        {**{(0, c): v for c, v in row.items()}, (1,): b} for row, b in zip(rows, rhs)
-    ]
-    x = {}
-    for row in rref(augmented):
-        pivot = min(row)
-        if pivot == (1,):
-            return None  # row (0 ... 0 | 1): inconsistent
-        if (1,) in row:
-            x[pivot[1]] = row[(1,)]
-    return x

@@ -15,7 +15,13 @@ from typing import NamedTuple
 
 from . import delta_family, groupmodel, quotient_geometry
 from .arith import ALLOWANCE, XYZ, YZ, ZP, ZVAR, Poly, WorkBudgetExceeded
-from .automorphisms import Automorphism, commutes, compose, conjugation_formula_check
+from .automorphisms import (
+    Automorphism,
+    commutes,
+    compose,
+    conjugation_formula_check,
+    pullback,
+)
 from .corpus import (
     PARSE_WORK_BUDGET,
     ContextSpec,
@@ -350,7 +356,10 @@ def _run_n_group_homomorphism(args: _Args, rng) -> tuple[str, str]:
         rhs = delta_family.compose_with_family(ga, b, ctx)
         if lhs != rhs:
             return "FAIL", f"homomorphism fails on {a}, {b}"
-        if not commutes(lhs, ctx.D) or not commutes(lhs, ctx.D_prime):
+        # Given g* D' = D' g*: g*(d D'(v)) - d D'(g* v) = (g*(d) - d) D'(g* v),
+        # and D'(g* v) != 0 for some v (g is invertible and D' != 0), so g
+        # commutes with D = d D' exactly when g*(d) = d.
+        if not commutes(lhs, ctx.D_prime) or pullback(lhs, ctx.d) != ctx.d:
             return "FAIL", f"image of {product} does not centralize u or u'"
         # lhs is n_to_aut(product): recovering product certifies the round-trip.
         if delta_family._recover_pair(lhs, ctx) != product:

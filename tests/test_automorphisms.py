@@ -9,13 +9,11 @@ from lnd.automorphisms import (
     commutes,
     compose,
     conjugation_formula_check,
-    express_in_kernel,
     identity,
     inverse,
     inverse_unipotent,
     modification,
     mu_character,
-    quotient_action,
 )
 from lnd.delta_family import make_context, n_elem, n_to_aut
 from lnd.derivations import Derivation, delta, exponential, logarithm, scale_poly
@@ -26,6 +24,7 @@ from lnd.errors import (
     SearchExhaustedError,
 )
 from lnd.syntax import parse_poly
+from oracles import express_in_kernel, quotient_action
 
 
 def p(text):

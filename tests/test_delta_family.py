@@ -7,7 +7,7 @@ import pytest
 
 from lnd import arith, corpus, delta_family, runner
 from lnd.arith import XYZ, ZP, Poly, gcd_many, substitute
-from lnd.automorphisms import Automorphism, commutes, compose, quotient_action
+from lnd.automorphisms import Automorphism, commutes, compose
 from lnd.delta_family import (
     compose_with_family,
     E_OUTER,
@@ -15,7 +15,6 @@ from lnd.delta_family import (
     _recover_pair,
     ad_identity_check,
     aut_to_n,
-    combine_to_delta,
     exp_m_decompose,
     expand_kernel_poly,
     express_in_zp,
@@ -23,7 +22,6 @@ from lnd.delta_family import (
     m_derivation,
     make_context,
     n_elem,
-    n_inverse,
     n_mul,
     n_to_aut,
 )
@@ -38,6 +36,7 @@ from lnd.derivations import (
 )
 from lnd.errors import ContextError, NotInNError, SearchExhaustedError, VerificationError
 from lnd.syntax import parse_poly
+from oracles import combine_to_delta, express_in_kernel, n_inverse, quotient_action
 
 
 def p(text):
@@ -245,7 +244,9 @@ def test_round_trip_fails_when_the_recovered_pair_differs(monkeypatch):
 def test_centralizer_work_is_pinned(monkeypatch):
     # Poly x Poly term pairs of the whole run, contexts included (48,198
     # when the round-trip also recomposed the recovered pair, 39,519 while
-    # divide_exact multiplied each quotient term by the divisor).
+    # divide_exact multiplied each quotient term by the divisor, 39,198 while
+    # centralizing u was checked by intertwining with D = d D', 38,379 while
+    # express_in_zp peeled by x-degree).
     case = corpus.parse(CENTRALIZER_CORPUS)
     pairs = [0]
     mul = Poly.__mul__
@@ -258,7 +259,23 @@ def test_centralizer_work_is_pinned(monkeypatch):
     monkeypatch.setattr(Poly, "__mul__", counting_mul)
     report = runner.run(case, seed=0)
     assert [e.verdict for e in report.entries] == ["PASS", "PASS"]
-    assert pairs[0] == 39_198
+    assert pairs[0] == 38_327
+
+
+def test_a_scaling_that_commutes_with_d_prime_does_not_centralize_u(monkeypatch):
+    # (2x, 2y, 2z) commutes with D' = (-2y, z, 0) but moves d = z, so it does
+    # not commute with D = z D'.
+    scaling = Automorphism(p("2*x"), p("2*y"), p("2*z"))
+    assert commutes(scaling, CTX_Z.D_prime) and not commutes(scaling, CTX_Z.D)
+    monkeypatch.setattr(delta_family, "n_to_aut", lambda n, ctx: scaling)
+    monkeypatch.setattr(delta_family, "compose_with_family", lambda g, n, ctx: scaling)
+    case = corpus.parse(
+        "context CZ { P = x*z + y^2; d = z; deg_max = 3 }\n"
+        "check n_group_homomorphism(CZ, samples = 1)\n"
+    )
+    [entry] = runner.run(case, seed=0).entries
+    assert entry.verdict == "FAIL"
+    assert "does not centralize u or u'" in entry.detail
 
 
 def test_ad_identity_instances():
@@ -518,6 +535,29 @@ def test_express_in_zp_without_x():
     ctx = make_context(p("y"), deg_max=2)
     f = expand_kernel_poly(ctx, k("P^2 + z"))
     assert express_in_zp(ctx, f) == k("P^2 + z")
+
+
+# Kernel generators P of x-degree 0, 1, 1, 2 and 2.
+ZP_CONTEXTS = [
+    make_context(p(text), deg_max=3)
+    for text in ("y", "x*z + y^2", "x*z + y^3", "x^2 + y", "x^2*z + y")
+]
+
+
+@pytest.mark.parametrize("ctx", ZP_CONTEXTS, ids=lambda c: str(c.P))
+def test_express_in_zp_agrees_with_the_linear_solve(ctx):
+    rng = random.Random(137)
+    gens = [p("z"), ctx.P]
+    for _ in range(30):
+        f = rand_nelem(rng, 3).f
+        g = expand_kernel_poly(ctx, f)
+        got = express_in_zp(ctx, g)
+        assert got == f
+        if not g.is_zero():
+            assert got == express_in_kernel(g, gens, g.total_degree(), ZP)
+    for text in ("x", "x*y^2", "x*y*z + 1"):
+        with pytest.raises(NotInNError):
+            express_in_zp(ctx, p(text))
 
 
 def test_sat_for_combined_family():

@@ -4,9 +4,14 @@
   exempt: it imports names to re-export them.
 - Every top-level `_private` function is referenced somewhere in the
   package outside its own definition, so no helper lives only for tests.
+- Every public top-level function and public method is referenced by name
+  somewhere in the package outside `__init__.py` and its own definition,
+  or is named in README's Library import list.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,34 +44,61 @@ def test_the_lint_sees_an_unused_import():
     assert _unused_imports(source) == ["line 1: Fraction", "line 2: os"]
 
 
-def _names(tree) -> set[str]:
-    """Every name, attribute and imported name referenced in `tree`."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            out.update(alias.name for alias in node.names)
+def _references(node) -> Counter:
+    """How often each name, attribute and imported name occurs in `node`."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
     return out
 
 
-def _unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+def _definitions(tree):
+    """Each top-level function and each method of a top-level class, with
+    its qualified name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _unreferenced(sources: dict[str, str], selected) -> list[str]:
+    """The definitions `selected(qualname)` picks whose name no code in
+    `sources` references outside the definition itself."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    found = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
-                continue
-            rest = [n for n in tree.body if n is not node]
-            used = set().union(*(_names(n) for n in rest))
-            for other, other_tree in trees.items():
-                if other != name:
-                    used |= _names(other_tree)
-            if node.name not in used:
-                found.append(f"{name}: {node.name}")
-    return found
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    return [
+        f"{name}: {qualname}"
+        for name, tree in trees.items()
+        for qualname, node in _definitions(tree)
+        if selected(qualname) and total[node.name] == _references(node)[node.name]
+    ]
+
+
+def _unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    return _unreferenced(sources, lambda q: q.startswith("_") and "." not in q)
+
+
+def _unreferenced_public_functions(sources: dict[str, str], library: set[str]) -> list[str]:
+    return _unreferenced(
+        sources,
+        lambda q: not q.rpartition(".")[2].startswith("_") and q not in library,
+    )
+
+
+def _library_names() -> set[str]:
+    """The names that README's Library example imports from lnd."""
+    readme = (SRC.parent.parent / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    imported = re.search(r"from lnd import \(([^)]*)\)", section).group(1)
+    return {name.strip() for name in imported.split(",")}
 
 
 def test_every_private_function_has_a_caller_in_the_package():
@@ -80,3 +112,25 @@ def test_the_lint_sees_an_uncalled_private_function():
         "b.py": "from .a import _used\n_used()\n",
     }
     assert _unreferenced_private_functions(sources) == ["a.py: _orphan"]
+
+
+def test_every_public_function_is_reached_from_the_package_or_the_library():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _unreferenced_public_functions(sources, _library_names()) == []
+
+
+def test_the_lint_sees_an_orphan_public_function():
+    sources = {
+        "a.py": (
+            "def used():\n    pass\n\ndef orphan():\n    return orphan()\n\n"
+            "def documented():\n    pass\n\n"
+            "class C:\n    def method(self):\n        return used()\n\n"
+            "    def lonely(self):\n        pass\n\n"
+            "    def __str__(self):\n        return ''\n"
+        ),
+        "b.py": "from .a import C\nC().method()\n",
+    }
+    assert _unreferenced_public_functions(sources, {"documented"}) == [
+        "a.py: orphan",
+        "a.py: C.lonely",
+    ]

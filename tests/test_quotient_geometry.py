@@ -161,7 +161,7 @@ def test_lift_is_homomorphism_into_centralizer():
 
 
 def test_lift_recovers_plane_action_on_quotient():
-    from lnd.automorphisms import quotient_action
+    from oracles import quotient_action
 
     div = plane_divisor(q("z^3 - z"))
     g = PlaneAut(-Y, -Z)
