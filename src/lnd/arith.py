@@ -488,23 +488,22 @@ def divides(q: Poly, p: Poly) -> bool:
 
 # -- greatest common divisors ---------------------------------------------
 #
-# gcd_multivariate first tries to prove the gcd constant from univariate
-# images modulo a fixed word-size prime (_coprime_by_images; Brown, J. ACM
-# 18(4), 1971).  That certificate settles the coprime case, which is what the
-# irreducibility checks ask, without any coefficient growth.  Otherwise the
-# supports decide.  If one operand has positive degree in variables the other
-# lacks, every common divisor has degree 0 in them, so the gcd is the fold of
-# gcd(other, c) over the coefficients c in those variables, stopping at a
-# constant; this recurses until both supports agree.  Two operands in the
-# same one variable run a primitive Euclid on their dense int numerators
-# (_gcd_dense): pseudo-remainders, each divided by its integer content, so
-# coefficients stay near the size of the subresultants.  Only operands that
-# share a support of two or more variables reach _gcd_prs: recursive content
-# / primitive-part reduction, picking the highest-priority variable present,
-# stripping contents (gcds in one fewer variable), then a pseudo-remainder
-# sequence on the primitive parts, keeping remainders primitive at every
-# step.  A bad prime or point can only cost time, never change a result.
-# Output is normalized so the graded-lex leading coefficient is 1.
+# gcd_multivariate is the one gcd entry: every gcd in the package, the PRS's
+# contents included, goes through it.  It first tries to prove the gcd
+# constant from univariate images modulo a fixed word-size prime
+# (_coprime_by_images; Brown, J. ACM 18(4), 1971), which settles the coprime
+# case with no coefficient growth.  Otherwise the supports decide.  If one
+# operand has positive degree in variables the other lacks, every common
+# divisor has degree 0 in them, so the gcd is the fold of gcd(other, c) over
+# the coefficients c in those variables, stopping at a constant; this
+# recurses until both supports agree.  Two operands in the same one variable
+# run a primitive Euclid on their dense int numerators (_gcd_dense), each
+# pseudo-remainder divided by its integer content.  A shared support of two
+# or more variables runs the primitive pseudo-remainder sequence (_gcd_prs)
+# in the first shared variable; its contents have degree 0 in that variable,
+# so they re-enter gcd_multivariate with one variable fewer.  A bad prime or
+# point can only cost time, never change a result.  Output is normalized so
+# the graded-lex leading coefficient is 1.
 
 # One prime per attempt; the evaluation point of an attempt is a fixed
 # function of the attempt and variable index, so every run certifies alike.
@@ -627,26 +626,18 @@ def _prem(a: Poly, b: Poly, i: int) -> Poly:
 
 
 def _content_in(p: Poly, i: int) -> Poly:
-    """Monic gcd of p's coefficients in variable index i (p nonzero), by PRS."""
-    acc: Poly | None = None
-    for coeff in _univ_split(p, i).values():
-        acc = coeff.monic() if acc is None else _gcd_prs(acc, coeff)
-        if acc.is_constant():
-            return Poly.one(p.vars)
-    return acc
+    """Monic gcd of p's coefficients in variable index i (p nonzero)."""
+    return gcd_many(_univ_split(p, i).values())
 
 
 def gcd_multivariate(p: Poly, q: Poly) -> Poly:
-    """A greatest common divisor, monic in graded-lex leading coefficient.
-
-    A constant gcd is certified from modular images when it can be
-    (_coprime_by_images); different supports reduce to coefficient gcds, one
-    shared variable is an integer Euclid, and only a shared support of two or
-    more variables runs the exact primitive PRS (comment block above).
-    """
+    """A greatest common divisor, monic in graded-lex leading coefficient;
+    a zero operand leaves the other one, made monic (comment block above)."""
     p._check_ring(q)
+    if p.is_zero() and q.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
     if p.is_zero() or q.is_zero():
-        return _gcd_prs(p, q)  # the other operand made monic, or gcd(0, 0)'s error
+        return (q if p.is_zero() else p).monic()
     if _coprime_by_images(p, q):
         return Poly.one(p.vars)
     return _gcd_reduced(p, q)
@@ -662,10 +653,10 @@ def _gcd_reduced(p: Poly, q: Poly) -> Poly:
         return _gcd_fold(p, q, support_q - support_p)
     if support_p - support_q:
         return _gcd_fold(q, p, support_p - support_q)
+    i = min(p.vars.index(v) for v in support_p)
     if len(support_p) > 1:
-        return _gcd_prs(p, q)
-    (var,) = support_p
-    return _gcd_dense(p, q, p.vars.index(var))
+        return _gcd_prs(p, q, i)
+    return _gcd_dense(p, q, i)
 
 
 def _gcd_fold(p: Poly, q: Poly, names: set[str]) -> Poly:
@@ -736,28 +727,14 @@ def _prem_dense(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _gcd_prs(p: Poly, q: Poly) -> Poly:
-    """gcd by the primitive pseudo-remainder sequence, exact over Q."""
-    p._check_ring(q)
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    present = [
-        i
-        for i in range(len(p.vars))
-        if p.degree_in(p.vars[i]) > 0 or q.degree_in(p.vars[i]) > 0
-    ]
-    if not present:
-        return Poly.one(p.vars)
-    i = present[0]
+def _gcd_prs(p: Poly, q: Poly, i: int) -> Poly:
+    """gcd of nonzero p and q, both of positive degree in variable index i,
+    by the primitive pseudo-remainder sequence in that variable."""
     cont_p = _content_in(p, i)
     cont_q = _content_in(q, i)
     pp_p = divide_exact(p, cont_p)
     pp_q = divide_exact(q, cont_q)
-    cont = _gcd_prs(cont_p, cont_q)
+    cont = gcd_multivariate(cont_p, cont_q)
     if pp_p.degree_in(p.vars[i]) < pp_q.degree_in(p.vars[i]):
         pp_p, pp_q = pp_q, pp_p
     a, b = pp_p, pp_q

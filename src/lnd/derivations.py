@@ -356,10 +356,11 @@ def plinth_search(
 def standard_decomposition(u: Automorphism) -> tuple[Poly, Automorphism]:
     """Split a unipotent u as d . u' with u' irreducible and d invariant.
 
-    d is the monic gcd of the generator images of log(u); each image divides
-    exactly; the stripped derivation must be locally nilpotent and
-    irreducible.  d . u' = u needs no separate check: logarithm certified
-    exp(log u) = u, and the exact divisions make d * stripped = log u.
+    d is the monic gcd of the images of log(u); the construction proves the
+    rest.  The stripped images have a constant gcd, so u' is irreducible;
+    log(u) = d * stripped is locally nilpotent, so d is in its kernel
+    (Freudenburg, ch. 1); logarithm certified exp(log u) = u.  Only the
+    series of exponential(stripped) can still stop, on its bound.
     """
     if u == identity():
         raise ValueError("the identity has no standard decomposition")
@@ -371,14 +372,10 @@ def standard_decomposition(u: Automorphism) -> tuple[Poly, Automorphism]:
             for img in d_log.images
         )
     )
-    if not apply(d_log, d).is_zero():
-        raise VerificationError("content of the log images is not invariant")
     try:
         u_prime = exponential(stripped)
     except NotLocallyNilpotentError:
         raise VerificationError("stripped derivation lost local nilpotency") from None
-    if not is_irreducible(stripped):
-        raise VerificationError("stripped derivation is not irreducible")
     return d, u_prime
 
 

@@ -6,7 +6,7 @@ check a result of the package by an independent route.
 
 from typing import Mapping
 
-from lnd.arith import XYZ, ZP, Poly, substitute
+from lnd.arith import XYZ, ZP, Monomial, Poly, _form, _raw, divide_exact, substitute
 from lnd.automorphisms import Automorphism, pullback
 from lnd.delta_family import (
     DeltaContext,
@@ -104,3 +104,87 @@ def combine_to_delta(ctx: DeltaContext, n: NElem) -> tuple[Poly, bool]:
     f_poly = n.h.to_ring(XYZ) * ctx.Q + expand_kernel_poly(ctx, g_part)
     check = delta(f_poly).images == m_derivation(ctx, n).images
     return f_poly, check
+
+
+# The fully recursive primitive PRS gcd: every content is itself a PRS gcd,
+# with no modular certificate, support fold or integer Euclid, so it checks
+# `gcd_multivariate` by a route that shares none of its gcd code.
+
+
+def _univ_split(p: Poly, i: int) -> dict[int, Poly]:
+    """View p as univariate in variable index i; coefficients keep the ring."""
+    out: dict[int, dict[Monomial, int]] = {}
+    for mono, c in p.terms.items():
+        out.setdefault(mono[i], {})[mono[:i] + (0,) + mono[i + 1 :]] = c
+    return {e: _form(p.vars, p.den, terms) for e, terms in out.items()}
+
+
+def _shift(p: Poly, i: int, e: int) -> Poly:
+    """Multiply by (variable i)^e."""
+    if e == 0 or p.is_zero():
+        return p
+    return _raw(
+        p.vars, p.den, {m[:i] + (m[i] + e,) + m[i + 1 :]: c for m, c in p.terms.items()}
+    )
+
+
+def _lc_in(p: Poly, i: int) -> tuple[int, Poly]:
+    """(degree, leading coefficient) of p viewed in variable index i."""
+    split = _univ_split(p, i)
+    d = max(split)
+    return d, split[d]
+
+
+def _prem(a: Poly, b: Poly, i: int) -> Poly:
+    """Pseudo-remainder of a by b in variable index i (lc(b)^k * a mod b)."""
+    db, lb = _lc_in(b, i)
+    r = a
+    while not r.is_zero():
+        dr, lr = _lc_in(r, i)
+        if dr < db:
+            break
+        r = lb * r - _shift(lr, i, dr - db) * b
+    return r
+
+
+def _content_in(p: Poly, i: int) -> Poly:
+    """Monic gcd of p's coefficients in variable index i (p nonzero), by PRS."""
+    acc: Poly | None = None
+    for coeff in _univ_split(p, i).values():
+        acc = coeff.monic() if acc is None else gcd_prs(acc, coeff)
+        if acc.is_constant():
+            return Poly.one(p.vars)
+    return acc
+
+
+def gcd_prs(p: Poly, q: Poly) -> Poly:
+    """gcd by the primitive pseudo-remainder sequence, exact over Q."""
+    p._check_ring(q)
+    if p.is_zero() and q.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    if p.is_zero():
+        return q.monic()
+    if q.is_zero():
+        return p.monic()
+    present = [
+        i
+        for i in range(len(p.vars))
+        if p.degree_in(p.vars[i]) > 0 or q.degree_in(p.vars[i]) > 0
+    ]
+    if not present:
+        return Poly.one(p.vars)
+    i = present[0]
+    cont_p = _content_in(p, i)
+    cont_q = _content_in(q, i)
+    pp_p = divide_exact(p, cont_p)
+    pp_q = divide_exact(q, cont_q)
+    cont = gcd_prs(cont_p, cont_q)
+    if pp_p.degree_in(p.vars[i]) < pp_q.degree_in(p.vars[i]):
+        pp_p, pp_q = pp_q, pp_p
+    a, b = pp_p, pp_q
+    while not b.is_zero():
+        r = _prem(a, b, i)
+        if not r.is_zero():
+            r = divide_exact(r, _content_in(r, i))
+        a, b = b, r
+    return (cont * a).monic()

@@ -14,7 +14,6 @@ from lnd.arith import (
     Poly,
     WorkBudgetExceeded,
     _coprime_by_images,
-    _gcd_prs,
     divide_exact,
     gcd_multivariate,
     grlex_key,
@@ -23,7 +22,7 @@ from lnd.arith import (
 )
 from lnd.errors import MissingImageError, NonDivisibleError, RingMismatchError
 from lnd.syntax import parse_poly
-from oracles import integrate_in
+from oracles import gcd_prs, integrate_in
 
 
 def p(text, vars=XYZ):
@@ -284,9 +283,8 @@ def _rand_rational_poly(rng, vars, deg=3, nterms=4):
     )
 
 
-# Degrees stay small because the PRS oracle is slow on larger common factors.
 @pytest.mark.parametrize(
-    "vars, seed, deg", [(XYZ, 31, 2), (ZP, 37, 3)], ids=["xyz", "zP"]
+    "vars, seed, deg", [(XYZ, 31, 3), (ZP, 37, 3)], ids=["xyz", "zP"]
 )
 def test_gcd_certificate_agrees_with_prs(vars, seed, deg):
     rng = random.Random(seed)
@@ -297,7 +295,7 @@ def test_gcd_certificate_agrees_with_prs(vars, seed, deg):
         if a.is_zero() or b.is_zero():
             continue
         g = gcd_multivariate(a, b)
-        assert g == _gcd_prs(a, b), (a, b)
+        assert g == gcd_prs(a, b), (a, b)
         certified += _coprime_by_images(a, b)
         factor = _rand_rational_poly(rng, vars, deg=2, nterms=3)
         if factor.is_constant():
@@ -318,7 +316,7 @@ def test_gcd_certificate_skips_bad_points():
     big = _CERT_PRIMES[0] * _CERT_PRIMES[1] * _CERT_PRIMES[2]
     a = Poly(XYZ, {(1, 1, 0): Fraction(big), (0, 0, 0): Fraction(1)})
     assert not _coprime_by_images(a, b)
-    assert gcd_multivariate(a, b) == _gcd_prs(a, b) == Poly.one(XYZ)
+    assert gcd_multivariate(a, b) == gcd_prs(a, b) == Poly.one(XYZ)
 
 
 # Supports (as variable lists) of the two operands, and the ring they are
@@ -354,7 +352,7 @@ def test_gcd_reduction_agrees_with_prs(case):
         if a.is_zero() or b.is_zero():
             continue
         g = gcd_multivariate(a, b)
-        assert g == _gcd_prs(a, b), (a, b)
+        assert g == gcd_prs(a, b), (a, b)
         if not factor.is_zero():
             divide_exact(g, factor)
         nonconstant += not g.is_constant()
@@ -370,7 +368,7 @@ def test_gcd_reduction_with_constants_and_rational_coefficients():
 
 def test_gcd_dense_degree_60_within_ceiling():
     # a * g and b * g in z alone, each factor with 30-bit coefficients.  The
-    # integer Euclid takes about 0.06 s; _gcd_prs ran past 120 s on this pair.
+    # integer Euclid takes about 0.06 s; the recursive PRS ran past 120 s here.
     rng = random.Random(60)
 
     def rand_z(deg):
@@ -385,6 +383,46 @@ def test_gcd_dense_degree_60_within_ceiling():
     elapsed = time.perf_counter() - start
     assert got == g.monic()
     assert elapsed < 1.0, f"degree-60 gcd took {elapsed:.2f}s"
+
+
+def _same_support_factor_pairs():
+    """30 seeded pairs (a, b, f): a and b have 5 terms of total degree <= 4,
+    f has 3 terms of degree <= 2, one of them quadratic."""
+    rng = random.Random(31)
+
+    def monomials(deg):
+        return [
+            (i, j, k)
+            for i in range(deg + 1)
+            for j in range(deg + 1 - i)
+            for k in range(deg + 1 - i - j)
+        ]
+
+    def draw(picked):
+        return Poly(XYZ, {m: rng.choice([-3, -2, -1, 1, 2, 3, 5, 7]) for m in picked})
+
+    pairs = []
+    for _ in range(30):
+        a = draw(rng.sample(monomials(4), 5))
+        b = draw(rng.sample(monomials(4), 5))
+        picked = rng.sample(monomials(2), 3)
+        while max(map(sum, picked)) < 2:
+            picked = rng.sample(monomials(2), 3)
+        pairs.append((a, b, draw(picked)))
+    return pairs
+
+
+def test_gcd_same_support_common_factor_within_ceiling():
+    # a * f and b * f share all of x, y, z, so the gcd runs the PRS.  Its
+    # contents stay cheap only through gcd_multivariate: the recursive PRS
+    # oracle runs past 5 s on 14 of these pairs.
+    started = time.perf_counter()
+    for a, b, f in _same_support_factor_pairs():
+        g = gcd_multivariate(a * f, b * f)
+        assert g == f.monic(), (a, b, f)
+        assert _coprime_by_images(divide_exact(a * f, g), divide_exact(b * f, g))
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0, f"30 same-support gcds took {elapsed:.2f}s"
 
 
 def test_divide_exact_roundtrip():

@@ -318,7 +318,7 @@ def test_irreducibility_corpus_never_reaches_the_prs(monkeypatch):
     # nonconstant gcd(h, f) to the PRS costs 98 _gcd_prs calls here.
     calls = []
     prs = arith._gcd_prs
-    monkeypatch.setattr(arith, "_gcd_prs", lambda p, q: calls.append(p) or prs(p, q))
+    monkeypatch.setattr(arith, "_gcd_prs", lambda p, q, i: calls.append(p) or prs(p, q, i))
     golden = Path(__file__).resolve().parent / "golden"
     case = corpus.parse((golden / "irreducibility_1.corpus").read_text())
     report = runner.format_report(runner.run(case))

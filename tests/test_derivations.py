@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,18 @@ def test_is_irreducible():
         is_irreducible(Derivation(*[Poly.zero(XYZ)] * 3))
 
 
+def test_is_irreducible_same_support_common_factor_within_ceiling():
+    # The images share the factor 2xy + 7yz + 2 and all of x, y, z, so the
+    # gcd runs the PRS; the recursive PRS oracle runs past 5 s on this pair.
+    f = p("2*x*y + 7*y*z + 2")
+    a = p("-x^3*y + 2*x*y^2*z - 3*x*y^2 - 2*y^3 + 5*y*z^2")
+    b = p("2*x^2*z^2 + x*y^3 + y^3*z + 5*y^2 + 2*x")
+    started = time.perf_counter()
+    assert not is_irreducible(Derivation(a * f, b * f, Poly.zero(XYZ)))
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"is_irreducible took {elapsed:.2f}s"
+
+
 def test_standard_decomposition_z_modified():
     u = exponential(scale_poly(Z, D_P))
     d, u_prime = standard_decomposition(u)
@@ -308,8 +321,6 @@ def test_eigenvalue_style_divisibility_forces_kernel():
 def test_logarithm_budget_stops_runaway_growth():
     # quadratic pullbacks double the series degree each step; the budget
     # guard must reject them quickly instead of grinding through huge powers
-    import time
-
     hostile = Automorphism(p("x^2 - 2*y - z"), p("y + z"), Z)
     started = time.monotonic()
     with pytest.raises(NotUnipotentError) as info:
@@ -321,8 +332,6 @@ def test_logarithm_budget_stops_runaway_growth():
 @pytest.mark.parametrize("power", [12, 30])
 def test_logarithm_of_large_exponential_within_budget(power):
     # honest unipotent maps whose pullback of x has hundreds of terms
-    import time
-
     d = Derivation(p(f"(y + z + 1)^{power}"), p("z^5"), Poly.zero(XYZ))
     u = exponential(d)
     started = time.monotonic()
@@ -331,8 +340,6 @@ def test_logarithm_of_large_exponential_within_budget(power):
 
 
 def test_apply_exp_stops_growing_iterates_on_work_budget():
-    import time
-
     s8 = p("(x + y + z + 1)^8")
     started = time.monotonic()
     with pytest.raises(NotLocallyNilpotentError, match="work budget"):

@@ -7,6 +7,12 @@
 - Every public top-level function and public method is referenced by name
   somewhere in the package outside `__init__.py` and its own definition,
   or is named in README's Library import list.
+
+A reference to a top-level function counts only when it resolves to the
+function's module: a bare name in that module, a `from .mod import name`,
+or `mod.name`, so `operator.add` does not count for a function `add`.
+Methods keep bare attribute matching: any attribute or name spelled like
+the method counts, since the type of `obj` in `obj.method` is not known.
 """
 
 import ast
@@ -69,17 +75,44 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
+def _resolved_references(module: str, node, modules) -> Counter:
+    """References in `node`, code of `module`, as (defining module, name):
+    a bare name is its own module's, a name imported by `from .mod import`
+    is mod's, and `mod.name` is mod's."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[module, sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            if f"{sub.value.id}.py" in modules:
+                out[f"{sub.value.id}.py", sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom) and sub.level == 1 and sub.module:
+            out.update((f"{sub.module}.py", alias.name) for alias in sub.names)
+    return out
+
+
 def _unreferenced(sources: dict[str, str], selected) -> list[str]:
-    """The definitions `selected(qualname)` picks whose name no code in
-    `sources` references outside the definition itself."""
+    """The definitions `selected(qualname)` picks that no code in `sources`
+    references outside the definition itself: a top-level function by
+    references resolved to its module, a method by bare name."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    total = sum((_references(tree) for tree in trees.values()), Counter())
-    return [
-        f"{name}: {qualname}"
-        for name, tree in trees.items()
-        for qualname, node in _definitions(tree)
-        if selected(qualname) and total[node.name] == _references(node)[node.name]
-    ]
+    bare = sum((_references(tree) for tree in trees.values()), Counter())
+    resolved = sum(
+        (_resolved_references(name, tree, trees) for name, tree in trees.items()), Counter()
+    )
+    out = []
+    for name, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            if not selected(qualname):
+                continue
+            if "." in qualname:
+                seen = bare[node.name] - _references(node)[node.name]
+            else:
+                key = (name, node.name)
+                seen = resolved[key] - _resolved_references(name, node, trees)[key]
+            if not seen:
+                out.append(f"{name}: {qualname}")
+    return out
 
 
 def _unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
@@ -134,3 +167,16 @@ def test_the_lint_sees_an_orphan_public_function():
         "a.py: orphan",
         "a.py: C.lonely",
     ]
+
+
+def test_the_lint_resolves_a_function_reference_to_its_module():
+    # `add` in a.py shares its name with operator.add and set.add, which
+    # b.py uses; neither is a reference to a.add.  `a.used()` is one to used.
+    sources = {
+        "a.py": "def add(p, q):\n    return p\n\ndef used():\n    pass\n",
+        "b.py": (
+            "from functools import reduce\nfrom operator import add\nfrom . import a\n\n"
+            "seen = set()\nseen.add(reduce(add, [1, 2]))\na.used()\n"
+        ),
+    }
+    assert _unreferenced_public_functions(sources, set()) == ["a.py: add"]
