@@ -66,9 +66,10 @@ PARSE_WORK_BUDGET = 1_000_000
 # Identifiers usable bare inside polynomial arguments.
 _POLY_VARS = {"x", "y", "z", "P"}
 _KEYWORDS = {"torus"}
-# Value-literal heads and structural words; not definable as names.
+# Value-literal heads, structural words and the coordinates x, y, z, which
+# an expression always reads as variables; not definable as names.
 _RESERVED = {"n", "gelem", "compose", "check", "poly", "unipoly", "derivation",
-             "automorphism", "planeaut", "divisor", "context", "law"}
+             "automorphism", "planeaut", "divisor", "context", "law", "x", "y", "z"}
 
 
 class ContextSpec(NamedTuple):
@@ -230,19 +231,19 @@ class _CorpusParser(ExprParser):
                     tok.col,
                 )
             self.advance()
-            handler(tok)
+            handler()
         return self.case
 
     def _add(self, kind: str, name_tok: Token, value) -> None:
         self.case.definitions.append(Definition(kind, name_tok.text, value, name_tok.line))
         self.names.add(name_tok.text)
 
-    def _def_poly(self, tok: Token) -> None:
+    def _def_poly(self) -> None:
         name = self.fresh_name()
         self.expect_sym("=")
         self._add("poly", name, self.parse_expr_in(XYZ))
 
-    def _def_unipoly(self, tok: Token) -> None:
+    def _def_unipoly(self) -> None:
         name = self.fresh_name()
         self.expect_sym("=")
         self._add("unipoly", name, self.parse_expr_in(ZVAR))
@@ -261,12 +262,12 @@ class _CorpusParser(ExprParser):
         self.expect_sym("}")
         return images
 
-    def _def_derivation(self, tok: Token) -> None:
+    def _def_derivation(self) -> None:
         name = self.fresh_name()
         images = self._triple(XYZ, XYZ)
         self._add("derivation", name, Derivation(*images))
 
-    def _def_automorphism(self, tok: Token) -> None:
+    def _def_automorphism(self) -> None:
         name = self.fresh_name()
         if self.at_sym("="):
             self.advance()
@@ -287,12 +288,12 @@ class _CorpusParser(ExprParser):
             raise ParseError(f"undefined name {tok.text!r}", tok.line, tok.col)
         return tok.text
 
-    def _def_planeaut(self, tok: Token) -> None:
+    def _def_planeaut(self) -> None:
         name = self.fresh_name()
         images = self._triple(("y", "z"), YZ)
         self._add("planeaut", name, PlaneAut(*images))
 
-    def _def_divisor(self, tok: Token) -> None:
+    def _def_divisor(self) -> None:
         name = self.fresh_name()
         self.expect_sym("=")
         poly = self.parse_expr_in(YZ)
@@ -300,7 +301,7 @@ class _CorpusParser(ExprParser):
             raise self.error("divisor polynomial must be nonzero")
         self._add("divisor", name, plane_divisor(poly))
 
-    def _def_context(self, tok: Token) -> None:
+    def _def_context(self) -> None:
         name = self.fresh_name()
         self.expect_sym("{")
         fields: dict[str, object] = {}
@@ -327,7 +328,7 @@ class _CorpusParser(ExprParser):
         )
         self._add("context", name, spec)
 
-    def _def_law(self, tok: Token) -> None:
+    def _def_law(self) -> None:
         name = self.fresh_name()
         self.expect_sym("{")
         vectors: dict[str, tuple[int, ...]] = {}
@@ -359,7 +360,7 @@ class _CorpusParser(ExprParser):
 
     # directives -------------------------------------------------------------
 
-    def _check(self, tok: Token) -> None:
+    def _check(self) -> None:
         name_tok = self.expect_ident("a directive name")
         if name_tok.text not in DIRECTIVES:
             raise ParseError(
@@ -446,8 +447,13 @@ class _CorpusParser(ExprParser):
 
     def _check_expr_names(self, node) -> None:
         if isinstance(node, Var):
-            if node.name not in _POLY_VARS and node.name not in self.names:
-                raise ParseError(f"undefined name {node.name!r}", node.line, node.col)
+            # An expression reads only variables, so a name means one thing
+            # everywhere; P stays definable, as the kernel variable it names.
+            if node.name not in _POLY_VARS:
+                message = f"undefined name {node.name!r}"
+                if node.name in self.names:
+                    message = f"{node.name!r} names a definition, not a variable"
+                raise ParseError(message, node.line, node.col)
         elif isinstance(node, (Sum, Product)):
             for operand in node.operands:
                 self._check_expr_names(operand)

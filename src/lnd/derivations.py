@@ -325,7 +325,10 @@ def plinth_search(
     degree) and is monic.  The rows with their pivot in the Q-block are the
     RREF of the bounded kernel {Q : d(Q) = 0}, and the last a-row is zero at
     their pivots, so its Q is reduced modulo bounded kernel elements and
-    the output is canonical.  d(Q) = a is checked once more at the end.
+    the output is canonical.  No closing check is needed: every seed row
+    has block0 = d(block2) - block1, the relation is linear, so every
+    reduced row keeps it, and a row with its pivot in the a-block has an
+    empty first block, hence d(Q) = a.
 
     The caller supplies generators of ker d, which are spot-checked.
     """
@@ -347,10 +350,7 @@ def plinth_search(
         raise SearchExhaustedError(
             f"no plinth element with deg(Q) <= {deg_max}; raise the bound"
         )
-    q_poly, a = _block(achievable[-1], 2), _block(achievable[-1], 1)
-    if apply(d, q_poly) != a:
-        raise VerificationError("plinth search produced an inconsistent pair")
-    return q_poly, a
+    return _block(achievable[-1], 2), _block(achievable[-1], 1)
 
 
 def standard_decomposition(u: Automorphism) -> tuple[Poly, Automorphism]:
@@ -384,9 +384,7 @@ class SatReport(NamedTuple):
 
     bracket_is_zero: bool
     conclusions_hold: bool | None  # None when the bracket is an obstruction
-    bracket: Derivation
     b_of_f: Poly
-    fb_bracket: Derivation
     identity_holds: bool  # [fF, B] = f [F, B] - B(f) F, always expected
 
 
@@ -410,5 +408,5 @@ def sat_instance_check(b: Derivation, f_der: Derivation, f: Poly) -> SatReport:
     identity_holds = bracket.images == expected.images
     if bracket.is_zero():
         conclusions = b_of_f.is_zero() and fb.is_zero()
-        return SatReport(True, conclusions, bracket, b_of_f, fb, identity_holds)
-    return SatReport(False, None, bracket, b_of_f, fb, identity_holds)
+        return SatReport(True, conclusions, b_of_f, identity_holds)
+    return SatReport(False, None, b_of_f, identity_holds)

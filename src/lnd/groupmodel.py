@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .arith import XYZ, ZP, Poly, is_univariate_in
 from .automorphisms import Automorphism, commutes, compose, inverse, modification, mu_character
@@ -218,7 +218,6 @@ class CandidateVerdict(NamedTuple):
 
 
 class PresLemmaReport(NamedTuple):
-    h0: Poly
     witnesses: tuple[PresWitness, ...]
     verdicts: tuple[CandidateVerdict, ...]
 
@@ -232,11 +231,12 @@ def _test_point(rank: int) -> tuple[Fraction, ...]:
 
 
 def verify_pres_lemma(
-    law: GroupLaw, witnesses: list[GElem], candidates: list[GElem]
+    law: GroupLaw, witnesses: Iterable[GElem], candidates: list[GElem]
 ) -> PresLemmaReport:
     """Mechanize the centralizer-of-second-derived-subgroup computation.
 
-    From a supplied first-derived witness (1, h0, f0) with h0 != 0, builds
+    From the first supplied first-derived witness (1, h0, f0) with h0 != 0
+    (witnesses after it are never read, so they may come lazily), builds
     the three second-derived witness families
 
         (1, 0, -z^i h0 a'), (1, 0, -z^i h0 a' (2P + h0 a')),
@@ -294,7 +294,7 @@ def verify_pres_lemma(
         verdicts.append(
             CandidateVerdict(cand, in_fiber, failing is None, failing)
         )
-    return PresLemmaReport(chosen.h, tuple(witness_elems), tuple(verdicts))
+    return PresLemmaReport(tuple(witness_elems), tuple(verdicts))
 
 
 # Stage j uses the first 3 powers z^i, i <= 64, where mu rho1^i rho2^j != 1.
@@ -317,12 +317,9 @@ def _effective_powers(law: GroupLaw, point, j: int) -> list[int]:
     )
 
 
-def derived_witness(law: GroupLaw, h, scale=1) -> GElem:
+def derived_witness(law: GroupLaw, h: Poly) -> GElem:
     """A first-derived element (1, h0, 0) built as a torus commutator."""
-    point = tuple(Fraction(c) * scale for c in _test_point(law.rank))
-    torus_elem = GElem(point, Poly.zero(ZP), Poly.zero(ZP))
-    if not isinstance(h, Poly):
-        h = Poly.const(ZP, h)
+    torus_elem = GElem(_test_point(law.rank), Poly.zero(ZP), Poly.zero(ZP))
     fiber = GElem((Fraction(1),) * law.rank, h.to_ring(ZP), Poly.zero(ZP))
     return commutator(torus_elem, fiber, law)
 

@@ -311,7 +311,7 @@ def _run_plinth_expect(args: _Args, rng) -> tuple[str, str]:
     return (
         "PASS",
         f"plinth pair Q = {q_poly}, a = {a_poly}",
-        # plinth_search returns only after certifying d(Q) = a.
+        # plinth_search's exact elimination proves d(Q) = a.
         (f"d(Q) = {a_poly}", f"degree bound {deg_max}"),
     )
 
@@ -465,8 +465,8 @@ def _run_pres_lemma(args: _Args, rng) -> tuple[str, str]:
     candidates = []
     while args.pos_index < len(args.positional):
         candidates.append(args.as_gelem(args._next_positional("gelem")))
+    z = Poly.variable(ZP, "z")
     if not candidates:
-        z = Poly.variable(ZP, "z")
         pv = Poly.variable(ZP, "P")
         point = tuple(Fraction(p) for p in (2, 3, 5, 7)[: law.rank])
         candidates = [
@@ -475,11 +475,8 @@ def _run_pres_lemma(args: _Args, rng) -> tuple[str, str]:
             groupmodel.g_elem((Fraction(1),) * law.rank, z, 0),
             groupmodel.g_elem((Fraction(1),) * law.rank, 0, pv),
         ]
-    witnesses = [
-        groupmodel.derived_witness(law, Poly.one(ZP)),
-        groupmodel.derived_witness(law, Poly.variable(ZP, "z")),
-        groupmodel.derived_witness(law, Poly.variable(ZP, "z") ** 2),
-    ]
+    # Built lazily: verify_pres_lemma reads only up to the first usable one.
+    witnesses = (groupmodel.derived_witness(law, z**i) for i in range(3))
     report = groupmodel.verify_pres_lemma(law, witnesses, candidates)
     if not report.holds:
         bad = next(v for v in report.verdicts if not v.consistent)
@@ -537,8 +534,6 @@ def _run_fixed_scheme(args: _Args, rng) -> tuple[str, str]:
         ]
     report = quotient_geometry.fixed_scheme_check(div, multipliers)
     if not report.holds:
-        if not report.divisor_fixed:
-            return "FAIL", "witness shear does not fix the divisor pointwise"
         bad = ", ".join(str(m) for m in report.failed_multipliers)
         return "FAIL", f"enlarged subscheme(s) not moved: {bad}"
     return "PASS", (
@@ -583,9 +578,7 @@ def _build_definitions(case: CorpusCase, env: _Env, entries: list[Entry]) -> Non
                 env.objects[name] = ("automorphism", compose(g, h))
             else:
                 env.objects[name] = (kind, value)
-        except LndError as exc:
-            entries.append(Entry(f"{kind} {name}", "ERROR", str(exc)))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (LndError, ValueError, ZeroDivisionError, OverflowError) as exc:
             entries.append(Entry(f"{kind} {name}", "ERROR", str(exc)))
 
 

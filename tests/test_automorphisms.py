@@ -102,7 +102,8 @@ def _affine(m, b):
 
 
 def test_inverse_affine():
-    # The inverse is certified by one composition; both stay the oracle here.
+    # The inverse comes from one exact reduction; composing both ways is
+    # only this test's oracle.
     g = Automorphism(p("2*x + z + 1"), p("y - 3"), p("-z"))
     h = inverse(g)
     assert compose(g, h) == identity()

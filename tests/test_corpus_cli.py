@@ -46,6 +46,8 @@ def test_parse_simple_definitions():
         ("poly Q = (2*x)^2000", "too large"),
         ("poly Q = x^\u00b2", "expected a non-negative integer exponent"),
         ("poly Q = \u00b2", "unknown variable '\u00b2'"),
+        ("unipoly z = z^2 - 1", "'z' is reserved"),
+        ("divisor G = z\ncheck divisor_symmetry_expect(G*z)", "'G' names a definition"),
     ],
 )
 def test_positioned_diagnostics(source, fragment):

@@ -7,6 +7,9 @@
 - Every public top-level function and public method is referenced by name
   somewhere in the package outside `__init__.py` and its own definition,
   or is named in README's Library import list.
+- Every field of a `NamedTuple` in the package is read as an attribute
+  somewhere in the package or its tests, so no record carries state that
+  nothing reads.  A read is matched by attribute name alone.
 
 A reference to a top-level function counts only when it resolves to the
 function's module: a bare name in that module, a `from .mod import name`,
@@ -180,3 +183,46 @@ def test_the_lint_resolves_a_function_reference_to_its_module():
         ),
     }
     assert _unreferenced_public_functions(sources, set()) == ["a.py: add"]
+
+
+def _unread_record_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """The NamedTuple fields defined in `sources` that no code in `sources`
+    or `readers` reads as an attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        read.update(
+            sub.attr
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+        )
+    out = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases
+            ):
+                out += [
+                    f"{name}: {node.name}.{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and item.target.id not in read
+                ]
+    return out
+
+
+def test_every_record_field_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    tests = [path.read_text() for path in sorted(Path(__file__).parent.glob("*.py"))]
+    assert _unread_record_fields(sources, tests) == []
+
+
+def test_the_lint_sees_an_unread_record_field():
+    sources = {
+        "a.py": (
+            "from typing import NamedTuple\n\n"
+            "class R(NamedTuple):\n    used: int\n    tested: int\n    orphan: int\n\n"
+            "class Plain:\n    unread: int\n"
+        ),
+        "b.py": "from .a import R\nr = R(1, 2, 3)\nprint(r.used)\nr.orphan = 4\n",
+    }
+    assert _unread_record_fields(sources, ["r.tested\n"]) == ["a.py: R.orphan"]

@@ -199,8 +199,8 @@ def test_fixed_scheme_check_substitutes_each_divisor_once(monkeypatch):
     monkeypatch.setattr(quotient_geometry, "substitute", counting)
     multipliers = [q("z"), q("y"), q("z + 1")]
     report = fixed_scheme_check(plane_divisor(q("z^2")), multipliers)
-    assert len(calls) == 4  # the divisor and its three enlargements
-    assert report == FixedSchemeReport(True, tuple(multipliers), ())
+    assert len(calls) == 3  # the three enlargements
+    assert report == FixedSchemeReport(tuple(multipliers), ())
 
 
 def test_affine_symmetries_higher_orders():
