@@ -53,6 +53,15 @@ class WorkBudgetExceeded(Exception):
 ALLOWANCE: ContextVar[list[int] | None] = ContextVar("lnd_allowance", default=None)
 
 
+def _charge(pairs: int) -> None:
+    """Deduct term pairs from an armed ALLOWANCE; WorkBudgetExceeded past it."""
+    allowance = ALLOWANCE.get()
+    if allowance is not None:
+        allowance[0] -= pairs
+        if allowance[0] < 0:
+            raise WorkBudgetExceeded
+
+
 def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     """Sort key for graded-lex order (earlier variables are bigger)."""
     return (sum(mono), mono)
@@ -193,11 +202,7 @@ class Poly:
         if isinstance(other, Poly):
             self._check_ring(other)
             a, b = self.terms, other.terms
-            allowance = ALLOWANCE.get()
-            if allowance is not None:
-                allowance[0] -= len(a) * len(b)
-                if allowance[0] < 0:
-                    raise WorkBudgetExceeded
+            _charge(len(a) * len(b))
             p, q = (self, other) if len(a) <= len(b) else (other, self)
             a, b = p.terms, q.terms
             if not a:
@@ -320,12 +325,14 @@ def _form(vars: tuple[str, ...], den: int, terms: dict[Monomial, int]) -> Poly:
     return _raw(vars, den, terms)
 
 
-def _mul_terms(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
-    """The numerators of the product of two numerator maps, a the shorter."""
-    if len(a) == 1:
-        (ma, ca), = a.items()
-        return {tuple(map(add, ma, mb)): ca * cb for mb, cb in b.items()}
-    out: dict[Monomial, int] = {}
+def _mul_terms(a: dict[Monomial, int], b: dict[Monomial, int], out: dict | None = None) -> dict:
+    """The numerators of the product of two numerator maps, a ideally the
+    shorter; added in place into `out` when given, a map only the caller holds."""
+    if out is None:
+        if len(a) == 1:
+            (ma, ca), = a.items()
+            return {tuple(map(add, ma, mb)): ca * cb for mb, cb in b.items()}
+        out = {}
     get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -447,7 +454,6 @@ def divide_exact(p: Poly, q: Poly) -> Poly:
     q_lead = q.leading_monomial()
     q_lc = q.terms[q_lead]
     rest = [(m, c) for m, c in q.terms.items() if m != q_lead]
-    allowance = ALLOWANCE.get()
     remainder, quotient, s = dict(p.terms), {}, 1
     while remainder:
         lead = max(remainder, key=grlex_key)
@@ -457,10 +463,7 @@ def divide_exact(p: Poly, q: Poly) -> Poly:
                 f"leading term {_mono_str(p.vars, lead)} not divisible by "
                 f"{_mono_str(p.vars, q_lead)}"
             )
-        if allowance is not None:
-            allowance[0] -= len(q.terms)
-            if allowance[0] < 0:
-                raise WorkBudgetExceeded
+        _charge(len(q.terms))
         scale = abs(q_lc) // math.gcd(remainder[lead], q_lc)
         if scale != 1:
             s *= scale

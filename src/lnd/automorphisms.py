@@ -131,12 +131,12 @@ def _affine_inverse(g: Automorphism) -> Automorphism:
     built from it is the inverse with no check by composition; a singular A
     leaves a zero left block in the last row and raises.
     """
-    # Row k of [A | I]: column (0, j) holds v_j's coefficient in g*(v_k).
+    # Row k of [A | I] times g*(v_k)'s denominator: column (0, j) holds v_j's numerator there.
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     rows, shifted = [], []
     for k, img in enumerate((g.pullback_x, g.pullback_y, g.pullback_z)):
-        row = {(0, j): img.coefficient(unit) for j, unit in enumerate(units)}
-        row[1, k] = 1
+        row = {(0, j): img.terms.get(unit, 0) for j, unit in enumerate(units)}
+        row[1, k] = img.den
         rows.append(row)
         b_k = Poly.const(XYZ, img.coefficient((0, 0, 0)))
         shifted.append(Poly.variable(XYZ, XYZ[k]) - b_k)

@@ -66,10 +66,10 @@ PARSE_WORK_BUDGET = 1_000_000
 # Identifiers usable bare inside polynomial arguments.
 _POLY_VARS = {"x", "y", "z", "P"}
 _KEYWORDS = {"torus"}
-# Value-literal heads, structural words and the coordinates x, y, z, which
-# an expression always reads as variables; not definable as names.
+# Value-literal heads, structural words and the variables x, y, z and P,
+# which an expression always reads as variables; not definable as names.
 _RESERVED = {"n", "gelem", "compose", "check", "poly", "unipoly", "derivation",
-             "automorphism", "planeaut", "divisor", "context", "law", "x", "y", "z"}
+             "automorphism", "planeaut", "divisor", "context", "law", "x", "y", "z", "P"}
 
 
 class ContextSpec(NamedTuple):
@@ -447,8 +447,8 @@ class _CorpusParser(ExprParser):
 
     def _check_expr_names(self, node) -> None:
         if isinstance(node, Var):
-            # An expression reads only variables, so a name means one thing
-            # everywhere; P stays definable, as the kernel variable it names.
+            # An expression reads only variables, and no variable is
+            # definable, so a name means one thing everywhere.
             if node.name not in _POLY_VARS:
                 message = f"undefined name {node.name!r}"
                 if node.name in self.names:

@@ -13,9 +13,9 @@ falls in says which subspace the row belongs to.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import partial
-from math import factorial
 from typing import NamedTuple
 
 from . import linalg
@@ -24,6 +24,10 @@ from .arith import (
     ALLOWANCE,
     Poly,
     WorkBudgetExceeded,
+    _add_terms,
+    _charge,
+    _form,
+    _mul_terms,
     divide_exact,
     gcd_many,
     substitute,
@@ -75,12 +79,20 @@ class Derivation(Validated, _Derivation):
 
 
 def apply(d: Derivation, p: Poly) -> Poly:
-    """Leibniz-rule extension: sum of image_v * dp/dv."""
-    p = p.to_ring(XYZ)
-    present = p.variables_present()
-    terms = [img * p.partial_derivative(v) for img, v in zip(d.images, XYZ)
-             if v in present and not img.is_zero()]
-    return sum(terms[1:], terms[0]) if terms else Poly.zero(XYZ)
+    """Leibniz-rule extension: sum of image_v * dp/dv, accumulated on int
+    numerators and formed once; each product first charges an armed ALLOWANCE."""
+    p, out = p.to_ring(XYZ), {}
+    lcm = math.lcm(*(img.den for img in d.images))
+    for i, img in enumerate(d.images):
+        a = img.terms
+        if not a:
+            continue
+        scale = lcm // img.den
+        b = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] * scale for m, c in p.terms.items() if m[i]}
+        if b:
+            _charge(len(a) * len(b))
+            _mul_terms(a, b, out)
+    return _form(XYZ, p.den * lcm, out)
 
 
 def scale(c: Fraction | int, d: Derivation) -> Derivation:
@@ -111,23 +123,23 @@ def delta(p: Poly) -> Derivation:
 
 def _series(step, p: Poly, weights, what: str, error: type) -> tuple[Poly, int]:
     """Sum of weights[k] * step^k(p) over k >= 0, and the order n with
-    step^n(p) = 0; `weights` None skips the sum.
+    step^n(p) = 0; `weights` None skips the sum.  The sum accumulates in
+    place over the running lcm of its denominators and is formed once.
 
     Two bounds make every series stop: n may not exceed DEFAULT_CAP, and the
-    Poly products of the whole series may spend at most WORK_BUDGET term
+    products of the whole series may spend at most WORK_BUDGET term
     pairs.  Either raises `error`, naming the bound, `what` and the step.
     """
-    total = Poly.zero(p.vars)
+    den, acc = 1, {}
     term, k = p, 0
     token = ALLOWANCE.set([WORK_BUDGET])
     try:
-        while not term.is_zero():
+        while term.terms:
             if k == DEFAULT_CAP:
                 raise error(f"{what} exceeded the step cap of {k} (step {k + 1})")
             c = weights[k] if weights else 0
             if c:
-                c_term = term if c == 1 else term * c
-                total = c_term if total.is_zero() else total + c_term
+                den, acc = _add_terms(den, acc, term.den * c.denominator, term.terms, c.numerator)
             k += 1
             term = step(term)
     except WorkBudgetExceeded:
@@ -136,10 +148,10 @@ def _series(step, p: Poly, weights, what: str, error: type) -> tuple[Poly, int]:
         ) from None
     finally:
         ALLOWANCE.reset(token)
-    return total, k
+    return _form(p.vars, den, acc), k
 
 
-_EXP_WEIGHTS = tuple(Fraction(1, factorial(k)) for k in range(DEFAULT_CAP))
+_EXP_WEIGHTS = tuple(Fraction(1, math.factorial(k)) for k in range(DEFAULT_CAP))
 _LOG_WEIGHTS = (0,) + tuple(Fraction((-1) ** (k + 1), k) for k in range(1, DEFAULT_CAP))
 
 
@@ -265,16 +277,16 @@ def _monomials_up_to(deg: int) -> list[Poly]:
 
 
 def _tagged(*blocks: Poly) -> dict:
-    """One sparse row of the blocks' coefficients, side by side.
+    """One sparse int row of the blocks' coefficients times their lcm den.
 
     Column (b, -deg m, -m) holds the coefficient of m in block b, so the
     blocks follow each other, each in descending graded-lex order, and
     every pivot falls on the largest monomial that its block allows.
     """
-    row = {}
+    lcm, row = math.lcm(*(p.den for p in blocks)), {}
     for b, p in enumerate(blocks):
-        for (i, j, k), c in p.coefficients().items():
-            row[b, -i - j - k, -i, -j, -k] = c
+        for (i, j, k), c in p.terms.items():
+            row[b, -i - j - k, -i, -j, -k] = c * (lcm // p.den)
     return row
 
 

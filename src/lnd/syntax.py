@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import ALLOWANCE, Monomial, Poly, WorkBudgetExceeded, _add_terms, _form, _mul_terms
+from .arith import ALLOWANCE, Monomial, Poly, _add_terms, _charge, _form, _mul_terms
 from .errors import ParseError
 
 # Exponent guard against bombs like (x + y)^3000 or 7^99999999999 in
@@ -69,8 +69,8 @@ def tokenize(text: str) -> list[Token]:
                 break
             if kind == "bad":
                 raise ParseError(f"unexpected character {match.group()!r}", line, col)
-            tokens.append(Token(kind, match.group(), line, col))
-    tokens.append(Token("eof", "", line, end))
+            tokens.append(tuple.__new__(Token, (kind, match.group(), line, col)))
+    tokens.append(tuple.__new__(Token, ("eof", "", line, end)))
     return tokens
 
 
@@ -148,8 +148,8 @@ class ExprParser:
         return self.advance()
 
     def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
+        # No ident, num or eof text equals a symbol.
+        return self.tokens[self.pos].text == text
 
     def nest(self, tok: Token) -> None:
         self.depth += 1
@@ -238,13 +238,9 @@ def _fold(node: Expr, vars: tuple[str, ...]) -> tuple[int, dict[Monomial, int]]:
     kind = type(node)
     if kind is Product:
         den, acc = _fold(node.operands[0], vars)
-        allowance = ALLOWANCE.get()
         for operand in node.operands[1:]:
             d, terms = _fold(operand, vars)
-            if allowance is not None:
-                allowance[0] -= len(acc) * len(terms)
-                if allowance[0] < 0:
-                    raise WorkBudgetExceeded
+            _charge(len(acc) * len(terms))
             a, b = (acc, terms) if len(acc) <= len(terms) else (terms, acc)
             den, acc = den * d, _mul_terms(a, b)
         return den, acc
@@ -271,12 +267,9 @@ def _fold(node: Expr, vars: tuple[str, ...]) -> tuple[int, dict[Monomial, int]]:
                 node.line,
                 node.col,
             )
-        allowance = ALLOWANCE.get()
-        if allowance is not None:  # the 1-norm bounds every numerator of the power
+        if ALLOWANCE.get() is not None:  # the 1-norm bounds every numerator of the power
             norm = c if len(terms) == 1 else sum(map(abs, terms.values()))
-            allowance[0] -= _power_cost(norm, e) + _power_cost(den, e)
-            if allowance[0] < 0:
-                raise WorkBudgetExceeded
+            _charge(_power_cost(norm, e) + _power_cost(den, e))
         if len(terms) != 1:
             power = _form(vars, den, terms) ** e
             return power.den, dict(power.terms)

@@ -15,7 +15,7 @@ from lnd.delta_family import (
     m_derivation,
     shift_in_P,
 )
-from lnd.derivations import delta, kernel_products
+from lnd.derivations import Derivation, delta, kernel_products
 from lnd.errors import SearchExhaustedError
 from lnd.linalg import rref
 
@@ -79,6 +79,17 @@ def quotient_action(
         bound = max(deg_max, moved.total_degree())
         images.append(express_in_kernel(moved, gens, bound, var_names))
     return tuple(images)
+
+
+def leibniz_apply(d: Derivation, p: Poly) -> Poly:
+    """sum of image_v * dp/dv as Poly products and sums, one product per
+    nonzero image and variable present in p, each charged to an armed
+    ALLOWANCE by Poly.__mul__."""
+    p = p.to_ring(XYZ)
+    present = p.variables_present()
+    terms = [img * p.partial_derivative(v) for img, v in zip(d.images, XYZ)
+             if v in present and not img.is_zero()]
+    return sum(terms[1:], terms[0]) if terms else Poly.zero(XYZ)
 
 
 def n_inverse(n: NElem, ctx: DeltaContext) -> NElem:

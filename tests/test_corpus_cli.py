@@ -21,7 +21,7 @@ def test_shipped_corpora_exist():
 
 def test_parse_simple_definitions():
     case = corpus.parse(
-        "poly P = x*z + y^2\n"
+        "poly Q = x*z + y^2\n"
         "derivation D { x -> -2*y; y -> z; z -> 0 }\n"
         "check exp_log_roundtrip(D)\n"
     )
@@ -47,6 +47,7 @@ def test_parse_simple_definitions():
         ("poly Q = x^\u00b2", "expected a non-negative integer exponent"),
         ("poly Q = \u00b2", "unknown variable '\u00b2'"),
         ("unipoly z = z^2 - 1", "'z' is reserved"),
+        ("poly P = x*z + y^2", "'P' is reserved"),
         ("divisor G = z\ncheck divisor_symmetry_expect(G*z)", "'G' names a definition"),
     ],
 )

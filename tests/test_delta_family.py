@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lnd import arith, corpus, delta_family, runner
+from lnd import arith, corpus, delta_family, derivations, runner
 from lnd.arith import XYZ, ZP, Poly, gcd_many, substitute
 from lnd.automorphisms import Automorphism, commutes, compose
 from lnd.delta_family import (
@@ -241,6 +241,29 @@ def test_round_trip_fails_when_the_recovered_pair_differs(monkeypatch):
     assert all(e.detail.startswith("round-trip fails on n(") for e in report.entries)
 
 
+def _count_products(monkeypatch) -> list[int]:
+    """[products, term pairs] of every Poly x Poly product from here on:
+    those of Poly.__mul__, and the Leibniz products image_v * dp/dv that
+    derivations.apply runs on numerator maps, one per image and variable."""
+    counts = [0, 0]
+    mul, leibniz = Poly.__mul__, derivations._mul_terms
+
+    def counting_mul(a, b):
+        if isinstance(b, Poly):
+            counts[0] += 1
+            counts[1] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    def counting_leibniz(a, b, out):
+        counts[0] += 1
+        counts[1] += len(a) * len(b)
+        return leibniz(a, b, out)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(derivations, "_mul_terms", counting_leibniz)
+    return counts
+
+
 def test_centralizer_work_is_pinned(monkeypatch):
     # Poly x Poly term pairs of the whole run, contexts included (48,198
     # when the round-trip also recomposed the recovered pair, 39,519 while
@@ -249,18 +272,10 @@ def test_centralizer_work_is_pinned(monkeypatch):
     # express_in_zp peeled by x-degree, 38,327 while the pair recovery
     # re-checked D'(f) = 0).
     case = corpus.parse(CENTRALIZER_CORPUS)
-    pairs = [0]
-    mul = Poly.__mul__
-
-    def counting_mul(a, b):
-        if isinstance(b, Poly):
-            pairs[0] += len(a.terms) * len(b.terms)
-        return mul(a, b)
-
-    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    products = _count_products(monkeypatch)
     report = runner.run(case, seed=0)
     assert [e.verdict for e in report.entries] == ["PASS", "PASS"]
-    assert pairs[0] == 38_201
+    assert products[1] == 38_201
 
 
 def test_a_scaling_that_commutes_with_d_prime_does_not_centralize_u(monkeypatch):
@@ -333,16 +348,8 @@ def test_irreducibility_work_is_pinned(monkeypatch):
     # gcd(h, f) each divide h and f by it in Q[z, P].  Dividing the three
     # images of h E + f D' by the expanded gcd in Q[x, y, z] instead took
     # 1,419 products with 3,275 term pairs and 102 divisions.
-    products, divisions = [0, 0], []
-    mul, divide = Poly.__mul__, delta_family.divide_exact
-
-    def counting_mul(a, b):
-        if isinstance(b, Poly):
-            products[0] += 1
-            products[1] += len(a.terms) * len(b.terms)
-        return mul(a, b)
-
-    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    products, divisions = _count_products(monkeypatch), []
+    divide = delta_family.divide_exact
     monkeypatch.setattr(
         delta_family, "divide_exact", lambda p, q: divisions.append(p.vars) or divide(p, q)
     )

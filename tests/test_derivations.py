@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lnd.arith import XYZ, Poly, divides, substitute
+from lnd.arith import ALLOWANCE, XYZ, Poly, WorkBudgetExceeded, divides, substitute
 from lnd.automorphisms import Automorphism, compose, identity
 from lnd.derivations import (
     Derivation,
@@ -28,6 +28,7 @@ from lnd.errors import (
     NotUnipotentError,
 )
 from lnd.syntax import parse_poly
+from oracles import leibniz_apply
 
 
 def p(text):
@@ -64,6 +65,62 @@ def test_apply_on_generators():
     assert apply(D_P, X) == p("-2*y")
     assert apply(D_P, Y) == Z
     assert apply(D_P, Poly.const(XYZ, Fraction(7, 3))) == Poly.zero(XYZ)
+
+
+def _rand_image(rng):
+    """Zero, a constant, or a few terms over a random denominator, so the
+    images of one derivation carry different denominators."""
+    kind = rng.choice(["zero", "constant", "terms", "terms"])
+    if kind == "zero":
+        return Poly.zero(XYZ)
+    den = rng.choice([1, 2, 3, 7, 10**9 + 7])
+    if kind == "constant":
+        return Poly.const(XYZ, Fraction(rng.choice([-3, 1, 5]), den))
+    return rand_poly(rng, deg=3, nterms=rng.randint(1, 5)) * Fraction(1, den)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_apply_matches_the_poly_level_leibniz_sum(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        d = Derivation(*(_rand_image(rng) for _ in XYZ))
+        q = rand_poly(rng, deg=4, nterms=rng.randint(0, 6)) * Fraction(rng.randint(1, 9), 6)
+        missing = rng.choice("xyz-")  # a variable q does not involve, or none
+        if missing != "-":
+            q = substitute(q, {v: Poly.zero(XYZ) if v == missing else Poly.variable(XYZ, v)
+                               for v in XYZ})
+        assert apply(d, q) == leibniz_apply(d, q)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_apply_charges_the_allowance_as_the_poly_products(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        d = Derivation(*(_rand_image(rng) for _ in XYZ))
+        q = rand_poly(rng, deg=4, nterms=rng.randint(1, 6))
+        spent = []
+        for kernel in (apply, leibniz_apply):
+            allowance = [10**6]
+            token = ALLOWANCE.set(allowance)
+            try:
+                kernel(d, q)
+            finally:
+                ALLOWANCE.reset(token)
+            spent.append(10**6 - allowance[0])
+        assert spent[0] == spent[1]
+        # Each budget below the spend trips both kernels, each above none.
+        for budget in range(spent[0] + 2):
+            outcomes = []
+            for kernel in (apply, leibniz_apply):
+                token = ALLOWANCE.set([budget])
+                try:
+                    kernel(d, q)
+                    outcomes.append("done")
+                except WorkBudgetExceeded:
+                    outcomes.append("tripped")
+                finally:
+                    ALLOWANCE.reset(token)
+            assert outcomes[0] == outcomes[1] == ("done" if budget >= spent[0] else "tripped")
 
 
 def test_delta_kills_its_polynomial():

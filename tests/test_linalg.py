@@ -55,12 +55,38 @@ def _sparse(rows, keys=None):
     return [{k: v for k, v in zip(keys, row) if v} for row in rows]
 
 
+# Large pairwise coprime denominators: primes past 2^31.
+_BIG_PRIMES = (2147483647, 2147483659, 2147483693, 4294967291, 10**12 + 39)
+
+
+def _coprime_matrix(rng, nrows, ncols, density):
+    """Rows of values over large coprime denominators, with a duplicate row
+    and a row that is a combination of two others when there is room."""
+    rows = [
+        [
+            Fraction(rng.randint(-10**6, 10**6), rng.choice(_BIG_PRIMES))
+            if rng.random() < density else 0
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+    if nrows > 1:
+        i, j = rng.sample(range(nrows), 2)
+        rows[i] = list(rows[j])
+    if nrows > 2:
+        a, b, c = rng.sample(range(nrows), 3)
+        k = Fraction(rng.randint(-9, 9), rng.choice(_BIG_PRIMES))
+        rows[c] = [x - k * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sparse_rref_matches_dense_oracle(seed):
     rng = random.Random(seed)
-    for _ in range(60):
+    for trial in range(80):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 14)
-        rows = _sparse_matrix(rng, nrows, ncols, rng.choice([0.1, 0.25, 0.6]))
+        make = _coprime_matrix if trial % 4 == 3 else _sparse_matrix
+        rows = make(rng, nrows, ncols, rng.choice([0.1, 0.25, 0.6]))
         reduced = rref(_sparse(rows))
         dense, pivots = _dense_rref(rows)
         assert reduced == _sparse(dense)
