@@ -369,16 +369,16 @@ class _CorpusParser(ExprParser):
         self.expect_sym("(")
         args: list[Arg] = []
         if not self.at_sym(")"):
-            args.append(self._arg())
+            args.append(self._arg(args))
             while self.at_sym(","):
                 self.advance()
-                args.append(self._arg())
+                args.append(self._arg(args))
         self.expect_sym(")")
         self.case.directives.append(
             Directive(name_tok.text, tuple(args), name_tok.line, name_tok.col)
         )
 
-    def _arg(self) -> Arg:
+    def _arg(self, before: list[Arg]) -> Arg:
         key = None
         tok = self.peek()
         if (
@@ -386,6 +386,8 @@ class _CorpusParser(ExprParser):
             and self.tokens[self.pos + 1].kind == "sym"
             and self.tokens[self.pos + 1].text == "="
         ):
+            if any(arg.key == tok.text for arg in before):
+                raise self.error(f"keyword argument {tok.text!r} repeated")
             key = tok.text
             self.advance()
             self.advance()

@@ -128,10 +128,6 @@ def shift_in_P(f: Poly, h: Poly, a_prime: Poly) -> Poly:
     return substitute(f, {"z": Poly.variable(ZP, "z"), "P": pv + h * a_prime})
 
 
-def _shifted_product(lhs: NElem, rhs: NElem, a_prime_zp: Poly) -> NElem:
-    return NElem(lhs.h + rhs.h, shift_in_P(lhs.f, -rhs.h, a_prime_zp) + rhs.f)
-
-
 def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaContext:
     """Build and verify a context for the kernel generator P (and factor d).
 
@@ -232,7 +228,7 @@ def express_in_zp(ctx: DeltaContext, g: Poly) -> Poly:
 
 def n_mul(lhs: NElem, rhs: NElem, ctx: DeltaContext) -> NElem:
     """(h, f) . (hb, fb) = (h + hb, f(P - hb a') + fb)."""
-    return _shifted_product(lhs, rhs, ctx.a_prime_zp())
+    return NElem(lhs.h + rhs.h, shift_in_P(lhs.f, -rhs.h, ctx.a_prime_zp()) + rhs.f)
 
 
 def m_derivation(ctx: DeltaContext, n: NElem) -> Derivation:
@@ -279,10 +275,13 @@ def compose_with_family(g: Automorphism, n: NElem, ctx: DeltaContext) -> Automor
 def _recover_pair(g: Automorphism, ctx: DeltaContext) -> NElem:
     """The pair (h, f) that g realizes if g lies in N; uncertified.
 
-    h = (P - g*(P)) / a' must lie in Q[z].  Stripping h.e leaves Exp(f D'),
-    which maps Q to Q + f a' (D'(Q) = a' lies in ker D'), so f is
-    (residual*(Q) - Q) / a' and must lie in Q[z, P].  That also puts f in
-    ker D' with no check by D': express_in_zp either raises NotInNError or
+    h = (P - g*(P)) / a' must lie in Q[z].  The pullback of h.e o f.u' is
+    exp(fD') exp(hE) as ring maps (see the module docstring), and exp(hE)
+    fixes Q: E = delta(Q) kills Q and h in Q[z] lies in ker E.  So g*(Q) =
+    exp(fD')(Q) = Q + f a' (D'(Q) = a' lies in ker D'), and f is
+    (g*(Q) - Q) / a', which must lie in Q[z, P]; stripping h.e from g first
+    would leave g*(Q) unchanged for every g.  That also puts f in ker D'
+    with no check by D': express_in_zp either raises NotInNError or
     rebuilds f exactly in Q[z, P], which lies inside ker D'.  Failures raise
     NotInNError; each caller certifies a success once.
     """
@@ -293,8 +292,7 @@ def _recover_pair(g: Automorphism, ctx: DeltaContext) -> NElem:
         raise NotInNError("P-shift is not divisible by the plinth generator") from None
     if not is_univariate_in(h_amb, "z"):
         raise NotInNError("P-shift quotient does not lie in Q[z]")
-    residual = compose_exp_word([scale_poly(-h_amb, ctx.E), g])
-    shift = substitute(ctx.Q, residual.pullbacks) - ctx.Q
+    shift = pullback(g, ctx.Q) - ctx.Q
     try:
         f_amb = divide_exact(shift, ctx.a_prime)
     except NonDivisibleError:
@@ -316,15 +314,17 @@ def exp_m_decompose(n: NElem, ctx: DeltaContext) -> Poly:
 
     Returns the factor g in (z, P) with Exp(hE + fD') realized by the pair
     (h, g); the derivation is exponentiated directly by its series, so this
-    realizes membership of the exponential in N.  The certificate is that
-    the recovered pair keeps h and recomposes to the exponential.
+    realizes membership of the exponential in N.  The recovered pair keeps
+    h with no check: (hE + fD')(P) = -h a' lies in Q[z], inside both
+    kernels, so Exp(hE + fD')*(P) = P - h a'.  The certificate is that the
+    recovered pair recomposes to the exponential.
     """
     big = exponential(m_derivation(ctx, n))
     try:
         pair = _recover_pair(big, ctx)
     except NotInNError as exc:
         raise VerificationError(str(exc)) from None
-    if pair.h != n.h or n_to_aut(pair, ctx) != big:
+    if n_to_aut(pair, ctx) != big:
         raise VerificationError("decomposition does not recompose")
     return pair.f
 

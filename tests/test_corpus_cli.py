@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 from pathlib import Path
@@ -49,6 +50,7 @@ def test_parse_simple_definitions():
         ("unipoly z = z^2 - 1", "'z' is reserved"),
         ("poly P = x*z + y^2", "'P' is reserved"),
         ("divisor G = z\ncheck divisor_symmetry_expect(G*z)", "'G' names a definition"),
+        ("check divisor_symmetry_expect(z, k0 = 0, k0 = 1)", "keyword argument 'k0' repeated"),
     ],
 )
 def test_positioned_diagnostics(source, fragment):
@@ -149,6 +151,70 @@ def test_run_captures_directive_errors():
     report = runner.run(case)
     assert [e.verdict for e in report.entries] == ["ERROR", "ERROR"]
     assert not report.ok
+
+
+BINDING_DEFINITIONS = (
+    "derivation D { x -> -2*y; y -> z; z -> 0 }\n"
+    "automorphism U { x -> x - 2*y - z; y -> y + z; z -> z }\n"
+    "context C { P = x*z + y^2; d = 1; deg_max = 3 }\n"
+)
+
+
+@pytest.mark.parametrize(
+    "directive, detail",
+    [
+        ("one_parameter_group(D, sample = 2)", "got an unexpected keyword argument 'sample'"),
+        ("admissible_complement(C, C, bogus = 7)", "too many positional arguments"),
+        ("admissible_complement(C, bogus = 7)", "got an unexpected keyword argument 'bogus'"),
+        ("exp_log_roundtrip(D, D, D)", "too many positional arguments"),
+        ("conjugation_formula(U)", "missing a required argument: 'f'"),
+        (
+            "irreducibility_criterion(C, n(z, P), pair = n(1, P))",
+            "multiple values for argument 'pair'",
+        ),
+        ("admissible_complement(C, samples = 3)", "got an unexpected keyword argument 'samples'"),
+        ("char_commutator(C, f = P, samples = 3)", "f is given without h"),
+    ],
+)
+def test_arguments_that_do_not_bind_are_error_lines(directive, detail):
+    case = corpus.parse(BINDING_DEFINITIONS + f"check {directive}\n")
+    (entry,) = runner.run(case).entries
+    assert (entry.verdict, entry.detail) == ("ERROR", detail)
+
+
+def test_a_type_error_inside_a_handler_propagates(monkeypatch):
+    def broken(u):
+        raise TypeError("inside the handler")
+
+    monkeypatch.setattr(runner, "standard_decomposition", broken)
+    case = corpus.parse(BINDING_DEFINITIONS + "check standard_decomposition_expect(U, d = 1)\n")
+    with pytest.raises(TypeError, match="inside the handler"):
+        runner.run(case)
+
+
+def test_budget_zero_is_an_error_on_randomized_directives_only(tmp_path, capsys):
+    target = tmp_path / "budget.corpus"
+    target.write_text(
+        BINDING_DEFINITIONS + "check one_parameter_group(D, samples = 2)\n"
+        "check ad_identity(C)\n"
+        "check irreducibility_criterion(C)\n"
+        "check irreducibility_criterion(C, n(z, P))\n"
+        "check admissible_complement(C)\n"
+        "check exp_log_roundtrip(D)\n"
+    )
+    assert cli.main(["check", str(target), "--budget", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines[:-1]] == ["ERROR"] * 3 + ["PASS"] * 3
+    assert all(line.endswith("samples must lie in [1, 10000]") for line in lines[:3])
+
+
+def test_env_and_rng_bind_by_position_only():
+    for name in corpus.DIRECTIVES:
+        params = list(inspect.signature(getattr(runner, f"_run_{name}")).parameters.values())
+        assert [(p.name, p.kind) for p in params[:2]] == [
+            ("env", inspect.Parameter.POSITIONAL_ONLY),
+            ("rng", inspect.Parameter.POSITIONAL_ONLY),
+        ], name
 
 
 def test_exponent_guard_covers_directive_arguments():

@@ -270,12 +270,13 @@ def test_centralizer_work_is_pinned(monkeypatch):
     # divide_exact multiplied each quotient term by the divisor, 39,198 while
     # centralizing u was checked by intertwining with D = d D', 38,379 while
     # express_in_zp peeled by x-degree, 38,327 while the pair recovery
-    # re-checked D'(f) = 0).
+    # re-checked D'(f) = 0, 38,201 while it stripped exp(-hE) before reading
+    # f off g*(Q)).
     case = corpus.parse(CENTRALIZER_CORPUS)
     products = _count_products(monkeypatch)
     report = runner.run(case, seed=0)
     assert [e.verdict for e in report.entries] == ["PASS", "PASS"]
-    assert products[1] == 38_201
+    assert products[1] == 37_993
 
 
 def test_a_scaling_that_commutes_with_d_prime_does_not_centralize_u(monkeypatch):
