@@ -495,39 +495,40 @@ def divides(q: Poly, p: Poly) -> bool:
 # contents included, goes through it.  It first tries to prove the gcd
 # constant from univariate images modulo a fixed word-size prime
 # (_coprime_by_images; Brown, J. ACM 18(4), 1971), which settles the coprime
-# case with no coefficient growth.  Otherwise the supports decide.  If one
-# operand has positive degree in variables the other lacks, every common
-# divisor has degree 0 in them, so the gcd is the fold of gcd(other, c) over
-# the coefficients c in those variables, stopping at a constant; this
-# recurses until both supports agree.  Two operands in the same one variable
-# run a primitive Euclid on their dense int numerators (_gcd_dense), each
-# pseudo-remainder divided by its integer content.  A shared support of two
-# or more variables runs the primitive pseudo-remainder sequence (_gcd_prs)
-# in the first shared variable; its contents have degree 0 in that variable,
-# so they re-enter gcd_multivariate with one variable fewer.  A bad prime or
-# point can only cost time, never change a result.  Output is normalized so
-# the graded-lex leading coefficient is 1.
+# case with no coefficient growth, in one pass over each operand per attempt.
+# Otherwise the supports decide.  If one operand has positive degree in
+# variables the other lacks, every common divisor has degree 0 in them, so
+# the gcd is the fold of gcd(other, c) over the coefficients c in those
+# variables, stopping at a constant; this recurses until both supports
+# agree.  Two operands in the same one variable run a primitive Euclid on
+# their dense int numerators (_gcd_dense), each pseudo-remainder divided by
+# its integer content.  A shared support of two or more variables runs the
+# primitive pseudo-remainder sequence (_gcd_prs) in the first shared
+# variable; its contents have degree 0 in that variable, so they re-enter
+# gcd_multivariate with one variable fewer.  A bad prime or point can only
+# cost time, never change a result.  Output is normalized so the graded-lex
+# leading coefficient is 1.
 
 # One prime per attempt; the evaluation point of an attempt is a fixed
 # function of the attempt and variable index, so every run certifies alike.
 _CERT_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
-def _image_mod(
-    terms: dict[Monomial, int], i: int, point: list[int], prime: int
-) -> list[int]:
-    """Dense coefficients (low to high) in variable i, every other variable
-    set to its point value, mod prime; trailing zeros stripped."""
-    coeffs = [0] * (1 + max(m[i] for m in terms))
+def _images_mod(terms: dict, pending: list[int], powers: list[list[int]], prime: int) -> list:
+    """In one pass over terms, for each variable index i in `pending`, the dense
+    coefficients (low to high) in variable i mod prime, every other variable j
+    set to the point with powers powers[j]; trailing zeros stripped."""
+    images = [[0] * len(powers[i]) for i in pending]
     for mono, c in terms.items():
-        value = c
-        for j, e in enumerate(mono):
-            if e and j != i:
-                value = value * pow(point[j], e, prime)
-        coeffs[mono[i]] = (coeffs[mono[i]] + value) % prime
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+        values = list(map(list.__getitem__, powers, mono))
+        full = c * math.prod(values)  # a point is nonzero mod prime, so is each value
+        for i, coeffs in zip(pending, images):
+            coeffs[mono[i]] += full // values[i]  # c times the other variables' values
+    for coeffs in images:
+        coeffs[:] = [c % prime for c in coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+    return images
 
 
 def _gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
@@ -551,11 +552,13 @@ def _gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
 def _coprime_by_images(p: Poly, q: Poly) -> bool:
     """True only if gcd(p, q) is a constant, proved by modular images.
 
-    Take the integer numerator polynomials P = p.den * p and Q = q.den * q.  For each variable v in
-    which both have positive degree, map Z[vars] -> GF(prime)[v] by reducing
-    mod a fixed prime and setting every other variable to a fixed point,
-    chosen so the leading coefficient of P in v does not vanish there; then
-    require gcd(image P, image Q) to have degree 0.
+    Take the integer numerator polynomials P = p.den * p and Q = q.den * q.
+    For each variable v in which both have positive degree, map Z[vars] ->
+    GF(prime)[v] by reducing mod a fixed prime and setting every other
+    variable to a fixed point, chosen so the leading coefficient of P in v
+    does not vanish there; then require gcd(image P, image Q) to have
+    degree 0.  Each variable takes the first attempt whose point keeps lc_v(P)
+    nonzero; an attempt images every variable still pending at once.
 
     Why this is sound: take g primitive over Z with g | p and g | q.  By
     Gauss's lemma g | P and g | Q over Z, so the quotients are integral and
@@ -569,27 +572,26 @@ def _coprime_by_images(p: Poly, q: Poly) -> bool:
     False means "not proved": the images share a factor, or no attempt gave
     a usable point; the caller then computes the gcd exactly.
     """
-    deg_p = [p.degree_in(v) for v in p.vars]
-    deg_q = [q.degree_in(v) for v in q.vars]
-    shared = [i for i in range(len(p.vars)) if deg_p[i] and deg_q[i]]
-    if not shared:
-        return True
-    for i in shared:
-        for attempt, prime in enumerate(_CERT_PRIMES):
-            point = [
-                0x9E3779B1 * (attempt * len(p.vars) + j + 1) % prime
-                for j in range(len(p.vars))
-            ]
-            image_p = _image_mod(p.terms, i, point, prime)
-            if len(image_p) - 1 < deg_p[i]:
-                continue  # lc_v(P) vanishes at this point: try the next one
-            image_q = _image_mod(q.terms, i, point, prime)
-            if len(_gcd_mod(image_p, image_q, prime)) > 1:
-                return False
+    deg_p, deg_q = list(map(max, zip(*p.terms))), list(map(max, zip(*q.terms)))
+    pending = [i for i, (dp, dq) in enumerate(zip(deg_p, deg_q)) if dp and dq]
+    for attempt, prime in enumerate(_CERT_PRIMES):
+        if not pending:
             break
-        else:
-            return False
-    return True
+        powers = []
+        for j, top in enumerate(map(max, deg_p, deg_q)):
+            point, row = 0x9E3779B1 * (attempt * len(deg_p) + j + 1) % prime, [1]
+            for _ in range(top):
+                row.append(row[-1] * point % prime)
+            powers.append(row)
+        images = [_images_mod(t, pending, powers, prime) for t in (p.terms, q.terms)]
+        still = []
+        for i, image_p, image_q in zip(pending, *images):
+            if len(image_p) <= deg_p[i]:
+                still.append(i)  # lc_v(P) vanishes at this point: try the next one
+            elif len(_gcd_mod(image_p, image_q, prime)) > 1:
+                return False
+        pending = still
+    return not pending
 
 
 def _univ_split(p: Poly, i: int) -> dict[int, Poly]:

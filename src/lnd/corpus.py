@@ -63,8 +63,8 @@ DIRECTIVES = (
 # The largest honest body measured spends 25; (x + y + z + 1)^30, 701,696.
 PARSE_WORK_BUDGET = 1_000_000
 
-# Identifiers usable bare inside polynomial arguments.
-_POLY_VARS = {"x", "y", "z", "P"}
+# Identifiers usable bare inside polynomial arguments, and inside list items.
+_POLY_VARS, _LIST_VARS = {"x", "y", "z", "P"}, {"x", "y", "z"}
 _KEYWORDS = {"torus"}
 # Value-literal heads, structural words and the variables x, y, z and P,
 # which an expression always reads as variables; not definable as names.
@@ -399,10 +399,10 @@ class _CorpusParser(ExprParser):
             self.advance()
             items = []
             if not self.at_sym("]"):
-                items.append(self._expr_value())
+                items.append(self._expr_value(_LIST_VARS))
                 while self.at_sym(","):
                     self.advance()
-                    items.append(self._expr_value())
+                    items.append(self._expr_value(_LIST_VARS))
             self.expect_sym("]")
             return ListValue(tuple(items))
         if tok.kind == "ident" and tok.text == "n" and self._next_is("("):
@@ -441,28 +441,30 @@ class _CorpusParser(ExprParser):
         nxt = self.tokens[self.pos + 1]
         return nxt.kind == "sym" and nxt.text == sym
 
-    def _expr_value(self) -> ExprValue:
+    def _expr_value(self, variables: set[str] = _POLY_VARS) -> ExprValue:
         tok = self.peek()
         node = self.parse_expr()
-        self._check_expr_names(node)
+        self._check_expr_names(node, variables)
         return ExprValue(node, tok.line, tok.col)
 
-    def _check_expr_names(self, node) -> None:
+    def _check_expr_names(self, node, variables: set[str]) -> None:
         if isinstance(node, Var):
             # An expression reads only variables, and no variable is
             # definable, so a name means one thing everywhere.
-            if node.name not in _POLY_VARS:
+            if node.name not in variables:
                 message = f"undefined name {node.name!r}"
                 if node.name in self.names:
                     message = f"{node.name!r} names a definition, not a variable"
+                elif node.name in _POLY_VARS:
+                    message = f"unknown variable {node.name!r} in a list item (x, y, z)"
                 raise ParseError(message, node.line, node.col)
         elif isinstance(node, (Sum, Product)):
             for operand in node.operands:
-                self._check_expr_names(operand)
+                self._check_expr_names(operand, variables)
         elif isinstance(node, Neg):
-            self._check_expr_names(node.operand)
+            self._check_expr_names(node.operand, variables)
         elif isinstance(node, Pow):
-            self._check_expr_names(node.base)
+            self._check_expr_names(node.base, variables)
 
     def _rational(self) -> Fraction:
         sign = 1

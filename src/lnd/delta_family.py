@@ -27,13 +27,17 @@ leaves exactly the realization of the product pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .arith import (
     XYZ,
     ZP,
     Poly,
+    _add_terms,
+    _charge,
+    _form,
+    _mul_terms,
     divide_exact,
     gcd_many,
     gcd_multivariate,
@@ -99,8 +103,9 @@ def n_elem(h, f) -> NElem:
 
 
 class DeltaContext(NamedTuple):
-    """Validated plinth-family data; immutable.  u' = exp(D') and u = exp(D)
-    are held as D' and D; e = exp(E) is built."""
+    """Validated plinth-family data, immutable but for P_powers: numerators of
+    P^j over P.den^j, grown on demand.  u' = exp(D') and u = exp(D) are held
+    as D' and D; e = exp(E) is built."""
 
     P: Poly  # in (x, y, z)
     d: Poly  # in (z,): stored over XYZ with z-support only
@@ -110,6 +115,7 @@ class DeltaContext(NamedTuple):
     E: Derivation
     D: Derivation  # d D'
     e: Automorphism
+    P_powers: list[dict]
 
     def a_prime_zp(self) -> Poly:
         return self.a_prime.to_ring(ZP)
@@ -176,6 +182,7 @@ def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaConte
         E=e_der,
         D=Derivation(*(d * img for img in d_prime.images)),
         e=e_aut,
+        P_powers=[{(0, 0, 0): 1}],
     )
 
 
@@ -183,12 +190,19 @@ def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaConte
 
 
 def expand_kernel_poly(ctx: DeltaContext, f: Poly) -> Poly:
-    """Substitute the actual z and P for the kernel variables."""
-    if f.vars != ZP:
-        f = f.to_ring(ZP)
-    if f.is_zero():
-        return Poly.zero(XYZ)
-    return substitute(f, {"z": Poly.variable(XYZ, "z"), "P": ctx.P})
+    """Substitute the actual z and P for the kernel variables: over f.den *
+    P.den^J, J the top P-degree, each term c z^i P^j adds c P.den^(J - j) z^i
+    times the tabled P^j, whose growth charges an armed ALLOWANCE."""
+    f = f.to_ring(ZP)
+    powers, top, den = ctx.P_powers, max((j for _, j in f.terms), default=0), ctx.P.den
+    while len(powers) <= top:
+        _charge(len(ctx.P.terms) * len(powers[-1]))
+        powers.append(_mul_terms(ctx.P.terms, powers[-1]))
+    out: dict = {}
+    for (i, j), c in f.terms.items():
+        shifted = {(a, b, e + i): cp for (a, b, e), cp in powers[j].items()}
+        _add_terms(1, out, 1, shifted, c * den ** (top - j))
+    return _form(XYZ, f.den * den**top, out)
 
 
 def express_in_zp(ctx: DeltaContext, g: Poly) -> Poly:
@@ -232,15 +246,18 @@ def n_mul(lhs: NElem, rhs: NElem, ctx: DeltaContext) -> NElem:
 
 
 def m_derivation(ctx: DeltaContext, n: NElem) -> Derivation:
-    """The derivation h E + f D' with f expanded."""
-    h_amb = n.h.to_ring(XYZ)
-    f_amb = expand_kernel_poly(ctx, n.f)
-    return Derivation(
-        *(
-            h_amb * ei + f_amb * di
-            for ei, di in zip(ctx.E.images, ctx.D_prime.images)
-        )
-    )
+    """The derivation h E + f D' with f expanded: each image h E_v + f D'_v
+    accumulates on int numerators, each product charged as a Poly product."""
+    h, f = n.h.to_ring(XYZ), expand_kernel_poly(ctx, n.f)
+    images = []
+    for ei, di in zip(ctx.E.images, ctx.D_prime.images):
+        out, den = {}, lcm(h.den * ei.den, f.den * di.den)
+        for c, img in ((h, ei), (f, di)):
+            _charge(len(c.terms) * len(img.terms))
+            scale, a = den // (c.den * img.den), c.terms
+            _mul_terms({m: x * scale for m, x in a.items()} if scale > 1 else a, img.terms, out)
+        images.append(_form(XYZ, den, out))
+    return Derivation(*images)
 
 
 def n_to_aut(n: NElem, ctx: DeltaContext) -> Automorphism:
@@ -353,12 +370,7 @@ def irreducibility_criterion_check(ctx: DeltaContext, n: NElem) -> Irreducibilit
     the content is the monic expansion of g times gcd_many(w1's images);
     those are usually coprime, which modular images certify.
     """
-    if n.h.is_zero():
-        g = n.f.monic()
-    elif n.f.is_zero():
-        g = n.h.monic()
-    else:
-        g = gcd_multivariate(n.h, n.f)
+    g = gcd_multivariate(n.h, n.f) if n.h.terms or n.f.terms else n.f
     if g.is_constant():
         w = m_derivation(ctx, n)
         if w.is_zero():

@@ -236,25 +236,14 @@ def eval_expr(node: Expr, vars: tuple[str, ...]) -> Poly:
 def _fold(node: Expr, vars: tuple[str, ...]) -> tuple[int, dict[Monomial, int]]:
     """(den, numerators) of node, no numerator zero, in a new map."""
     kind = type(node)
-    if kind is Product:
-        den, acc = _fold(node.operands[0], vars)
-        for operand in node.operands[1:]:
+    if kind is Product or kind is Num or kind is Var:
+        den, acc, rest = _fold_atoms(node.operands if kind is Product else (node,), vars)
+        for operand in rest:
             d, terms = _fold(operand, vars)
             _charge(len(acc) * len(terms))
             a, b = (acc, terms) if len(acc) <= len(terms) else (terms, acc)
             den, acc = den * d, _mul_terms(a, b)
         return den, acc
-    if kind is Num:
-        n = node.value.numerator
-        return node.value.denominator, {(0,) * len(vars): n} if n else {}
-    if kind is Var:
-        if node.name not in vars:
-            raise ParseError(
-                f"unknown variable {node.name!r} (ring has {', '.join(vars)})",
-                node.line,
-                node.col,
-            )
-        return 1, dict(Poly.variable(vars, node.name).terms)
     if kind is Pow:
         den, terms = _fold(node.base, vars)
         e = node.exponent
@@ -283,6 +272,31 @@ def _fold(node: Expr, vars: tuple[str, ...]) -> tuple[int, dict[Monomial, int]]:
         den, terms = _fold(node.operand, vars)
         return den, {m: -c for m, c in terms.items()}
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _fold_atoms(operands: tuple, vars: tuple[str, ...]) -> tuple[int, dict[Monomial, int], tuple]:
+    """(den, numerators, rest) of the leading run of numbers, variables and powers
+    of variables among a product's operands (or one atom) as one term, charged as
+    its one-term products; with no such run, of the first operand; rest follow."""
+    num, den, mono, k = 1, 1, [0] * len(vars), 0
+    for atom in operands:
+        kind, n, d = type(atom), 1, 1
+        if kind is Num:
+            n, d = atom.value.numerator, atom.value.denominator
+        elif kind is Var or kind is Pow and type(atom.base) is Var:
+            var = atom if kind is Var else atom.base
+            if var.name not in vars:
+                message = f"unknown variable {var.name!r} (ring has {', '.join(vars)})"
+                raise ParseError(message, var.line, var.col)
+            mono[vars.index(var.name)] += 1 if kind is Var else atom.exponent
+        else:
+            break
+        if k and num and n:
+            _charge(1)
+        num, den, k = num * n, den * d, k + 1
+    if not k:
+        return (*_fold(operands[0], vars), operands[1:])
+    return den, {tuple(mono): num} if num else {}, operands[k:]
 
 
 def _power_cost(n: int, e: int) -> int:

@@ -311,6 +311,12 @@ def test_gcd_certificate_skips_bad_points():
     # lc_x = p1*y vanishes mod the first prime only: the next attempt certifies.
     a = Poly(XYZ, {(1, 1, 0): Fraction(_CERT_PRIMES[0]), (0, 0, 0): Fraction(1)})
     assert _coprime_by_images(a, b)
+    # x and y are both shared; lc_x = p1*y vanishes mod the first prime only,
+    # lc_y = p1*x + 1 does not, so y is certified by the first attempt and x
+    # by the second; a common factor x + 1 shows only in the images in x.
+    a = Poly(XYZ, {(1, 1, 0): _CERT_PRIMES[0], (0, 1, 0): 1, (0, 0, 0): 1})
+    assert _coprime_by_images(a, p("x + y"))
+    assert not _coprime_by_images(a * p("x + 1"), p("x + y") * p("x + 1"))
     # lc_x = (p1*p2*p3)*y vanishes mod every certificate prime, so no attempt
     # is usable and the exact PRS decides.
     big = _CERT_PRIMES[0] * _CERT_PRIMES[1] * _CERT_PRIMES[2]

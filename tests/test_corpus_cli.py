@@ -51,6 +51,8 @@ def test_parse_simple_definitions():
         ("poly P = x*z + y^2", "'P' is reserved"),
         ("divisor G = z\ncheck divisor_symmetry_expect(G*z)", "'G' names a definition"),
         ("check divisor_symmetry_expect(z, k0 = 0, k0 = 1)", "keyword argument 'k0' repeated"),
+        ("derivation D { x -> -2*y; y -> z; z -> 0 }\ncheck plinth_expect(D, gens = [z, P])",
+         "2:35: unknown variable 'P' in a list item (x, y, z)"),
     ],
 )
 def test_positioned_diagnostics(source, fragment):

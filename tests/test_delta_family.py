@@ -243,10 +243,12 @@ def test_round_trip_fails_when_the_recovered_pair_differs(monkeypatch):
 
 def _count_products(monkeypatch) -> list[int]:
     """[products, term pairs] of every Poly x Poly product from here on:
-    those of Poly.__mul__, and the Leibniz products image_v * dp/dv that
-    derivations.apply runs on numerator maps, one per image and variable."""
+    those of Poly.__mul__, and the products that run on numerator maps: the
+    Leibniz products image_v * dp/dv of derivations.apply, and in
+    delta_family the products h E_v and f D'_v of m_derivation and the
+    growth of a context's table of powers of P."""
     counts = [0, 0]
-    mul, leibniz = Poly.__mul__, derivations._mul_terms
+    mul = Poly.__mul__
 
     def counting_mul(a, b):
         if isinstance(b, Poly):
@@ -254,13 +256,17 @@ def _count_products(monkeypatch) -> list[int]:
             counts[1] += len(a.terms) * len(b.terms)
         return mul(a, b)
 
-    def counting_leibniz(a, b, out):
-        counts[0] += 1
-        counts[1] += len(a) * len(b)
-        return leibniz(a, b, out)
+    def counting(map_product):
+        def product(a, b, out=None):
+            counts[0] += 1
+            counts[1] += len(a) * len(b)
+            return map_product(a, b, out)
+
+        return product
 
     monkeypatch.setattr(Poly, "__mul__", counting_mul)
-    monkeypatch.setattr(derivations, "_mul_terms", counting_leibniz)
+    for module in (derivations, delta_family):
+        monkeypatch.setattr(module, "_mul_terms", counting(module._mul_terms))
     return counts
 
 
@@ -271,12 +277,13 @@ def test_centralizer_work_is_pinned(monkeypatch):
     # centralizing u was checked by intertwining with D = d D', 38,379 while
     # express_in_zp peeled by x-degree, 38,327 while the pair recovery
     # re-checked D'(f) = 0, 38,201 while it stripped exp(-hE) before reading
-    # f off g*(Q)).
+    # f off g*(Q), 37,993 while expand_kernel_poly substituted P by Horner's
+    # rule instead of reading a context's table of powers of P).
     case = corpus.parse(CENTRALIZER_CORPUS)
     products = _count_products(monkeypatch)
     report = runner.run(case, seed=0)
     assert [e.verdict for e in report.entries] == ["PASS", "PASS"]
-    assert products[1] == 37_993
+    assert products[1] == 36_868
 
 
 def test_a_scaling_that_commutes_with_d_prime_does_not_centralize_u(monkeypatch):
@@ -348,7 +355,9 @@ def test_irreducibility_work_is_pinned(monkeypatch):
     # divisions of the criterion: 34 directives with a nonconstant
     # gcd(h, f) each divide h and f by it in Q[z, P].  Dividing the three
     # images of h E + f D' by the expanded gcd in Q[x, y, z] instead took
-    # 1,419 products with 3,275 term pairs and 102 divisions.
+    # 1,419 products with 3,275 term pairs and 102 divisions.  Substituting P
+    # by Horner's rule in every expansion, and forming h E_v + f D'_v from
+    # Poly products and a sum, took 1,056 products with 2,578 term pairs.
     products, divisions = _count_products(monkeypatch), []
     divide = delta_family.divide_exact
     monkeypatch.setattr(
@@ -357,8 +366,54 @@ def test_irreducibility_work_is_pinned(monkeypatch):
     golden = Path(__file__).resolve().parent / "golden"
     report = runner.run(corpus.parse((golden / "irreducibility_1.corpus").read_text()))
     assert runner.format_report(report) == (golden / "irreducibility_1.check.txt").read_text()
-    assert products == [1_056, 2_578]
+    assert products == [791, 1_686]
     assert divisions == [ZP] * 68
+
+
+CTX_HALF = make_context(p("1/2*x*z + 3/4*y^2"), deg_max=3)
+
+
+def _rand_rational_pair(rng):
+    """(h, f) with rational coefficients, h in Q[z] and f of P-degree <= 4."""
+    h = Poly(ZP, {(e, 0): Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for e in range(3)})
+    f = Poly(ZP, {
+        (rng.randint(0, 2), rng.randint(0, 4)): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 5))
+    })
+    return n_elem(h, f)
+
+
+def _spent(fn, *args):
+    """fn(*args) and the term pairs it charged to an armed ALLOWANCE."""
+    allowance = [10**6]
+    token = arith.ALLOWANCE.set(allowance)
+    try:
+        return fn(*args), 10**6 - allowance[0]
+    finally:
+        arith.ALLOWANCE.reset(token)
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX_Z, CTX_HALF], ids=["d=1", "d=z", "rational-P"])
+def test_numerator_kernels_agree_with_poly_arithmetic(ctx):
+    # expand_kernel_poly against substitution, m_derivation against the Poly
+    # products h E_v + f D'_v, whose term pairs it charges; on a fresh table
+    # of powers of P, which grows as they run (each charge is checked once
+    # f's powers are in the table).
+    ctx = ctx._replace(P_powers=[{(0, 0, 0): 1}])
+    rng = random.Random(f"kernels-{ctx.P}")
+    pairs = [n_elem(k("0"), k("z*P^4 - 1/3")), n_elem(k("2/5*z - 1"), k("0")),
+             n_elem(k("z"), k("7/2")), n_elem(k("0"), k("0"))]
+    pairs += [_rand_rational_pair(rng) for _ in range(40)]
+    for n in pairs:
+        f_amb = substitute(n.f, {"z": p("z"), "P": ctx.P})
+        assert expand_kernel_poly(ctx, n.f) == f_amb
+        h_amb = n.h.to_ring(XYZ)
+        w, spent = _spent(m_derivation, ctx, n)
+        images = zip(ctx.E.images, ctx.D_prime.images)
+        assert w.images == tuple(h_amb * e + f_amb * d for e, d in images)
+        products = [(h_amb, e) for e in ctx.E.images] + [(f_amb, d) for d in ctx.D_prime.images]
+        assert spent == sum(len(a.terms) * len(b.terms) for a, b in products)
+    assert len(ctx.P_powers) == 5
 
 
 def _rand_z_poly(rng, deg):

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from lnd import corpus
-from lnd.arith import ALLOWANCE, XYZ, YZ, ZP, ZVAR, Poly
+from lnd.arith import ALLOWANCE, XYZ, YZ, ZP, ZVAR, Poly, WorkBudgetExceeded, _charge, _mul_terms
 from lnd.errors import ParseError
 from lnd.syntax import MAX_PARSED_POWER, ExprParser, Neg, Num, Pow, Product, Sum, Var
-from lnd.syntax import eval_expr, parse_poly, tokenize
+from lnd.syntax import _fold, eval_expr, parse_poly, tokenize
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -207,6 +207,54 @@ def test_eval_expr_charges_its_products():
     finally:
         ALLOWANCE.reset(token)
     assert allowance == [92]
+
+
+def _fold_by_products(node, vars):
+    """(den, numerators) of a Product that multiplies in every operand in
+    turn, each product first charging its len(acc) * len(terms) term pairs."""
+    den, acc = _fold(node.operands[0], vars)
+    for operand in node.operands[1:]:
+        d, terms = _fold(operand, vars)
+        _charge(len(acc) * len(terms))
+        den, acc = den * d, _mul_terms(*((acc, terms) if len(acc) <= len(terms) else (terms, acc)))
+    return den, acc
+
+
+def _spend(fold, node, budget):
+    """The fold's result and the term pairs it spent, "tripped", or the
+    ParseError's message."""
+    allowance = [budget]
+    token = ALLOWANCE.set(allowance)
+    try:
+        return fold(node, XYZ), budget - allowance[0]
+    except WorkBudgetExceeded:
+        return "tripped"
+    except ParseError as err:
+        return err.message
+    finally:
+        ALLOWANCE.reset(token)
+
+
+def test_product_fold_charges_as_its_pairwise_products():
+    # A product's leading numbers, variables and powers of variables fold
+    # into one term; the charges, the budgets that trip and the unknown
+    # variable 'w' stay those of multiplying every operand in turn.
+    atoms = ["0", "1", "7", "3/4", "x", "y", "z", "x^2", "y^5000", "z^3"]
+    others = ["(x + 1)", "-y", "(y - z)^2", "7^2", "-(x + 2*y)", "(x*y + 1)", "(x + y)^0"]
+    rng = random.Random("product-charges")
+    texts = ["0*x", "x^5000*y", "x^5000*(x + y)*z", "2*x*-z*(y + 1)", "(x + 1)*3*y", "x*y*w"]
+    texts += ["*".join(rng.choice(atoms * 2 + others + ["w^2"]) for _ in range(rng.randint(2, 6)))
+              for _ in range(200)]
+    for text in texts:
+        node = _tree(text)
+        assert isinstance(node, Product), text
+        outcome = _spend(_fold, node, 10**6)
+        assert outcome == _spend(_fold_by_products, node, 10**6), text
+        spent = outcome[1] if isinstance(outcome, tuple) else len(node.operands)
+        for budget in range(spent + 2):
+            outcome = _spend(_fold, node, budget)
+            assert outcome == _spend(_fold_by_products, node, budget), text
+            assert outcome != "tripped" or budget < spent, text
 
 
 def test_parse_time_budget_trips_as_a_positioned_parse_error():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lnd import groupmodel
 from lnd.arith import XYZ, ZP, Poly, substitute
 from lnd.automorphisms import Automorphism, identity, modification
 from lnd.delta_family import make_context
@@ -262,6 +263,16 @@ def test_verify_pres_lemma_monotone_in_power():
             for cand, verdict in zip(candidates, base.verdicts):
                 if verdict.in_fiber:
                     assert commutator(cand, w2, LAW) == g_identity(LAW)
+
+
+def test_verify_pres_lemma_rejects_a_witness_off_its_closed_form(monkeypatch):
+    # A law that shifts P the wrong way, f(z, P - h a'), gives commutators
+    # (1, 0, z^i h0 a') at stage 1, against the closed form -z^i h0 a'.
+    shift = groupmodel.shift_in_P
+    monkeypatch.setattr(groupmodel, "shift_in_P", lambda f, h, a_prime: shift(f, -h, a_prime))
+    with pytest.raises(LawHypothesisError) as err:
+        verify_pres_lemma(LAW, [derived_witness(LAW, k("1"))], [g_identity(LAW)])
+    assert str(err.value) == "derived witness for stage 1 disagrees with its closed form"
 
 
 def test_verify_pres_lemma_degenerate_law_rejected():
