@@ -579,6 +579,9 @@ def _coprime_by_images(p: Poly, q: Poly) -> bool:
             break
         powers = []
         for j, top in enumerate(map(max, deg_p, deg_q)):
+            if pending == [j]:  # a lone pending variable's row only sizes its image
+                powers.append([1] * (top + 1))
+                continue
             point, row = 0x9E3779B1 * (attempt * len(deg_p) + j + 1) % prime, [1]
             for _ in range(top):
                 row.append(row[-1] * point % prime)

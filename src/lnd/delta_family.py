@@ -27,7 +27,7 @@ leaves exactly the realization of the product pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import NamedTuple
 
 from .arith import (
@@ -42,7 +42,6 @@ from .arith import (
     gcd_many,
     gcd_multivariate,
     is_univariate_in,
-    substitute,
 )
 from .automorphisms import Automorphism, pullback
 from .derivations import (
@@ -126,12 +125,37 @@ def _realization_word(ctx: DeltaContext, h_amb: Poly, f_amb: Poly) -> list[Deriv
     return [scale_poly(h_amb, ctx.E), scale_poly(f_amb, ctx.D_prime)]
 
 
-def shift_in_P(f: Poly, h: Poly, a_prime: Poly) -> Poly:
-    """f(z, P + h a') in the kernel ring; f itself when h = 0."""
-    if h.is_zero():
-        return f
-    pv = Poly.variable(ZP, "P")
-    return substitute(f, {"z": Poly.variable(ZP, "z"), "P": pv + h * a_prime})
+def shift_in_P(f: Poly, s: Poly, plus: Poly = Poly.zero(ZP), k=1, r1=1, r2=1) -> Poly:
+    """k f(r1 z, r2 (P - s)) + plus for s in Q[z] and nonzero rationals k, r1,
+    r2, as one Taylor shift on int numerators: each term c z^i P^j of f adds
+    C(j, t) c z^i P^(j - t) (-s)^t from a table of the powers of -s, each
+    past the first charged to an armed ALLOWANCE as a Poly product, over one
+    shared denominator, and the sum is formed once."""
+    if not f.terms or not s.terms and k == r1 == r2 == 1:
+        return f + plus
+    top_z, top_p = map(max, zip(*f.terms))
+    powers, sd = [{(0, 0): 1}], s.den
+    if s.terms and top_p:
+        powers.append({m: -c for m, c in s.terms.items()})
+        while len(powers) <= top_p:
+            _charge(len(s.terms) * len(powers[-1]))
+            powers.append(_mul_terms(powers[1], powers[-1]))
+    an, ad, bn, bd = r1.numerator, r1.denominator, r2.numerator, r2.denominator
+    out: dict = {}
+    get = out.get
+    for (i, j), c in f.terms.items():
+        c *= k.numerator * an**i * ad ** (top_z - i) * bn**j * bd ** (top_p - j)
+        for t, power in enumerate(powers[: j + 1]):
+            ct = c * comb(j, t) * sd ** (top_p - t)
+            for (e, _), cs in power.items():
+                mono = (i + e, j - t)
+                v = get(mono, 0) + ct * cs
+                if v:
+                    out[mono] = v
+                else:
+                    del out[mono]
+    den = k.denominator * f.den * ad**top_z * (bd * sd) ** top_p
+    return _form(ZP, *_add_terms(den, out, plus.den, plus.terms, 1))
 
 
 def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaContext:
@@ -242,7 +266,7 @@ def express_in_zp(ctx: DeltaContext, g: Poly) -> Poly:
 
 def n_mul(lhs: NElem, rhs: NElem, ctx: DeltaContext) -> NElem:
     """(h, f) . (hb, fb) = (h + hb, f(P - hb a') + fb)."""
-    return NElem(lhs.h + rhs.h, shift_in_P(lhs.f, -rhs.h, ctx.a_prime_zp()) + rhs.f)
+    return NElem(lhs.h + rhs.h, shift_in_P(lhs.f, rhs.h * ctx.a_prime_zp(), rhs.f))
 
 
 def m_derivation(ctx: DeltaContext, n: NElem) -> Derivation:

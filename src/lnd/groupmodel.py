@@ -19,6 +19,13 @@ automorphisms.  On elements with the unit torus point the torus acts
 trivially, so the derived-subgroup identity [(1,0,q), (1,h0,f0)] =
 (1, 0, q - q(P + h0 a')) follows from the fiber law alone, whatever the
 characters.
+
+The law runs on int numerator maps: g_mul, g_inverse and n_mul share one
+fiber kernel, delta_family.shift_in_P, which forms k f(r1 z, r2 (P - s)) + g
+once, with k, r1, r2 character values at the torus point (none is evaluated
+at the unit point) and s = hb a'; h takes the same kernel with no P.  The
+law's elements skip GElem's validation: nu h(r1 z) + hb stays in Q[z], and
+products and inverses of nonzero torus points are nonzero.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .errors import LawHypothesisError, RingMismatchError, Validated
 # First distinct primes; a torus point with these coordinates kills a
 # character exactly when its exponent vector is zero.
 _PRIMES = (2, 3, 5, 7, 11, 13)
+_ZERO = Poly.zero(ZP)
 
 
 class CharacterVector(NamedTuple):
@@ -155,23 +163,19 @@ def g_identity(law: GroupLaw) -> GElem:
     return g_elem((Fraction(1),) * law.rank, 0, 0)
 
 
-def _scale_var(p: Poly, r_z: Fraction, r_p: Fraction) -> Poly:
-    if r_z == 1 and r_p == 1:
-        return p
-    return Poly(ZP, {m: c * r_z ** m[0] * r_p ** m[1] for m, c in p.coefficients().items()})
+def _is_unit(point: tuple[Fraction, ...]) -> bool:
+    return all(c == 1 for c in point)
 
 
-def _conjugate_fiber(
-    law: GroupLaw, point: tuple[Fraction, ...], h: Poly, f: Poly
-) -> tuple[Poly, Poly]:
-    """lambda^-1 (1, h, f) lambda: h scales by nu with rho1-scaled z, f by mu
-    with (rho1, rho2)-scaled coordinates; the unit point fixes both."""
-    if point == (1,) * law.rank:
-        return h, f
-    r1 = law.rho1.evaluate(point)
-    h_c = _scale_var(h, r1, 1) * law.nu.evaluate(point)
-    f_c = _scale_var(f, r1, law.rho2.evaluate(point)) * law.mu.evaluate(point)
-    return h_c, f_c
+_UNIT = (1, 1, 1, 1)
+
+
+def _fiber_scalars(law: GroupLaw, point: tuple[Fraction, ...]) -> tuple:
+    """(mu, rho1, rho2, nu) at the point; _UNIT, unevaluated, at the unit point."""
+    if _is_unit(point):
+        return _UNIT
+    rho1 = law.rho1.evaluate(point)
+    return law.mu.evaluate(point), rho1, law.rho2.evaluate(point), law.nu.evaluate(point)
 
 
 def g_mul(a: GElem, b: GElem, law: GroupLaw) -> GElem:
@@ -179,16 +183,23 @@ def g_mul(a: GElem, b: GElem, law: GroupLaw) -> GElem:
     conjugates the left fiber, fibers multiply by the shifted law."""
     if len(a.torus) != law.rank or len(b.torus) != law.rank:
         raise ValueError("element rank does not match the law")
-    h_c, f_c = _conjugate_fiber(law, b.torus, a.h, a.f)
-    shifted = shift_in_P(f_c, -b.h, law.a_prime)
-    torus = tuple(x * y for x, y in zip(a.torus, b.torus))
-    return GElem(torus, h_c + b.h, shifted + b.f)
+    mu, r1, r2, nu = scalars = _fiber_scalars(law, b.torus)
+    torus = a.torus if scalars is _UNIT else tuple(x * y for x, y in zip(a.torus, b.torus))
+    h = shift_in_P(a.h, _ZERO, b.h, nu, r1)
+    f = shift_in_P(a.f, b.h * law.a_prime, b.f, mu, r1, r2)
+    return tuple.__new__(GElem, (torus, h, f))
 
 
 def g_inverse(a: GElem, law: GroupLaw) -> GElem:
-    inv_point = tuple(1 / Fraction(c) for c in a.torus)
-    h_c, f_c = _conjugate_fiber(law, inv_point, a.h, a.f)
-    return GElem(inv_point, -h_c, -shift_in_P(f_c, h_c, law.a_prime))
+    """(lambda, h, f)^-1 = (lambda^-1, -nu h(r1 z), -mu f(r1 z, r2 (P - s))),
+    characters at lambda^-1 and s the new h times a'."""
+    if len(a.torus) != law.rank:
+        raise ValueError("element rank does not match the law")
+    point = a.torus if _is_unit(a.torus) else tuple(1 / Fraction(c) for c in a.torus)
+    mu, r1, r2, nu = _fiber_scalars(law, point)
+    h = shift_in_P(a.h, _ZERO, _ZERO, -nu, r1)
+    f = shift_in_P(a.f, h * law.a_prime, _ZERO, -mu, r1, r2)
+    return tuple.__new__(GElem, (point, h, f))
 
 
 def commutator(a: GElem, b: GElem, law: GroupLaw) -> GElem:
@@ -262,7 +273,6 @@ def verify_pres_lemma(
     if chosen is None:
         raise LawHypothesisError("no supplied witness has trivial torus and h != 0")
     one = (Fraction(1),) * law.rank
-    zv = Poly.variable(ZP, "z")
     pv = Poly.variable(ZP, "P")
     h0a = chosen.h * law.a_prime
     closed_forms = {
@@ -274,10 +284,10 @@ def verify_pres_lemma(
     witness_elems: list[PresWitness] = []
     for j in (1, 2, 3):
         for i in _effective_powers(law, point, j):
-            generator = GElem(one, Poly.zero(ZP), zv**i * pv**j)
+            generator = GElem(one, _ZERO, Poly(ZP, {(i, j): 1}))
             ab = g_mul(generator, chosen, law)
             w2 = g_mul(g_mul(ab, g_inverse(generator, law), law), chosen_inverse, law)
-            expected = GElem(one, Poly.zero(ZP), zv**i * closed_forms[j])
+            expected = GElem(one, _ZERO, Poly(ZP, {(i, 0): 1}) * closed_forms[j])
             if w2 != expected:
                 raise LawHypothesisError(
                     f"derived witness for stage {j} disagrees with its closed form"

@@ -4,19 +4,15 @@ None of these is reached from `lnd` itself; each exists so that a test can
 check a result of the package by an independent route.
 """
 
+from fractions import Fraction
 from typing import Mapping
 
 from lnd.arith import XYZ, ZP, Monomial, Poly, _form, _raw, divide_exact, substitute
 from lnd.automorphisms import Automorphism, pullback
-from lnd.delta_family import (
-    DeltaContext,
-    NElem,
-    expand_kernel_poly,
-    m_derivation,
-    shift_in_P,
-)
+from lnd.delta_family import DeltaContext, NElem, expand_kernel_poly, m_derivation
 from lnd.derivations import Derivation, delta, kernel_products
 from lnd.errors import SearchExhaustedError
+from lnd.groupmodel import GElem, GroupLaw
 from lnd.linalg import rref
 
 
@@ -92,9 +88,64 @@ def leibniz_apply(d: Derivation, p: Poly) -> Poly:
     return sum(terms[1:], terms[0]) if terms else Poly.zero(XYZ)
 
 
+def shift_in_P(f: Poly, h: Poly, a_prime: Poly) -> Poly:
+    """f(z, P + h a') in the kernel ring by the generic substitution."""
+    pv = Poly.variable(ZP, "P")
+    return substitute(f, {"z": Poly.variable(ZP, "z"), "P": pv + h * a_prime})
+
+
 def n_inverse(n: NElem, ctx: DeltaContext) -> NElem:
     """(-h, -f(P + h a')); both products with n give the identity."""
     return NElem(-n.h, -shift_in_P(n.f, n.h, ctx.a_prime_zp()))
+
+
+def n_mul(lhs: NElem, rhs: NElem, ctx: DeltaContext) -> NElem:
+    """(h, f) . (hb, fb) = (h + hb, f(P - hb a') + fb) on Polys."""
+    return NElem(lhs.h + rhs.h, shift_in_P(lhs.f, -rhs.h, ctx.a_prime_zp()) + rhs.f)
+
+
+# The group law of `groupmodel` on Poly values: each torus rescale rebuilds
+# the Poly from its Fraction coefficients, and the shift substitutes.
+
+
+def scale_var(p: Poly, r_z: Fraction, r_p: Fraction) -> Poly:
+    """p(r_z z, r_p P)."""
+    return Poly(ZP, {m: c * r_z ** m[0] * r_p ** m[1] for m, c in p.coefficients().items()})
+
+
+def _chi(character, point) -> Fraction:
+    value = Fraction(1)
+    for coord, e in zip(point, character.exponents):
+        value *= Fraction(coord) ** e
+    return value
+
+
+def conjugate_fiber(law: GroupLaw, point, h: Poly, f: Poly) -> tuple[Poly, Poly]:
+    """lambda^-1 (1, h, f) lambda: h scales by nu with rho1-scaled z, f by mu
+    with (rho1, rho2)-scaled coordinates."""
+    r1 = _chi(law.rho1, point)
+    h_c = scale_var(h, r1, Fraction(1)) * _chi(law.nu, point)
+    f_c = scale_var(f, r1, _chi(law.rho2, point)) * _chi(law.mu, point)
+    return h_c, f_c
+
+
+def g_mul(a: GElem, b: GElem, law: GroupLaw) -> GElem:
+    h_c, f_c = conjugate_fiber(law, b.torus, a.h, a.f)
+    shifted = shift_in_P(f_c, -b.h, law.a_prime)
+    torus = tuple(x * y for x, y in zip(a.torus, b.torus))
+    return GElem(torus, h_c + b.h, shifted + b.f)
+
+
+def g_inverse(a: GElem, law: GroupLaw) -> GElem:
+    point = tuple(1 / Fraction(c) for c in a.torus)
+    h_c, f_c = conjugate_fiber(law, point, a.h, a.f)
+    return GElem(point, -h_c, -shift_in_P(f_c, h_c, law.a_prime))
+
+
+def commutator(a: GElem, b: GElem, law: GroupLaw) -> GElem:
+    """[a, b] = a b a^-1 b^-1."""
+    ai, bi = g_inverse(a, law), g_inverse(b, law)
+    return g_mul(g_mul(g_mul(a, b, law), ai, law), bi, law)
 
 
 def integrate_in(p: Poly, var: str) -> Poly:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from lnd import arith, corpus, delta_family, derivations, runner
-from lnd.arith import XYZ, ZP, Poly, gcd_many, substitute
+from lnd.arith import ALLOWANCE, XYZ, ZP, Poly, WorkBudgetExceeded, gcd_many, substitute
 from lnd.automorphisms import Automorphism, commutes, compose
 from lnd.delta_family import (
     compose_with_family,
@@ -24,6 +24,7 @@ from lnd.delta_family import (
     n_elem,
     n_mul,
     n_to_aut,
+    shift_in_P,
 )
 from lnd.derivations import (
     apply,
@@ -36,6 +37,7 @@ from lnd.derivations import (
 )
 from lnd.errors import ContextError, NotInNError, SearchExhaustedError, VerificationError
 from lnd.syntax import parse_poly
+import oracles
 from oracles import combine_to_delta, express_in_kernel, n_inverse, quotient_action
 
 
@@ -127,6 +129,32 @@ def test_n_mul_identity_and_inverse():
         inv = n_inverse(n, CTX)
         assert n_mul(n, inv, CTX) == n_elem(0, 0)
         assert n_mul(inv, n, CTX) == n_elem(0, 0)
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX_Z], ids=["d=1", "d=z"])
+def test_n_mul_agrees_with_the_substitution_law(ctx):
+    rng = random.Random(59)
+    elems = [rand_nelem(rng) for _ in range(12)]
+    elems += [n_elem(0, 0), n_elem(k("1/2*z - 1"), 0), n_elem(0, k("1/3*P^3 - z*P"))]
+    for a, b in zip(elems, elems[1:] + elems[:1]):
+        assert n_mul(a, b, ctx) == oracles.n_mul(a, b, ctx)
+
+
+def test_shift_in_P_charges_the_powers_of_s():
+    f, s = k("z*P^3 - P + 1/2"), k("2*z^2 - 3/5*z")
+    expected = oracles.shift_in_P(f, -s, Poly.one(ZP)) * Fraction(-3, 2) + k("P")
+    # s^2 and s^3 are tabled: 2 * 2 + 2 * 3 = 10 term pairs
+    for allowance, trips in ((9, True), (10, False)):
+        token = ALLOWANCE.set([allowance])
+        try:
+            if trips:
+                with pytest.raises(WorkBudgetExceeded):
+                    shift_in_P(f, s, k("P"), Fraction(-3, 2))
+            else:
+                assert shift_in_P(f, s, k("P"), Fraction(-3, 2)) == expected
+                assert ALLOWANCE.get() == [0]
+        finally:
+            ALLOWANCE.reset(token)
 
 
 def test_n_inverse_closed_forms():
@@ -245,8 +273,8 @@ def _count_products(monkeypatch) -> list[int]:
     """[products, term pairs] of every Poly x Poly product from here on:
     those of Poly.__mul__, and the products that run on numerator maps: the
     Leibniz products image_v * dp/dv of derivations.apply, and in
-    delta_family the products h E_v and f D'_v of m_derivation and the
-    growth of a context's table of powers of P."""
+    delta_family the products h E_v and f D'_v of m_derivation, the
+    growth of a context's table of powers of P and shift_in_P's powers of s."""
     counts = [0, 0]
     mul = Poly.__mul__
 
@@ -278,12 +306,13 @@ def test_centralizer_work_is_pinned(monkeypatch):
     # express_in_zp peeled by x-degree, 38,327 while the pair recovery
     # re-checked D'(f) = 0, 38,201 while it stripped exp(-hE) before reading
     # f off g*(Q), 37,993 while expand_kernel_poly substituted P by Horner's
-    # rule instead of reading a context's table of powers of P).
+    # rule instead of reading a context's table of powers of P, 36,868 while
+    # n_mul shifted P by Horner's rule instead of a table of powers of s).
     case = corpus.parse(CENTRALIZER_CORPUS)
     products = _count_products(monkeypatch)
     report = runner.run(case, seed=0)
     assert [e.verdict for e in report.entries] == ["PASS", "PASS"]
-    assert products[1] == 36_868
+    assert products[1] == 36_793
 
 
 def test_a_scaling_that_commutes_with_d_prime_does_not_centralize_u(monkeypatch):

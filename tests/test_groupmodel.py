@@ -25,6 +25,7 @@ from lnd.groupmodel import (
     verify_pres_lemma,
 )
 from lnd.syntax import parse_poly
+import oracles
 
 
 def k(text):
@@ -144,6 +145,46 @@ def test_group_operations_agree_with_substitution_formulas(law):
         old_bracket = _old_mul(_old_mul(_old_mul(a, b, law), ai, law), bi, law)
         assert commutator(a, b, law) == old_bracket
         assert g_mul(a, g_inverse(a, law), law) == e
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        make_group_law([-2], [1], [2], k("z")),
+        make_group_law([1], [1], [-1], k("3*z^2")),
+        make_group_law([-1, 2], [1, 0], [0, 1], k("-1/2*z")),
+        make_group_law([2, -1], [1, 1], [-1, 2], k("2/3*z^2")),
+    ],
+    ids=["rank1-deg1", "rank1-deg2", "rank2-deg1", "rank2-deg2"],
+)
+def test_numerator_law_agrees_with_the_poly_law(law):
+    # The Poly-level law of tests/oracles.py (Fraction rescales, shift by
+    # substitution) as reference, on torus coordinates 1, 2^-1 and 3^2 and
+    # rational h and f with h = 0 and f = 0 among them.
+    rng = random.Random(127 + 2 * law.rank + law.a_prime.total_degree())
+    coords = (Fraction(1), Fraction(1, 2), Fraction(9))
+
+    def draw():
+        torus = tuple(rng.choice(coords) for _ in range(law.rank))
+        h = Poly(ZP, {(e, 0): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for e in range(3)})
+        f = Poly(ZP, {
+            (rng.randint(0, 2), rng.randint(0, 3)): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in range(4)
+        })
+        choice = rng.randrange(4)
+        return g_elem(torus, Poly.zero(ZP) if choice == 0 else h, Poly.zero(ZP) if choice == 1 else f)
+
+    one = (1,) * law.rank
+    elems = [draw() for _ in range(14)]
+    elems += [g_identity(law), g_elem(one, 0, k("z*P^3 - P")), g_elem(coords[1:2] * law.rank, k("z - 1"), 0)]
+    for a, b, c in zip(elems, elems[1:] + elems[:1], elems[2:] + elems[:2]):
+        product = g_mul(a, b, law)
+        assert product == oracles.g_mul(a, b, law)
+        assert GElem(*product) == product  # what the law skips re-validating holds
+        inverse = g_inverse(a, law)
+        assert inverse == oracles.g_inverse(a, law) and GElem(*inverse) == inverse
+        assert commutator(a, b, law) == oracles.commutator(a, b, law)
+        assert g_mul(product, c, law) == g_mul(a, g_mul(b, c, law), law)
 
 
 def _derived_identity_holds(law):
@@ -266,10 +307,11 @@ def test_verify_pres_lemma_monotone_in_power():
 
 
 def test_verify_pres_lemma_rejects_a_witness_off_its_closed_form(monkeypatch):
-    # A law that shifts P the wrong way, f(z, P - h a'), gives commutators
-    # (1, 0, z^i h0 a') at stage 1, against the closed form -z^i h0 a'.
+    # A law whose fiber kernel shifts P the wrong way, f(z, P + s) for
+    # s = hb a', gives commutators (1, 0, z^i h0 a') at stage 1, against the
+    # closed form -z^i h0 a'.
     shift = groupmodel.shift_in_P
-    monkeypatch.setattr(groupmodel, "shift_in_P", lambda f, h, a_prime: shift(f, -h, a_prime))
+    monkeypatch.setattr(groupmodel, "shift_in_P", lambda f, s, *scalars: shift(f, -s, *scalars))
     with pytest.raises(LawHypothesisError) as err:
         verify_pres_lemma(LAW, [derived_witness(LAW, k("1"))], [g_identity(LAW)])
     assert str(err.value) == "derived witness for stage 1 disagrees with its closed form"
