@@ -131,20 +131,21 @@ def shift_in_P(f: Poly, s: Poly, plus: Poly = Poly.zero(ZP), k=1, r1=1, r2=1) ->
     C(j, t) c z^i P^(j - t) (-s)^t from a table of the powers of -s, each
     past the first charged to an armed ALLOWANCE as a Poly product, over one
     shared denominator, and the sum is formed once."""
-    if not f.terms or not s.terms and k == r1 == r2 == 1:
-        return f + plus
+    if not f.terms:
+        return plus
+    if not s.terms and r1 == r2 == 1:
+        return f * k + plus
     top_z, top_p = map(max, zip(*f.terms))
-    powers, sd = [{(0, 0): 1}], s.den
-    if s.terms and top_p:
-        powers.append({m: -c for m, c in s.terms.items()})
-        while len(powers) <= top_p:
-            _charge(len(s.terms) * len(powers[-1]))
-            powers.append(_mul_terms(powers[1], powers[-1]))
-    an, ad, bn, bd = r1.numerator, r1.denominator, r2.numerator, r2.denominator
+    powers, sd = [{(0, 0): 1}, {m: -c for m, c in s.terms.items()}], s.den
+    while s.terms and len(powers) <= top_p:
+        _charge(len(s.terms) * len(powers[-1]))
+        powers.append(_mul_terms(powers[1], powers[-1]))
+    kn, an, ad, bn, bd = k.numerator, r1.numerator, r1.denominator, r2.numerator, r2.denominator
+    unscaled = an == ad == bn == bd == 1
     out: dict = {}
     get = out.get
     for (i, j), c in f.terms.items():
-        c *= k.numerator * an**i * ad ** (top_z - i) * bn**j * bd ** (top_p - j)
+        c *= kn if unscaled else kn * an**i * ad ** (top_z - i) * bn**j * bd ** (top_p - j)
         for t, power in enumerate(powers[: j + 1]):
             ct = c * comb(j, t) * sd ** (top_p - t)
             for (e, _), cs in power.items():
@@ -155,7 +156,9 @@ def shift_in_P(f: Poly, s: Poly, plus: Poly = Poly.zero(ZP), k=1, r1=1, r2=1) ->
                 else:
                     del out[mono]
     den = k.denominator * f.den * ad**top_z * (bd * sd) ** top_p
-    return _form(ZP, *_add_terms(den, out, plus.den, plus.terms, 1))
+    if plus.terms:
+        den, out = _add_terms(den, out, plus.den, plus.terms, 1)
+    return _form(ZP, den, out)
 
 
 def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaContext:

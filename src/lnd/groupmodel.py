@@ -20,12 +20,11 @@ trivially, so the derived-subgroup identity [(1,0,q), (1,h0,f0)] =
 (1, 0, q - q(P + h0 a')) follows from the fiber law alone, whatever the
 characters.
 
-The law runs on int numerator maps: g_mul, g_inverse and n_mul share one
-fiber kernel, delta_family.shift_in_P, which forms k f(r1 z, r2 (P - s)) + g
-once, with k, r1, r2 character values at the torus point (none is evaluated
-at the unit point) and s = hb a'; h takes the same kernel with no P.  The
-law's elements skip GElem's validation: nu h(r1 z) + hb stays in Q[z], and
-products and inverses of nonzero torus points are nonzero.
+The law runs on int numerator maps through one fiber kernel shared with
+n_mul, delta_family.shift_in_P: k f(r1 z, r2 (P - s)) + g with s = hb a' and
+k, r1, r2 the characters at the torus point, none evaluated at the unit
+point.  Its elements skip GElem's validation: nu h(r1 z) + hb stays in Q[z],
+and products and inverses of nonzero torus points are nonzero.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .arith import XYZ, ZP, Poly, is_univariate_in
+from .arith import XYZ, ZP, Poly, _raw, is_univariate_in
 from .automorphisms import Automorphism, commutes, compose, inverse, modification, mu_character
 from .delta_family import expand_kernel_poly, n_elem, n_to_aut, shift_in_P
 from .derivations import apply, logarithm, scale_poly
@@ -164,30 +163,27 @@ def g_identity(law: GroupLaw) -> GElem:
 
 
 def _is_unit(point: tuple[Fraction, ...]) -> bool:
-    return all(c == 1 for c in point)
+    return point.count(1) == len(point)
 
 
-_UNIT = (1, 1, 1, 1)
-
-
+@lru_cache(maxsize=4096)
 def _fiber_scalars(law: GroupLaw, point: tuple[Fraction, ...]) -> tuple:
-    """(mu, rho1, rho2, nu) at the point; _UNIT, unevaluated, at the unit point."""
-    if _is_unit(point):
-        return _UNIT
-    rho1 = law.rho1.evaluate(point)
-    return law.mu.evaluate(point), rho1, law.rho2.evaluate(point), law.nu.evaluate(point)
+    """(mu, rho1, rho2, nu) at a torus point, cached per law and point."""
+    return tuple(character.evaluate(point) for character in law[:4])
 
 
 def g_mul(a: GElem, b: GElem, law: GroupLaw) -> GElem:
     """Semidirect product: torus parts multiply, the incoming torus
     conjugates the left fiber, fibers multiply by the shifted law."""
-    if len(a.torus) != law.rank or len(b.torus) != law.rank:
+    if not len(a.torus) == len(b.torus) == law.rank:
         raise ValueError("element rank does not match the law")
-    mu, r1, r2, nu = scalars = _fiber_scalars(law, b.torus)
-    torus = a.torus if scalars is _UNIT else tuple(x * y for x, y in zip(a.torus, b.torus))
+    s = b.h * law.a_prime
+    if _is_unit(b.torus):
+        return tuple.__new__(GElem, (a.torus, a.h + b.h, shift_in_P(a.f, s, b.f)))
+    mu, r1, r2, nu = _fiber_scalars(law, b.torus)
+    torus = tuple(x * y for x, y in zip(a.torus, b.torus))
     h = shift_in_P(a.h, _ZERO, b.h, nu, r1)
-    f = shift_in_P(a.f, b.h * law.a_prime, b.f, mu, r1, r2)
-    return tuple.__new__(GElem, (torus, h, f))
+    return tuple.__new__(GElem, (torus, h, shift_in_P(a.f, s, b.f, mu, r1, r2)))
 
 
 def g_inverse(a: GElem, law: GroupLaw) -> GElem:
@@ -195,9 +191,12 @@ def g_inverse(a: GElem, law: GroupLaw) -> GElem:
     characters at lambda^-1 and s the new h times a'."""
     if len(a.torus) != law.rank:
         raise ValueError("element rank does not match the law")
-    point = a.torus if _is_unit(a.torus) else tuple(1 / Fraction(c) for c in a.torus)
-    mu, r1, r2, nu = _fiber_scalars(law, point)
-    h = shift_in_P(a.h, _ZERO, _ZERO, -nu, r1)
+    if _is_unit(a.torus):
+        point, mu, r1, r2, h = a.torus, 1, 1, 1, -a.h
+    else:
+        point = tuple(1 / Fraction(c) for c in a.torus)
+        mu, r1, r2, nu = _fiber_scalars(law, point)
+        h = shift_in_P(a.h, _ZERO, _ZERO, -nu, r1)
     f = shift_in_P(a.f, h * law.a_prime, _ZERO, -mu, r1, r2)
     return tuple.__new__(GElem, (point, h, f))
 
@@ -267,7 +266,7 @@ def verify_pres_lemma(
         )
     chosen: GElem | None = None
     for w in witnesses:
-        if all(c == 1 for c in w.torus) and not w.h.is_zero():
+        if _is_unit(w.torus) and not w.h.is_zero():
             chosen = w
             break
     if chosen is None:
@@ -284,10 +283,10 @@ def verify_pres_lemma(
     witness_elems: list[PresWitness] = []
     for j in (1, 2, 3):
         for i in _effective_powers(law, point, j):
-            generator = GElem(one, _ZERO, Poly(ZP, {(i, j): 1}))
+            generator = GElem(one, _ZERO, _raw(ZP, 1, {(i, j): 1}))
             ab = g_mul(generator, chosen, law)
             w2 = g_mul(g_mul(ab, g_inverse(generator, law), law), chosen_inverse, law)
-            expected = GElem(one, _ZERO, Poly(ZP, {(i, 0): 1}) * closed_forms[j])
+            expected = GElem(one, _ZERO, _raw(ZP, 1, {(i, 0): 1}) * closed_forms[j])
             if w2 != expected:
                 raise LawHypothesisError(
                     f"derived witness for stage {j} disagrees with its closed form"
@@ -313,13 +312,15 @@ _POWER_CAP = 64
 
 
 def _effective_powers(law: GroupLaw, point, j: int) -> list[int]:
+    mu, rho1, rho2, _ = _fiber_scalars(law, point)
+    num, den = (mu * rho2**j).as_integer_ratio()  # of mu rho1^i rho2^j, unreduced
     powers = []
     for i in range(_POWER_CAP + 1):
-        character = law.mu + law.rho1 * i + law.rho2 * j
-        if character.evaluate(point) != 1:
+        if num != den:
             powers.append(i)
             if len(powers) == _WITNESS_POWERS:
                 return powers
+        num, den = num * rho1.numerator, den * rho1.denominator
     if powers:
         return powers
     raise LawHypothesisError(
