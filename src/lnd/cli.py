@@ -2,10 +2,18 @@
 
     lnd check <file> [--seed N] [--budget N] [--deg-max N]
     lnd report <file> [...]        same, with full witness lines
-    lnd parse <file>               syntax check only
+    lnd parse <file>               check the corpus without running it
 
-`check`/`report` exit with 0 exactly when no directive FAILed or ERRORed;
-`parse` exits 0 on clean syntax.  Output is plain UTF-8 text and is
+`check`/`report` exit with 0 exactly when no directive FAILed or ERRORed.
+`parse` runs what `check` runs before its first directive, except building
+the definitions: it parses the corpus and binds every directive against
+runner's schema, evaluating no directive argument.  It prints `ok: N
+definitions, M directives` and exits 0, or one `error: FILE:LINE:COL:
+message` line per fault.  A fault `check` reports as an ERROR line while
+the other directives run (an argument that does not bind, a name of the
+wrong kind, a literal of the wrong shape, a variable outside the ring)
+exits 1; a syntax error, an undefined name or an unknown directive stops
+`check` too, and exits 2.  Output is plain UTF-8 text and is
 byte-identical across runs for the same file and options.
 """
 
@@ -15,7 +23,7 @@ import argparse
 import sys
 
 from . import corpus, runner
-from .errors import ParseError
+from .errors import LndError, ParseError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("check", "run all directives and print one verdict line each"),
         ("report", "run all directives and print verdicts with full witnesses"),
-        ("parse", "syntax-check a corpus file"),
+        ("parse", "check a corpus file without running it"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("file", help="corpus file")
@@ -48,6 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_line(file: str, fault) -> str:
+    return f"error: {file}:{fault.line}:{fault.col}: {fault.message}"
+
+
 def main(argv: list[str] | None = None) -> int:
     options = _build_parser().parse_args(argv)
     try:
@@ -58,18 +70,26 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         case = corpus.parse(source)
+        if options.command == "parse":
+            definition_faults, arguments = runner.bind(case)
+        else:
+            report = runner.run(
+                case,
+                seed=options.seed,
+                budget=options.budget,
+                deg_max_cap=max(1, min(options.deg_max, runner.MAX_DEG_MAX)),
+            )
     except ParseError as exc:
-        print(f"error: {options.file}:{exc.line}:{exc.col}: {exc.message}")
+        print(_error_line(options.file, exc))
         return 2
     if options.command == "parse":
+        faults = [*definition_faults.values(), *(a for a in arguments if isinstance(a, LndError))]
+        for fault in sorted(faults, key=lambda fault: (fault.line, fault.col)):
+            print(_error_line(options.file, fault))
+        if faults:
+            return 1
         print(f"ok: {len(case.definitions)} definitions, {len(case.directives)} directives")
         return 0
-    report = runner.run(
-        case,
-        seed=options.seed,
-        budget=options.budget,
-        deg_max_cap=max(1, min(options.deg_max, runner.MAX_DEG_MAX)),
-    )
     sys.stdout.write(runner.format_report(report, full=options.command == "report"))
     return 0 if report.ok else 1
 

@@ -23,6 +23,8 @@ defined before use and never redefined.  Polynomial bodies are evaluated at
 parse time in the ring their definition kind dictates; heavyweight objects
 (contexts, laws) are validated structurally here and constructed by the
 runner, so that their mathematical failures surface as report entries.
+Directive names, and what each directive accepts, are runner.bind's: it
+checks a parsed corpus against the directive schema.
 """
 
 from __future__ import annotations
@@ -35,28 +37,7 @@ from .automorphisms import Automorphism
 from .derivations import Derivation
 from .errors import ParseError
 from .quotient_geometry import PlaneAut, plane_divisor
-from .syntax import ExprParser, Neg, Pow, Product, Sum, Token, Var
-from .syntax import eval_expr, expr_to_str, token_int, tokenize
-
-# Directive vocabulary; unknown directives are positioned parse errors.
-DIRECTIVES = (
-    "exp_log_roundtrip",
-    "one_parameter_group",
-    "standard_decomposition_expect",
-    "plinth_expect",
-    "admissible_complement",
-    "ad_identity",
-    "n_group_homomorphism",
-    "sat_instance",
-    "irreducibility_criterion",
-    "conjugation_formula",
-    "divisor_symmetry_expect",
-    "lift_H",
-    "pres_lemma",
-    "char_commutator",
-    "nonfence_commutator",
-    "fixed_scheme",
-)
+from .syntax import ExprParser, Token, eval_expr, expr_to_str, stray_var, token_int, tokenize
 
 # Term pairs the products of one polynomial body may spend while a corpus is
 # parsed, about 1 s of dense products on a 2-CPU x86 machine (Python 3.11).
@@ -91,6 +72,7 @@ class Definition(NamedTuple):
     name: str
     value: object
     line: int
+    col: int
 
 
 # -- directive argument values ---------------------------------------------
@@ -106,6 +88,13 @@ class ExprValue(NamedTuple):
     ast: object
     line: int
     col: int
+
+
+class Compose(NamedTuple):
+    """The value of `automorphism NAME = compose(left, right)`."""
+
+    left: NameRef
+    right: NameRef
 
 
 class ListValue(NamedTuple):
@@ -130,6 +119,8 @@ class KeywordValue(NamedTuple):
 class Arg(NamedTuple):
     key: str | None
     value: object
+    line: int  # of the key, or of the value when there is none
+    col: int
 
 
 class Directive(NamedTuple):
@@ -140,18 +131,19 @@ class Directive(NamedTuple):
 
 
 class CorpusCase:
-    """Definitions and check directives in source order; the parser appends."""
+    """Definitions and check directives in source order, and the kind of
+    each defined name; the parser appends."""
 
     def __init__(self):
         self.definitions: list[Definition] = []
         self.directives: list[Directive] = []
+        self.kinds: dict[str, str] = {}
 
 
 class _CorpusParser(ExprParser):
     def __init__(self, tokens: list[Token]):
         super().__init__(tokens)
         self.case = CorpusCase()
-        self.names: set[str] = set()
 
     # helpers ---------------------------------------------------------------
 
@@ -168,9 +160,9 @@ class _CorpusParser(ExprParser):
 
     def fresh_name(self) -> Token:
         tok = self.expect_ident("a name")
-        if tok.text in self.names:
+        if tok.text in self.case.kinds:
             raise ParseError(f"redefinition of {tok.text!r}", tok.line, tok.col)
-        if tok.text in _KEYWORDS or tok.text in _RESERVED or tok.text in DIRECTIVES:
+        if tok.text in _KEYWORDS or tok.text in _RESERVED:
             raise ParseError(f"{tok.text!r} is reserved", tok.line, tok.col)
         return tok
 
@@ -235,8 +227,10 @@ class _CorpusParser(ExprParser):
         return self.case
 
     def _add(self, kind: str, name_tok: Token, value) -> None:
-        self.case.definitions.append(Definition(kind, name_tok.text, value, name_tok.line))
-        self.names.add(name_tok.text)
+        self.case.definitions.append(
+            Definition(kind, name_tok.text, value, name_tok.line, name_tok.col)
+        )
+        self.case.kinds[name_tok.text] = kind
 
     def _def_poly(self) -> None:
         name = self.fresh_name()
@@ -277,16 +271,16 @@ class _CorpusParser(ExprParser):
             self.expect_sym(",")
             right = self._defined_name("automorphism")
             self.expect_sym(")")
-            self._add("automorphism", name, ("compose", left, right))
+            self._add("automorphism", name, Compose(left, right))
             return
         images = self._triple(XYZ, XYZ)
         self._add("automorphism", name, Automorphism(*images))
 
-    def _defined_name(self, expected_kind: str) -> str:
+    def _defined_name(self, expected_kind: str) -> NameRef:
         tok = self.expect_ident(f"a defined {expected_kind} name")
-        if tok.text not in self.names:
+        if tok.text not in self.case.kinds:
             raise ParseError(f"undefined name {tok.text!r}", tok.line, tok.col)
-        return tok.text
+        return NameRef(tok.text, tok.line, tok.col)
 
     def _def_planeaut(self) -> None:
         name = self.fresh_name()
@@ -362,10 +356,6 @@ class _CorpusParser(ExprParser):
 
     def _check(self) -> None:
         name_tok = self.expect_ident("a directive name")
-        if name_tok.text not in DIRECTIVES:
-            raise ParseError(
-                f"unknown directive {name_tok.text!r}", name_tok.line, name_tok.col
-            )
         self.expect_sym("(")
         args: list[Arg] = []
         if not self.at_sym(")"):
@@ -391,7 +381,7 @@ class _CorpusParser(ExprParser):
             key = tok.text
             self.advance()
             self.advance()
-        return Arg(key, self._value())
+        return Arg(key, self._value(), tok.line, tok.col)
 
     def _value(self):
         tok = self.peek()
@@ -429,7 +419,7 @@ class _CorpusParser(ExprParser):
         if tok.kind == "ident" and tok.text in _KEYWORDS and not self._next_is("("):
             self.advance()
             return KeywordValue(tok.text)
-        if tok.kind == "ident" and tok.text in self.names and not self._next_is("("):
+        if tok.kind == "ident" and tok.text in self.case.kinds and not self._next_is("("):
             nxt = self.tokens[self.pos + 1]
             if nxt.kind == "sym" and nxt.text in ("+", "-", "*", "^", "/"):
                 return self._expr_value()
@@ -444,27 +434,17 @@ class _CorpusParser(ExprParser):
     def _expr_value(self, variables: set[str] = _POLY_VARS) -> ExprValue:
         tok = self.peek()
         node = self.parse_expr()
-        self._check_expr_names(node, variables)
+        # An expression reads only variables, and no variable is definable,
+        # so a name means one thing everywhere.
+        var = stray_var(node, variables)
+        if var is not None:
+            message = f"undefined name {var.name!r}"
+            if var.name in self.case.kinds:
+                message = f"{var.name!r} names a definition, not a variable"
+            elif var.name in _POLY_VARS:
+                message = f"unknown variable {var.name!r} in a list item (x, y, z)"
+            raise ParseError(message, var.line, var.col)
         return ExprValue(node, tok.line, tok.col)
-
-    def _check_expr_names(self, node, variables: set[str]) -> None:
-        if isinstance(node, Var):
-            # An expression reads only variables, and no variable is
-            # definable, so a name means one thing everywhere.
-            if node.name not in variables:
-                message = f"undefined name {node.name!r}"
-                if node.name in self.names:
-                    message = f"{node.name!r} names a definition, not a variable"
-                elif node.name in _POLY_VARS:
-                    message = f"unknown variable {node.name!r} in a list item (x, y, z)"
-                raise ParseError(message, node.line, node.col)
-        elif isinstance(node, (Sum, Product)):
-            for operand in node.operands:
-                self._check_expr_names(operand, variables)
-        elif isinstance(node, Neg):
-            self._check_expr_names(node.operand, variables)
-        elif isinstance(node, Pow):
-            self._check_expr_names(node.base, variables)
 
     def _rational(self) -> Fraction:
         sign = 1

@@ -24,7 +24,8 @@ The law runs on int numerator maps through one fiber kernel shared with
 n_mul, delta_family.shift_in_P: k f(r1 z, r2 (P - s)) + g with s = hb a' and
 k, r1, r2 the characters at the torus point, none evaluated at the unit
 point.  Its elements skip GElem's validation: nu h(r1 z) + hb stays in Q[z],
-and products and inverses of nonzero torus points are nonzero.
+and products and inverses of nonzero torus points are nonzero.  So do
+verify_pres_lemma's generators and closed forms: unit torus, h = 0.
 """
 
 from __future__ import annotations
@@ -283,10 +284,12 @@ def verify_pres_lemma(
     witness_elems: list[PresWitness] = []
     for j in (1, 2, 3):
         for i in _effective_powers(law, point, j):
-            generator = GElem(one, _ZERO, _raw(ZP, 1, {(i, j): 1}))
+            generator = tuple.__new__(GElem, (one, _ZERO, _raw(ZP, 1, {(i, j): 1})))
             ab = g_mul(generator, chosen, law)
             w2 = g_mul(g_mul(ab, g_inverse(generator, law), law), chosen_inverse, law)
-            expected = GElem(one, _ZERO, _raw(ZP, 1, {(i, 0): 1}) * closed_forms[j])
+            expected = tuple.__new__(
+                GElem, (one, _ZERO, _raw(ZP, 1, {(i, 0): 1}) * closed_forms[j])
+            )
             if w2 != expected:
                 raise LawHypothesisError(
                     f"derived witness for stage {j} disagrees with its closed form"

@@ -6,17 +6,20 @@ failures never abort the run.  Output is byte-deterministic for a fixed
 (file, seed, budget) triple: randomized directives draw from a generator
 seeded by (seed, directive index).
 
-A directive's arguments bind like a Python call of its `_run_<name>`
-handler after (env, rng): parameters before `/` are taken by position only,
-those after `*` by key only, the rest either way.  A call that does not
-fit, such as a misspelled key or a surplus argument, is an ERROR line.
+A directive's schema is the signature of its `_run_<name>` handler after
+(env, rng): how each parameter binds (before `/` by position only, after
+`*` by key only, the rest either way), its default, and as its annotation
+what it accepts.  `bind` checks a parsed corpus against the schemas before
+anything is built or evaluated, for `lnd parse` and `run` alike.  A
+directive that does not fit, such as one with a misspelled key, a surplus
+argument or a name of the wrong kind, is an ERROR line while the others
+run.  Expression arguments are evaluated when their directive is
+dispatched, all before its check.
 """
-
-from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import delta_family, groupmodel, quotient_geometry
 from .arith import ALLOWANCE, XYZ, YZ, ZP, ZVAR, Poly, WorkBudgetExceeded
@@ -30,7 +33,9 @@ from .automorphisms import (
 from .corpus import (
     PARSE_WORK_BUDGET,
     ContextSpec,
+    Compose,
     CorpusCase,
+    Directive,
     ExprValue,
     GElemValue,
     KeywordValue,
@@ -51,9 +56,9 @@ from .derivations import (
     scale,
     standard_decomposition,
 )
-from .errors import LndError
+from .errors import LndError, ParseError
 from .quotient_geometry import PlaneDivisor
-from .syntax import eval_expr
+from .syntax import eval_expr, stray_var, unknown_variable
 
 # Protective bounds for untrusted corpus input; honest errors, not crashes.
 MAX_DEG_MAX = 12
@@ -97,22 +102,24 @@ def format_report(report: Report, full: bool = False) -> str:
 
 
 class DirectiveError(LndError):
-    """Schema violation in directive arguments."""
+    """A directive argument that does not fit its parameter, placed at
+    (line, col) by the bind step, or whose value is out of range."""
+
+    def __init__(self, message: str, line: int = 0, col: int = 0):
+        super().__init__(message)
+        self.message, self.line, self.col = message, line, col
 
 
 class _Env:
     def __init__(self, deg_max_cap: int, budget: int | None):
-        self.objects: dict[str, tuple[str, object]] = {}
+        self.objects: dict[str, object] = {}
         self.deg_max_cap = deg_max_cap
         self.budget = budget
 
-    def fetch(self, name: str, kinds: tuple[str, ...]):
-        if name not in self.objects:
-            raise DirectiveError(f"{name!r} is not defined or failed to build")
-        kind, value = self.objects[name]
-        if kind not in kinds:
-            raise DirectiveError(f"{name!r} is a {kind}, expected {' or '.join(kinds)}")
-        return value
+    def fetch(self, ref: NameRef):
+        if ref.name not in self.objects:
+            raise DirectiveError(f"{ref.name!r} is not defined or failed to build")
+        return self.objects[ref.name]
 
 
 def _evaluate(ring: tuple[str, ...], *values: ExprValue) -> list[Poly]:
@@ -129,23 +136,6 @@ def _evaluate(ring: tuple[str, ...], *values: ExprValue) -> list[Poly]:
         ALLOWANCE.reset(armed)
 
 
-def _object(env: _Env, value, kinds: tuple[str, ...]):
-    if isinstance(value, NameRef):
-        return env.fetch(value.name, kinds)
-    raise DirectiveError(f"expected a defined {' or '.join(kinds)} name")
-
-
-def _poly(env: _Env, value, ring: tuple[str, ...]) -> Poly:
-    if isinstance(value, NameRef):
-        obj = env.fetch(value.name, ("poly", "unipoly", "divisor"))
-        if isinstance(obj, PlaneDivisor):
-            obj = obj.a
-        return obj.to_ring(ring)
-    if isinstance(value, ExprValue):
-        return _evaluate(ring, value)[0]
-    raise DirectiveError("expected a polynomial")
-
-
 def _int(value, what: str, low: int, high: int) -> int:
     """An int, or an integer expression, in [low, high]."""
     if isinstance(value, ExprValue):
@@ -153,45 +143,84 @@ def _int(value, what: str, low: int, high: int) -> int:
         if constant.denominator != 1:
             raise DirectiveError(f"{what} must be an integer")
         value = int(constant)
-    elif not isinstance(value, int):
-        raise DirectiveError(f"expected an integer for {what}")
     if not low <= value <= high:
         raise DirectiveError(f"{what} must lie in [{low}, {high}]")
     return value
 
 
 def _samples(env: _Env, value) -> int:
-    """run's `budget` when given, else the directive's `samples`, else 200."""
-    if env.budget is not None:
-        value = env.budget
-    elif value is None:
-        return 200
-    return _int(value, "samples", 1, MAX_SAMPLES)
+    """run's `budget` when given, else the directive's `samples`."""
+    return _int(value if env.budget is None else env.budget, "samples", 1, MAX_SAMPLES)
 
 
-def _nelem(value) -> delta_family.NElem:
-    if isinstance(value, NElemValue):
-        return delta_family.n_elem(*_evaluate(ZP, value.h, value.f))
-    raise DirectiveError("expected an n(h, f) literal")
+# -- what a parameter accepts ---------------------------------------------------
 
 
-def _gelem(value) -> groupmodel.GElem:
-    if isinstance(value, GElemValue):
-        return groupmodel.g_elem(value.torus, *_evaluate(ZP, value.h, value.f))
-    raise DirectiveError("expected a gelem(...; h; f) literal")
+class _Accepts(NamedTuple):
+    """A parameter's annotation: the argument value classes it takes, the
+    definition kinds a name may have, the ring of its expressions and a
+    parameter that must be given with it.  `read(env, value)` evaluates an
+    argument into the handler's value."""
+
+    expected: str
+    shapes: tuple[type, ...]
+    read: Callable
+    kinds: tuple[str, ...] = ()
+    ring: tuple[str, ...] = ()
+    requires: str | None = None
 
 
-def _poly_list(value, ring: tuple[str, ...]) -> list[Poly]:
-    if isinstance(value, ListValue):
-        return _evaluate(ring, *value.items)
-    raise DirectiveError("expected a [p1, p2, ...] list")
+def _object(*kinds: str, read: Callable = _Env.fetch) -> _Accepts:
+    return _Accepts(f"a defined {' or '.join(kinds)} name", (NameRef,), read, kinds)
 
 
-def _derivation(env: _Env, value) -> Derivation:
-    obj = _object(env, value, ("derivation", "automorphism"))
-    if isinstance(obj, Automorphism):
-        return logarithm(obj)
-    return obj
+def _poly(ring: tuple[str, ...], requires: str | None = None) -> _Accepts:
+    def read(env: _Env, value) -> Poly:
+        if isinstance(value, ExprValue):
+            return _evaluate(ring, value)[0]
+        obj = env.fetch(value)
+        return (obj.a if isinstance(obj, PlaneDivisor) else obj).to_ring(ring)
+
+    kinds = ("poly", "unipoly", "divisor")
+    return _Accepts("a polynomial", (NameRef, ExprValue), read, kinds, ring, requires)
+
+
+def _polys(ring: tuple[str, ...]) -> _Accepts:
+    read = lambda env, value: _evaluate(ring, *value.items)  # noqa: E731
+    return _Accepts("a [p1, p2, ...] list", (ListValue,), read, ring=ring)
+
+
+def _integer(what: str, low: int, high: int) -> _Accepts:
+    return _Accepts(f"an integer for {what}", (ExprValue,), lambda env, v: _int(v, what, low, high))
+
+
+def _derivation(env: _Env, ref: NameRef) -> Derivation:
+    obj = env.fetch(ref)
+    return logarithm(obj) if isinstance(obj, Automorphism) else obj
+
+
+_CONTEXT, _AUTOMORPHISM = _object("context"), _object("automorphism")
+_DERIVATION = _object("derivation", "automorphism", read=_derivation)
+_NAMED = _object("derivation", "automorphism", read=lambda env, ref: (ref.name, env.fetch(ref)))
+# Read by _samples in the handler, since run's `budget` overrides it.
+_SAMPLES = _Accepts("an integer for samples", (ExprValue,), lambda env, value: value)
+_ORDER = _Accepts(
+    "an integer for order",
+    (ExprValue, KeywordValue),
+    lambda env, v: v.word if isinstance(v, KeywordValue) else _int(v, "order", 1, 10**6),
+)
+_NELEM = _Accepts(
+    "an n(h, f) literal",
+    (NElemValue,),
+    lambda env, v: delta_family.n_elem(*_evaluate(ZP, v.h, v.f)),
+    ring=ZP,
+)
+_GELEM = _Accepts(
+    "a gelem(...; h; f) literal",
+    (GElemValue,),
+    lambda env, v: groupmodel.g_elem(v.torus, *_evaluate(ZP, v.h, v.f)),
+    ring=ZP,
+)
 
 
 class _LazyRandom:
@@ -228,12 +257,12 @@ def _rand_nelem(rng: _LazyRandom, deg: int) -> delta_family.NElem:
 # -- directive implementations ------------------------------------------------
 
 
-def _run_exp_log_roundtrip(env, rng, derivation, /) -> tuple[str, str]:
-    d = _object(env, derivation, ("derivation", "automorphism"))
+def _run_exp_log_roundtrip(env, rng, derivation: _NAMED, /):
+    name, d = derivation
     if isinstance(d, Automorphism):
         # logarithm certifies exp(log u) = u itself, or raises
         logarithm(d)
-        return "PASS", f"exp(log({derivation.name})) = {derivation.name} exactly"
+        return "PASS", f"exp(log({name})) = {name} exactly"
     # the exponential's series on the generators give the vanishing orders;
     # back == d is itself the certificate exp(back) = u, so no round trip
     u, orders = _exponential_with_orders(d)
@@ -243,8 +272,8 @@ def _run_exp_log_roundtrip(env, rng, derivation, /) -> tuple[str, str]:
     return "PASS", f"roundtrip exact; vanishing orders {orders}"
 
 
-def _run_one_parameter_group(env, rng, derivation, /, *, samples=None) -> tuple[str, str]:
-    d = _derivation(env, derivation)
+def _run_one_parameter_group(env, rng, derivation: _DERIVATION, /, *, samples: _SAMPLES = 200):
+    d = derivation
     samples = _samples(env, samples)
     for _ in range(samples):
         s, t = _rand_fraction(rng), _rand_fraction(rng)
@@ -255,17 +284,14 @@ def _run_one_parameter_group(env, rng, derivation, /, *, samples=None) -> tuple[
 
 
 def _run_standard_decomposition_expect(
-    env, rng, automorphism, /, d, *, uprime=None
-) -> tuple[str, str]:
-    u = _object(env, automorphism, ("automorphism",))
-    expected_d = _poly(env, d, XYZ)
-    d, u_prime = standard_decomposition(u)
+    env, rng, automorphism: _AUTOMORPHISM, /, d: _poly(XYZ), *, uprime: _AUTOMORPHISM = None
+):
+    expected_d = d
+    d, u_prime = standard_decomposition(automorphism)
     if d != expected_d.monic():
         return "FAIL", f"expected d = {expected_d.monic()}, got d = {d}"
-    if uprime is not None:
-        expected_up = _object(env, uprime, ("automorphism",))
-        if u_prime != expected_up:
-            return "FAIL", "irreducible part differs from the expected automorphism"
+    if uprime is not None and u_prime != uprime:
+        return "FAIL", "irreducible part differs from the expected automorphism"
     return (
         "PASS",
         f"d = {d}, u' irreducible with pullback x -> {u_prime.pullback_x}",
@@ -277,20 +303,15 @@ def _run_standard_decomposition_expect(
 
 
 def _run_plinth_expect(
-    env, rng, derivation, /, gens, *, deg_max=3, a=None, q=None
-) -> tuple[str, str]:
-    d = _derivation(env, derivation)
-    gens = _poly_list(gens, XYZ)
-    deg_max = min(_int(deg_max, "deg_max", 1, MAX_DEG_MAX), env.deg_max_cap)
-    q_poly, a_poly = plinth_search(d, gens, deg_max)
-    if a is not None:
-        expected = _poly(env, a, XYZ).monic()
-        if a_poly != expected:
-            return "FAIL", f"expected a = {expected}, got a = {a_poly}"
-    if q is not None:
-        expected_q = _poly(env, q, XYZ)
-        if q_poly != expected_q:
-            return "FAIL", f"expected Q = {expected_q}, got Q = {q_poly}"
+    env, rng, derivation: _DERIVATION, /, gens: _polys(XYZ), *,
+    deg_max: _integer("deg_max", 1, MAX_DEG_MAX) = 3, a: _poly(XYZ) = None, q: _poly(XYZ) = None,
+):
+    deg_max = min(deg_max, env.deg_max_cap)
+    q_poly, a_poly = plinth_search(derivation, gens, deg_max)
+    if a is not None and a_poly != a.monic():
+        return "FAIL", f"expected a = {a.monic()}, got a = {a_poly}"
+    if q is not None and q_poly != q:
+        return "FAIL", f"expected Q = {q}, got Q = {q_poly}"
     return (
         "PASS",
         f"plinth pair Q = {q_poly}, a = {a_poly}",
@@ -299,27 +320,28 @@ def _run_plinth_expect(
     )
 
 
-def _run_admissible_complement(env, rng, context, /) -> tuple[str, str]:
+def _run_admissible_complement(env, rng, context: _CONTEXT, /):
     # make_context certified or its construction proves D'(Q) = a', E(P) = -a',
     # [D', E] = 0 and both irreducibilities; the directive reports the context.
-    ctx = _object(env, context, ("context",))
-    return "PASS", f"Q = {ctx.Q}, a' = {ctx.a_prime}, e pullback x -> {ctx.e.pullback_x}"
+    c = context
+    return "PASS", f"Q = {c.Q}, a' = {c.a_prime}, e pullback x -> {c.e.pullback_x}"
 
 
-def _run_ad_identity(env, rng, context, /, *, q_max=4, samples=None) -> tuple[str, str]:
-    ctx = _object(env, context, ("context",))
-    q_max = _int(q_max, "q_max", 0, MAX_Q_MAX)
+def _run_ad_identity(
+    env, rng, context: _CONTEXT, /, *,
+    q_max: _integer("q_max", 0, MAX_Q_MAX) = 4, samples: _SAMPLES = 200,
+):
     samples = _samples(env, samples)
     for _ in range(samples):
         n = _rand_nelem(rng, 3)
-        report = delta_family.ad_identity_check(ctx, n.h, n.f, q_max)
+        report = delta_family.ad_identity_check(context, n.h, n.f, q_max)
         if not report.holds:
             return "FAIL", f"bracket power(s) {report.failures} fail for {n}"
     return "PASS", f"iterated-bracket identity for q <= {q_max} on {samples} samples"
 
 
-def _run_n_group_homomorphism(env, rng, context, /, *, samples=None) -> tuple[str, str]:
-    ctx = _object(env, context, ("context",))
+def _run_n_group_homomorphism(env, rng, context: _CONTEXT, /, *, samples: _SAMPLES = 200):
+    ctx = context
     samples = _samples(env, samples)
     for _ in range(samples):
         a, b = _rand_nelem(rng, 3), _rand_nelem(rng, 3)
@@ -345,11 +367,8 @@ def _run_n_group_homomorphism(env, rng, context, /, *, samples=None) -> tuple[st
     )
 
 
-def _run_sat_instance(env, rng, B, F, f, /) -> tuple[str, str]:
-    b = _derivation(env, B)
-    f_der = _derivation(env, F)
-    f = _poly(env, f, XYZ)
-    report = sat_instance_check(b, f_der, f)
+def _run_sat_instance(env, rng, B: _DERIVATION, F: _DERIVATION, f: _poly(XYZ), /):
+    report = sat_instance_check(B, F, f)
     if not report.identity_holds:
         return "FAIL", "bracket identity [fF, B] = f[F, B] - B(f) F violated"
     if report.bracket_is_zero:
@@ -360,12 +379,11 @@ def _run_sat_instance(env, rng, B, F, f, /) -> tuple[str, str]:
 
 
 def _run_irreducibility_criterion(
-    env, rng, context, /, pair=None, *, samples=None
-) -> tuple[str, str]:
-    ctx = _object(env, context, ("context",))
+    env, rng, context: _CONTEXT, /, pair: _NELEM = None, *, samples: _SAMPLES = 200
+):
     if pair is not None:
-        pairs = [_nelem(pair)]
-        described = str(pairs[0])
+        pairs = [pair]
+        described = str(pair)
     else:
         samples = _samples(env, samples)
         pairs = [_rand_nelem(rng, 3) for _ in range(samples)]
@@ -375,18 +393,16 @@ def _run_irreducibility_criterion(
         if n.h.is_zero() and n.f.is_zero():
             continue
         checked += 1
-        report = delta_family.irreducibility_criterion_check(ctx, n)
+        report = delta_family.irreducibility_criterion_check(context, n)
         if not report.holds:
             side = "irreducibility" if report.criterion_applies else "content"
             return "FAIL", f"{side} check fails for {n} (gcd = {report.gcd_hf})"
     return "PASS", f"criterion verified on {described} ({checked} nonzero)"
 
 
-def _run_conjugation_formula(env, rng, g, f, u_prime, d, /) -> tuple[str, str]:
-    g = _object(env, g, ("automorphism",))
-    f = _poly(env, f, XYZ)
-    u_prime = _object(env, u_prime, ("automorphism",))
-    d = _poly(env, d, XYZ)
+def _run_conjugation_formula(
+    env, rng, g: _AUTOMORPHISM, f: _poly(XYZ), u_prime: _AUTOMORPHISM, d: _poly(XYZ), /
+):
     report = conjugation_formula_check(g, f, u_prime, d)
     if not report.holds:
         return "FAIL", f"conjugate is not the predicted modification (mu = {report.mu})"
@@ -394,45 +410,32 @@ def _run_conjugation_formula(env, rng, g, f, u_prime, d, /) -> tuple[str, str]:
 
 
 def _run_divisor_symmetry_expect(
-    env, rng, divisor, /, *, mu=None, order=None, k0=None
-) -> tuple[str, str]:
-    sym = quotient_geometry.affine_symmetries(_poly(env, divisor, ZVAR))
-    if mu is not None:
-        expected = _poly(env, mu, ()).constant_value()
-        if sym.center != expected:
-            return "FAIL", f"expected center {expected}, got {sym.center}"
-    if order is not None:
-        if isinstance(order, KeywordValue) and order.word == "torus":
-            if not sym.is_torus:
-                return "FAIL", f"expected the torus case, got order {sym.order}"
-        else:
-            expected_order = _int(order, "order", 1, 10**6)
-            if sym.order != expected_order:
-                return "FAIL", f"expected order {expected_order}, got {sym.order}"
-    if k0 is not None:
-        expected_k0 = _int(k0, "k0", 0, 10**6)
-        if sym.lambda_exponent != expected_k0:
-            return "FAIL", f"expected k0 = {expected_k0}, got {sym.lambda_exponent}"
+    env, rng, divisor: _poly(ZVAR), /, *,
+    mu: _poly(()) = None, order: _ORDER = None, k0: _integer("k0", 0, 10**6) = None,
+):
+    sym = quotient_geometry.affine_symmetries(divisor)
+    if mu is not None and sym.center != mu.constant_value():
+        return "FAIL", f"expected center {mu.constant_value()}, got {sym.center}"
+    if order == "torus" and not sym.is_torus:
+        return "FAIL", f"expected the torus case, got order {sym.order}"
+    if order not in (None, "torus") and sym.order != order:
+        return "FAIL", f"expected order {order}, got {sym.order}"
+    if k0 is not None and sym.lambda_exponent != k0:
+        return "FAIL", f"expected k0 = {k0}, got {sym.lambda_exponent}"
     order = "torus" if sym.is_torus else str(sym.order)
     return "PASS", f"center {sym.center}, order {order}, k0 = {sym.lambda_exponent}"
 
 
-def _run_lift_H(env, rng, g, divisor, /) -> tuple[str, str]:
-    g = _object(env, g, ("planeaut",))
-    div = _object(env, divisor, ("divisor",))
-    sigma = quotient_geometry.lift_to_H(g, div)
+def _run_lift_H(env, rng, g: _object("planeaut"), divisor: _object("divisor"), /):
+    sigma = quotient_geometry.lift_to_H(g, divisor)
     return "PASS", (
         f"lift ({sigma.pullback_x}, {sigma.pullback_y}, {sigma.pullback_z}) "
         f"centralizes the modified translation"
     )
 
 
-def _run_pres_lemma(env, rng, law, /, *candidates) -> tuple[str, str]:
-    law_spec = _object(env, law, ("law",))
-    law = groupmodel.make_group_law(
-        law_spec.mu, law_spec.rho1, law_spec.rho2, law_spec.a_prime, law_spec.nu
-    )
-    candidates = [_gelem(value) for value in candidates]
+def _run_pres_lemma(env, rng, law: _object("law"), /, *candidates: _GELEM):
+    law = groupmodel.make_group_law(law.mu, law.rho1, law.rho2, law.a_prime, law.nu)
     z = Poly.variable(ZP, "z")
     if not candidates:
         pv = Poly.variable(ZP, "P")
@@ -457,52 +460,43 @@ def _run_pres_lemma(env, rng, law, /, *candidates) -> tuple[str, str]:
 
 
 def _run_char_commutator(
-    env, rng, context, /, *, h=None, f=None, samples=None
-) -> tuple[str, str]:
-    ctx = _object(env, context, ("context",))
+    env, rng, context: _CONTEXT, /, *,
+    h: _poly(ZP) = None, f: _poly(ZP, requires="h") = None, samples: _SAMPLES = 200,
+):
     if h is not None:
-        h = _poly(env, h, ZP)
-        f = _poly(env, f, ZP) if f is not None else Poly.zero(ZP)
-        report = groupmodel.char_commutator_check(ctx, h, f)
+        f = f if f is not None else Poly.zero(ZP)
+        report = groupmodel.char_commutator_check(context, h, f)
         if not report.holds:
             return "FAIL", f"nested commutator differs from {report.expected_factor}.u'"
         return "PASS", f"nested commutator equals ({report.expected_factor}).u'"
-    if f is not None:
-        raise DirectiveError("f is given without h")
     samples = _samples(env, samples)
     for _ in range(samples):
         h = _rand_kernel_poly(rng, 3, z_only=True)
         f = _rand_kernel_poly(rng, 1)
-        report = groupmodel.char_commutator_check(ctx, h, f)
+        report = groupmodel.char_commutator_check(context, h, f)
         if not report.holds:
             return "FAIL", f"nested commutator fails for h = {h}, f = {f}"
     return "PASS", f"nested commutator identity on {samples} random h"
 
 
-def _run_nonfence_commutator(env, rng, u_prime, d, t, f, v, /, k) -> tuple[str, str]:
-    u_prime = _object(env, u_prime, ("automorphism",))
-    d = _poly(env, d, XYZ)
-    t = _object(env, t, ("automorphism",))
-    f = _poly(env, f, XYZ)
-    v = _poly(env, v, XYZ)
-    k = _int(k, "k", 0, MAX_K)
+def _run_nonfence_commutator(
+    env, rng, u_prime: _AUTOMORPHISM, d: _poly(XYZ), t: _AUTOMORPHISM, f: _poly(XYZ),
+    v: _poly(XYZ), /, k: _integer("k", 0, MAX_K),
+):
     report = groupmodel.nonfence_commutator_check(u_prime, d, t, f, v, k)
     if not report.holds:
         return "FAIL", f"composition differs from the scalar form ({report.scalar})"
     return "PASS", f"scalar {report.scalar}, orientation {report.orientation}"
 
 
-def _run_fixed_scheme(env, rng, divisor, /, *, multipliers=None) -> tuple[str, str]:
-    div = _object(env, divisor, ("divisor",))
-    if multipliers is not None:
-        multipliers = _poly_list(multipliers, YZ)
-    else:
+def _run_fixed_scheme(env, rng, divisor: _object("divisor"), /, *, multipliers: _polys(YZ) = None):
+    if multipliers is None:
         multipliers = [
             Poly.variable(YZ, "z"),
             Poly.variable(YZ, "y"),
             Poly.variable(YZ, "z") + Poly.one(YZ),
         ]
-    report = quotient_geometry.fixed_scheme_check(div, multipliers)
+    report = quotient_geometry.fixed_scheme_check(divisor, multipliers)
     if not report.holds:
         bad = ", ".join(str(m) for m in report.failed_multipliers)
         return "FAIL", f"enlarged subscheme(s) not moved: {bad}"
@@ -511,68 +505,174 @@ def _run_fixed_scheme(env, rng, divisor, /, *, multipliers=None) -> tuple[str, s
     )
 
 
-def _bound(run):
-    """The (args, rng) handler of `run`, with args = (env, positional, keyword).
+# -- the bind step ----------------------------------------------------------------
 
-    Only after a TypeError is the signature inspected, to tell a call that
-    does not fit it (an ERROR) from a TypeError inside run (propagated);
-    `inspect` is imported only then, as at start-up it would cost every
-    process about 7 ms and 0.7 MB (2-CPU Xeon).
-    """
+
+class _Param(NamedTuple):
+    name: str
+    mode: str  # "/" by position only, "" either way, "*" by key only, "*args" the surplus
+    accepts: _Accepts
+    required: bool
+
+
+def _params(run: Callable) -> tuple[_Param, ...]:
+    """run's parameters after (env, rng), in the order Python binds them,
+    read off its code object as inspect.signature reads them."""
+    code, notes, kwdefaults = run.__code__, run.__annotations__, run.__kwdefaults__ or {}
+    positional, keyed = code.co_argcount, code.co_argcount + code.co_kwonlyargcount
+    first_default, names = positional - len(run.__defaults__ or ()), code.co_varnames
+    params = [
+        _Param(name, "/" if i < code.co_posonlyargcount else "", notes[name], i < first_default)
+        for i, name in enumerate(names[2:positional], 2)
+    ]
+    if code.co_flags & 0x04:  # CO_VARARGS; the *args name follows the keyword-only ones
+        params.append(_Param(names[keyed], "*args", notes[names[keyed]], False))
+    params += [_Param(name, "*", notes[name], name not in kwdefaults) for name in names[positional:keyed]]
+    return tuple(params)
+
+
+_SCHEMA = {
+    run.__name__.removeprefix("_run_"): (run, _params(run))
+    for run in (
+        _run_exp_log_roundtrip, _run_one_parameter_group, _run_standard_decomposition_expect,
+        _run_plinth_expect, _run_admissible_complement, _run_ad_identity,
+        _run_n_group_homomorphism, _run_sat_instance, _run_irreducibility_criterion,
+        _run_conjugation_formula, _run_divisor_symmetry_expect, _run_lift_H, _run_pres_lemma,
+        _run_char_commutator, _run_nonfence_commutator, _run_fixed_scheme,
+    )
+}
+
+
+def _check(accepts: _Accepts, value, line: int, col: int, kinds: dict[str, str]) -> None:
+    """Raise the fault of an argument value that does not fit `accepts`;
+    a variable outside its ring is the ParseError evaluation would raise."""
+    if type(value) not in accepts.shapes:
+        raise DirectiveError(f"expected {accepts.expected}", line, col)
+    if isinstance(value, NameRef) and kinds[value.name] not in accepts.kinds:
+        message = f"{value.name!r} is a {kinds[value.name]}, expected {' or '.join(accepts.kinds)}"
+        raise DirectiveError(message, value.line, value.col)
+    for expression in _expressions(value):
+        var = stray_var(expression.ast, accepts.ring)
+        if var is not None:
+            raise unknown_variable(var, accepts.ring)
+
+
+def _expressions(value) -> tuple[ExprValue, ...]:
+    if isinstance(value, ExprValue):
+        return (value,)
+    if isinstance(value, ListValue):
+        return value.items
+    return (value.h, value.f) if isinstance(value, (NElemValue, GElemValue)) else ()
+
+
+def _bind(params: tuple[_Param, ...], directive: Directive, kinds: dict[str, str]) -> list:
+    """(parameter, argument) pairs in parameter order, bound as Python binds
+    a call of that signature and with its messages, each then checked."""
+    positional = [arg for arg in directive.args if arg.key is None]
+    keyword = {arg.key: arg for arg in directive.args if arg.key is not None}
+    bound: dict[str, list] = {}
+    for param in params:
+        if positional and param.mode in ("/", ""):
+            if param.mode == "" and param.name in keyword:
+                twice = keyword[param.name]
+                message = f"multiple values for argument {param.name!r}"
+                raise DirectiveError(message, twice.line, twice.col)
+            bound[param.name] = [positional.pop(0)]
+        elif positional and param.mode == "*args":
+            bound[param.name], positional = positional, []
+        elif param.name in keyword and param.mode != "*args":
+            arg = keyword.pop(param.name)
+            if param.mode == "/":
+                message = f"{param.name!r} parameter is positional only, but was passed as a keyword"
+                raise DirectiveError(message, arg.line, arg.col)
+            bound[param.name] = [arg]
+        elif param.required and not positional:
+            message = f"missing a required argument: {param.name!r}"
+            raise DirectiveError(message, directive.line, directive.col)
+    if positional:
+        arg = positional[0]
+        raise DirectiveError("too many positional arguments", arg.line, arg.col)
+    for arg in keyword.values():
+        raise DirectiveError(f"got an unexpected keyword argument {arg.key!r}", arg.line, arg.col)
+    pairs = []
+    for param in params:
+        requires = param.accepts.requires
+        for arg in bound.get(param.name, ()):
+            if requires is not None and requires not in bound:
+                message = f"{param.name} is given without {requires}"
+                raise DirectiveError(message, arg.line, arg.col)
+            _check(param.accepts, arg.value, arg.line, arg.col, kinds)
+            pairs.append((param, arg))
+    return pairs
+
+
+def bind(case: CorpusCase) -> tuple[dict[str, LndError], list[list | LndError]]:
+    """Check a parsed corpus against the directive schemas, building and
+    evaluating nothing.  Returns the fault of each compose definition with
+    an operand of another kind, by name, and for each directive its
+    (parameter, argument) pairs or its first fault.  An unknown directive,
+    or a definition named like one, is a ParseError."""
+    definition_faults: dict[str, LndError] = {}
+    for definition in case.definitions:
+        if definition.name in _SCHEMA:
+            raise ParseError(f"{definition.name!r} is reserved", definition.line, definition.col)
+        try:
+            for ref in definition.value if isinstance(definition.value, Compose) else ():
+                _check(_AUTOMORPHISM, ref, ref.line, ref.col, case.kinds)
+        except DirectiveError as fault:
+            definition_faults[definition.name] = fault
+    arguments: list[list | LndError] = []
+    for directive in case.directives:
+        if directive.name not in _SCHEMA:
+            message = f"unknown directive {directive.name!r}"
+            raise ParseError(message, directive.line, directive.col)
+        try:
+            arguments.append(_bind(_SCHEMA[directive.name][1], directive, case.kinds))
+        except LndError as fault:
+            arguments.append(fault)
+    return definition_faults, arguments
+
+
+def _dispatch(run: Callable) -> Callable:
+    """The (args, rng) handler of run; args = (env, the bind step's result
+    for the directive).  Reads the arguments and passes them as given."""
 
     def handler(args, rng):
-        env, positional, keyword = args
-        try:
-            return run(env, rng, *positional, **keyword)
-        except TypeError:
-            import inspect
-
-            try:
-                inspect.signature(run).bind(env, rng, *positional, **keyword)
-            except TypeError as mismatch:
-                raise DirectiveError(str(mismatch)) from None
-            raise
+        env, pairs = args
+        if isinstance(pairs, LndError):
+            raise pairs
+        positional, keyword = [], {}
+        for param, arg in pairs:
+            value = param.accepts.read(env, arg.value)
+            if arg.key is None:
+                positional.append(value)
+            else:
+                keyword[arg.key] = value
+        return run(env, rng, *positional, **keyword)
 
     return handler
 
 
-_HANDLERS = {
-    "exp_log_roundtrip": _bound(_run_exp_log_roundtrip),
-    "one_parameter_group": _bound(_run_one_parameter_group),
-    "standard_decomposition_expect": _bound(_run_standard_decomposition_expect),
-    "plinth_expect": _bound(_run_plinth_expect),
-    "admissible_complement": _bound(_run_admissible_complement),
-    "ad_identity": _bound(_run_ad_identity),
-    "n_group_homomorphism": _bound(_run_n_group_homomorphism),
-    "sat_instance": _bound(_run_sat_instance),
-    "irreducibility_criterion": _bound(_run_irreducibility_criterion),
-    "conjugation_formula": _bound(_run_conjugation_formula),
-    "divisor_symmetry_expect": _bound(_run_divisor_symmetry_expect),
-    "lift_H": _bound(_run_lift_H),
-    "pres_lemma": _bound(_run_pres_lemma),
-    "char_commutator": _bound(_run_char_commutator),
-    "nonfence_commutator": _bound(_run_nonfence_commutator),
-    "fixed_scheme": _bound(_run_fixed_scheme),
-}
+_HANDLERS = {name: _dispatch(run) for name, (run, _) in _SCHEMA.items()}
 
 
-def _build_definitions(case: CorpusCase, env: _Env, entries: list[Entry]) -> None:
+def _build_definitions(
+    case: CorpusCase, env: _Env, entries: list[Entry], faults: dict[str, LndError]
+) -> None:
     for definition in case.definitions:
         kind, name, value = definition.kind, definition.name, definition.value
         try:
+            if name in faults:
+                raise faults[name]
             if kind == "context":
                 spec: ContextSpec = value
-                ctx = delta_family.make_context(
+                env.objects[name] = delta_family.make_context(
                     spec.P, spec.d, min(spec.deg_max, env.deg_max_cap, MAX_DEG_MAX)
                 )
-                env.objects[name] = ("context", ctx)
-            elif kind == "automorphism" and isinstance(value, tuple):
-                _, left, right = value
-                g = env.fetch(left, ("automorphism",))
-                h = env.fetch(right, ("automorphism",))
-                env.objects[name] = ("automorphism", compose(g, h))
+            elif isinstance(value, Compose):
+                env.objects[name] = compose(env.fetch(value.left), env.fetch(value.right))
             else:
-                env.objects[name] = (kind, value)
+                env.objects[name] = value
         except (LndError, ValueError, ZeroDivisionError, OverflowError) as exc:
             entries.append(Entry(f"{kind} {name}", "ERROR", str(exc)))
 
@@ -587,19 +687,19 @@ def run(
 
     `budget` overrides the per-directive sample count when given; `seed`
     fixes the random streams; `deg_max_cap` bounds search degrees so that
-    hostile inputs terminate with honest ERROR entries.  Report names are
+    hostile inputs terminate with honest ERROR entries.  The bind step runs
+    first, so a ParseError from it leaves nothing run.  Report names are
     rendered after the loop, so only dispatch set-up runs between directives.
     """
+    definition_faults, arguments = bind(case)
     entries: list[Entry] = []
     env = _Env(deg_max_cap, budget)
-    _build_definitions(case, env, entries)
+    _build_definitions(case, env, entries, definition_faults)
     outcomes = []
-    for index, directive in enumerate(case.directives):
+    for index, (directive, bound) in enumerate(zip(case.directives, arguments)):
         rng = _LazyRandom(f"{seed}:{index}:{directive.name}")
-        positional = [a.value for a in directive.args if a.key is None]
-        keyword = {a.key: a.value for a in directive.args if a.key is not None}
         try:
-            outcome = _HANDLERS[directive.name]((env, positional, keyword), rng)
+            outcome = _HANDLERS[directive.name]((env, bound), rng)
             extra = outcome[2] if len(outcome) > 2 else ()
             outcomes.append((outcome[0], outcome[1], tuple(extra)))
         except LndError as exc:

@@ -286,8 +286,7 @@ def _fold_atoms(operands: tuple, vars: tuple[str, ...]) -> tuple[int, dict[Monom
         elif kind is Var or kind is Pow and type(atom.base) is Var:
             var = atom if kind is Var else atom.base
             if var.name not in vars:
-                message = f"unknown variable {var.name!r} (ring has {', '.join(vars)})"
-                raise ParseError(message, var.line, var.col)
+                raise unknown_variable(var, vars)
             mono[vars.index(var.name)] += 1 if kind is Var else atom.exponent
         else:
             break
@@ -297,6 +296,28 @@ def _fold_atoms(operands: tuple, vars: tuple[str, ...]) -> tuple[int, dict[Monom
     if not k:
         return (*_fold(operands[0], vars), operands[1:])
     return den, {tuple(mono): num} if num else {}, operands[k:]
+
+
+def unknown_variable(var: Var, vars: tuple[str, ...]) -> ParseError:
+    message = f"unknown variable {var.name!r} (ring has {', '.join(vars)})"
+    return ParseError(message, var.line, var.col)
+
+
+def stray_var(node: Expr, vars) -> Var | None:
+    """The first variable of node, in source order, that is not in vars."""
+    kind = type(node)
+    if kind is Var:
+        return None if node.name in vars else node
+    if kind is Sum or kind is Product:
+        children = node.operands
+    elif kind is Neg or kind is Pow:
+        children = (node.operand if kind is Neg else node.base,)
+    else:
+        return None
+    for child in children:
+        if (var := stray_var(child, vars)) is not None:
+            return var
+    return None
 
 
 def _power_cost(n: int, e: int) -> int:

@@ -562,6 +562,7 @@ def test_criterion_12_cli_determinism_and_fuzz():
         mutated = "".join(chars)
         try:
             case = corpus.parse(mutated)
+            runner.bind(case)  # an unknown directive is a ParseError here
         except ParseError as err:
             assert err.line >= 1 and err.col >= 1
             return

@@ -38,7 +38,6 @@ def test_parse_simple_definitions():
         ("poly Q = w", "unknown variable"),
         ("poly Q = 1\npoly Q = 2", "redefinition"),
         ("check exp_log_roundtrip(D)", "undefined name"),
-        ("check bogus(1)", "unknown directive"),
         ("derivation D { x -> 1; y -> 0 }", "expected"),
         ("poly Q = 5/0", "zero denominator"),
         ("law L { mu = [1] }", "law needs"),
@@ -60,6 +59,29 @@ def test_positioned_diagnostics(source, fragment):
         corpus.parse(source)
     assert fragment in str(err.value)
     assert err.value.line >= 1 and err.value.col >= 1
+
+
+@pytest.mark.parametrize(
+    "source, fragment",
+    [
+        ("check bogus(1)", "unknown directive"),
+        ("poly lift_H = z", "'lift_H' is reserved"),
+    ],
+)
+def test_bind_step_positioned_diagnostics(source, fragment):
+    case = corpus.parse(source)
+    with pytest.raises(ParseError) as err:
+        runner.bind(case)
+    assert fragment in str(err.value)
+    assert err.value.line >= 1 and err.value.col >= 1
+
+
+def test_unknown_directive_stops_parse_and_check(tmp_path, capsys):
+    target = tmp_path / "bogus.corpus"
+    target.write_text("poly q = z\ncheck bogus(q)\n")
+    for command in ("parse", "check"):
+        assert cli.main([command, str(target)]) == 2
+        assert capsys.readouterr().out == f"error: {target}:2:7: unknown directive 'bogus'\n"
 
 
 def test_tokenize_fixed_text():
@@ -210,13 +232,152 @@ def test_budget_zero_is_an_error_on_randomized_directives_only(tmp_path, capsys)
     assert all(line.endswith("samples must lie in [1, 10000]") for line in lines[:3])
 
 
-def test_env_and_rng_bind_by_position_only():
-    for name in corpus.DIRECTIVES:
-        params = list(inspect.signature(getattr(runner, f"_run_{name}")).parameters.values())
-        assert [(p.name, p.kind) for p in params[:2]] == [
+# The fault classes a corpus can show before anything runs: (directive, its
+# column on line 4, the `lnd parse` message, the `lnd check` ERROR detail).
+STATIC_FAULTS = [
+    ("conjugation_formula(U)", 7, "missing a required argument: 'f'", None),
+    ("one_parameter_group(D, sample = 2)", 30, "got an unexpected keyword argument 'sample'", None),
+    ("exp_log_roundtrip(D, D, D)", 28, "too many positional arguments", None),
+    (
+        "irreducibility_criterion(C, n(z, P), pair = n(1, P))",
+        44,
+        "multiple values for argument 'pair'",
+        None,
+    ),
+    ("exp_log_roundtrip(C)", 25, "'C' is a context, expected derivation or automorphism", None),
+    ("irreducibility_criterion(C, pair = [z])", 35, "expected an n(h, f) literal", None),
+    (
+        "divisor_symmetry_expect(y + z)",
+        31,
+        "unknown variable 'y' (ring has z)",
+        "4:31: unknown variable 'y' (ring has z)",
+    ),
+    ("char_commutator(C, f = P, samples = 3)", 26, "f is given without h", None),
+]
+
+
+@pytest.mark.parametrize(
+    "directive, col, message, detail", STATIC_FAULTS, ids=[f[0] for f in STATIC_FAULTS]
+)
+def test_parse_reports_each_static_fault_where_it_is(tmp_path, capsys, directive, col, message, detail):
+    target = tmp_path / "fault.corpus"
+    target.write_text(BINDING_DEFINITIONS + f"check {directive}\n")
+    assert cli.main(["parse", str(target)]) == 1
+    assert capsys.readouterr().out == f"error: {target}:4:{col}: {message}\n"
+    assert cli.main(["check", str(target)]) == 1
+    assert capsys.readouterr().out == f"ERROR {directive} — {detail or message}\nsummary: 0/0/1\n"
+
+
+def test_parse_reports_every_fault_and_check_runs_the_rest(tmp_path, capsys):
+    target = tmp_path / "faults.corpus"
+    target.write_text(
+        "poly p = x + 1\n"
+        "automorphism U { x -> x - 2*y - z; y -> y + z; z -> z }\n"
+        "automorphism W = compose(U, p)\n"
+        "check exp_log_roundtrip(p)\n"
+        "check exp_log_roundtrip(U)\n"
+        "check divisor_symmetry_expect(y + z)\n"
+    )
+    assert cli.main(["parse", str(target)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"error: {target}:3:29: 'p' is a poly, expected automorphism",
+        f"error: {target}:4:25: 'p' is a poly, expected derivation or automorphism",
+        f"error: {target}:6:31: unknown variable 'y' (ring has z)",
+    ]
+    assert cli.main(["check", str(target)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ERROR automorphism W — 'p' is a poly, expected automorphism",
+        "ERROR exp_log_roundtrip(p) — 'p' is a poly, expected derivation or automorphism",
+        "PASS exp_log_roundtrip(U) — exp(log(U)) = U exactly",
+        "ERROR divisor_symmetry_expect(y + z) — 6:31: unknown variable 'y' (ring has z)",
+        "summary: 1/0/3",
+    ]
+
+
+_MODES = {
+    inspect.Parameter.POSITIONAL_ONLY: "/",
+    inspect.Parameter.POSITIONAL_OR_KEYWORD: "",
+    inspect.Parameter.KEYWORD_ONLY: "*",
+    inspect.Parameter.VAR_POSITIONAL: "*args",
+}
+
+
+def test_the_schema_is_each_handler_signature():
+    assert list(runner._HANDLERS) == list(runner._SCHEMA)
+    for name, (run, params) in runner._SCHEMA.items():
+        assert run.__name__ == f"_run_{name}"
+        env, rng, *rest = inspect.signature(run).parameters.values()
+        assert [(env.name, env.kind), (rng.name, rng.kind)] == [
             ("env", inspect.Parameter.POSITIONAL_ONLY),
             ("rng", inspect.Parameter.POSITIONAL_ONLY),
         ], name
+        assert params == tuple(
+            runner._Param(
+                p.name,
+                _MODES[p.kind],
+                p.annotation,
+                p.default is p.empty and p.kind != p.VAR_POSITIONAL,
+            )
+            for p in rest
+        ), name
+        assert all(isinstance(p.accepts, runner._Accepts) for p in params), name
+        assert all(p.accepts.requires in (None, *(q.name for q in params)) for p in params)
+
+
+def test_the_bind_step_binds_as_python_binds_the_handler(monkeypatch):
+    monkeypatch.setattr(runner, "_check", lambda *args: None)
+    rng = random.Random(28)
+    for name, (run, params) in runner._SCHEMA.items():
+        signature = inspect.signature(run)
+        keys = [p.name for p in params] + ["bogus", "env"]
+        for _ in range(300):
+            count = rng.randint(0, len(params) + 1)
+            given = rng.sample(keys, rng.randint(0, 3))
+            args = [corpus.Arg(None, i, 1, i + 1) for i in range(count)]
+            args += [corpus.Arg(key, key, 2, 1) for key in given]
+            directive = corpus.Directive(name, tuple(args), 1, 1)
+            try:
+                expected = signature.bind("env", "rng", *range(count), **{k: k for k in given})
+            except TypeError as mismatch:
+                with pytest.raises(runner.DirectiveError) as err:
+                    runner._bind(params, directive, {})
+                assert err.value.message == str(mismatch), (name, count, given)
+                continue
+            pairs = runner._bind(params, directive, {})
+            bound = {}
+            for param, arg in pairs:
+                bound.setdefault(param.name, []).append(arg.value)
+            del expected.arguments["env"], expected.arguments["rng"]
+            assert bound == {
+                key: list(value) if isinstance(value, tuple) else [value]
+                for key, value in expected.arguments.items()
+            }, (name, count, given)
+
+
+def _benchmark_corpora():
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [
+        (f"{workload}_{seed}", gen.generate(workload, seed)[0])
+        for workload in ("breadth", "irreducibility", "centralizer")
+        for seed in (1, 4, 9)
+    ]
+
+
+def test_parse_accepts_every_shipped_golden_and_benchmark_corpus(tmp_path, capsys):
+    texts = [(path.stem, path.read_text()) for path in GOLDEN_CORPORA] + _benchmark_corpora()
+    for name, text in texts:
+        case = corpus.parse(text)
+        target = tmp_path / f"{name}.corpus"
+        target.write_text(text)
+        assert cli.main(["parse", str(target)]) == 0, name
+        assert capsys.readouterr().out == (
+            f"ok: {len(case.definitions)} definitions, {len(case.directives)} directives\n"
+        ), name
 
 
 def test_exponent_guard_covers_directive_arguments():
@@ -556,6 +717,7 @@ def test_fuzz_mutations_do_not_crash():
         mutated = "".join(chars)
         try:
             case = corpus.parse(mutated)
+            runner.bind(case)  # an unknown directive is a ParseError here
         except ParseError as err:
             assert err.line >= 1 and err.col >= 1
             continue
@@ -670,4 +832,5 @@ def test_benchmark_bindings_resolve():
             assert hasattr(obj, part), f"lnd.{module}.{attr}"
             obj = getattr(obj, part)
         assert callable(obj), f"lnd.{module}.{attr}"
-    assert tuple(runner._HANDLERS) == corpus.DIRECTIVES
+    assert list(runner._HANDLERS) == list(runner._SCHEMA)
+    assert all(callable(handler) for handler in runner._HANDLERS.values())

@@ -118,12 +118,26 @@ def test_entry_extra_defaults_to_empty():
     assert Entry("check x()", "PASS", "ok").extra == ()
 
 
-def test_import_generates_no_dataclass_code():
+def test_import_generates_no_dataclass_code(tmp_path):
+    # Nor does lnd import inspect (about 7 ms and 0.7 MB a process), not even
+    # to report a directive whose arguments do not bind.
     src = str(Path(lnd.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import lnd, sys; print('dataclasses' in sys.modules)"
+    target = tmp_path / "unbound.corpus"
+    target.write_text(
+        "derivation D { x -> -2*y; y -> z; z -> 0 }\ncheck exp_log_roundtrip(D, D)\n"
+    )
+    probe = (
+        "import sys, lnd.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules); "
+        f"code = lnd.cli.main(['check', {str(target)!r}]); print(code, 'inspect' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == [
+        "False False",
+        "ERROR exp_log_roundtrip(D, D) — too many positional arguments",
+        "summary: 0/0/1",
+        "1 False",
+    ]
     assert not [cls for cls in _lnd_classes() if hasattr(cls, "__dataclass_fields__")]
