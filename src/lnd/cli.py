@@ -5,15 +5,11 @@
     lnd parse <file>               check the corpus without running it
 
 `check`/`report` exit with 0 exactly when no directive FAILed or ERRORed.
-`parse` runs what `check` runs before its first directive, except building
-the definitions: it parses the corpus and binds every directive against
-runner's schema, evaluating no directive argument.  It prints `ok: N
-definitions, M directives` and exits 0, or one `error: FILE:LINE:COL:
-message` line per fault.  A fault `check` reports as an ERROR line while
-the other directives run (an argument that does not bind, a name of the
-wrong kind, a literal of the wrong shape, a variable outside the ring)
-exits 1; a syntax error, an undefined name or an unknown directive stops
-`check` too, and exits 2.  Output is plain UTF-8 text and is
+`parse` parses the corpus and binds its directives (runner.bind), building
+and evaluating nothing.  It prints `ok: N definitions, M directives` and
+exits 0, or prints each fault that `check` would give as an ERROR line as
+`error: FILE:LINE:COL: message` and exits 1.  A ParseError stops every
+command with exit code 2.  Output is plain UTF-8 text and is
 byte-identical across runs for the same file and options.
 """
 

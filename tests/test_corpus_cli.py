@@ -233,7 +233,8 @@ def test_budget_zero_is_an_error_on_randomized_directives_only(tmp_path, capsys)
 
 
 # The fault classes a corpus can show before anything runs: (directive, its
-# column on line 4, the `lnd parse` message, the `lnd check` ERROR detail).
+# column on line 4, the `lnd parse` message, the `lnd check` ERROR detail
+# where it is not that message).
 STATIC_FAULTS = [
     ("conjugation_formula(U)", 7, "missing a required argument: 'f'", None),
     ("one_parameter_group(D, sample = 2)", 30, "got an unexpected keyword argument 'sample'", None),
