@@ -52,10 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_line(file: str, fault) -> str:
-    return f"error: {file}:{fault.line}:{fault.col}: {fault.message}"
-
-
 def main(argv: list[str] | None = None) -> int:
     options = _build_parser().parse_args(argv)
     try:
@@ -64,10 +60,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    faults, code = [], 1
     try:
         case = corpus.parse(source)
         if options.command == "parse":
             definition_faults, arguments = runner.bind(case)
+            faults = list(definition_faults.values())
+            faults += [fault for fault in arguments if isinstance(fault, LndError)]
         else:
             report = runner.run(
                 case,
@@ -76,14 +75,12 @@ def main(argv: list[str] | None = None) -> int:
                 deg_max_cap=max(1, min(options.deg_max, runner.MAX_DEG_MAX)),
             )
     except ParseError as exc:
-        print(_error_line(options.file, exc))
-        return 2
+        faults, code = [exc], 2
+    for fault in sorted(faults, key=lambda fault: (fault.line, fault.col)):
+        print(f"error: {options.file}:{fault.line}:{fault.col}: {fault.message}")
+    if faults:
+        return code
     if options.command == "parse":
-        faults = [*definition_faults.values(), *(a for a in arguments if isinstance(a, LndError))]
-        for fault in sorted(faults, key=lambda fault: (fault.line, fault.col)):
-            print(_error_line(options.file, fault))
-        if faults:
-            return 1
         print(f"ok: {len(case.definitions)} definitions, {len(case.directives)} directives")
         return 0
     sys.stdout.write(runner.format_report(report, full=options.command == "report"))

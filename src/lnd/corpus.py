@@ -37,7 +37,7 @@ from .automorphisms import Automorphism
 from .derivations import Derivation
 from .errors import ParseError
 from .quotient_geometry import PlaneAut, plane_divisor
-from .syntax import ExprParser, Token, eval_expr, expr_to_str, stray_var, token_int, tokenize
+from .syntax import ExprParser, Token, Var, eval_expr, expr_to_str, token_int, tokenize
 
 # Term pairs the products of one polynomial body may spend while a corpus is
 # parsed, about 1 s of dense products on a 2-CPU x86 machine (Python 3.11).
@@ -88,6 +88,7 @@ class ExprValue(NamedTuple):
     ast: object
     line: int
     col: int
+    variables: tuple[Var, ...]  # every Var of ast, in source order
 
 
 class Compose(NamedTuple):
@@ -432,11 +433,12 @@ class _CorpusParser(ExprParser):
         return nxt.kind == "sym" and nxt.text == sym
 
     def _expr_value(self, variables: set[str] = _POLY_VARS) -> ExprValue:
-        tok = self.peek()
+        tok, first = self.peek(), len(self.variables)
         node = self.parse_expr()
+        found = tuple(self.variables[first:])
         # An expression reads only variables, and no variable is definable,
         # so a name means one thing everywhere.
-        var = stray_var(node, variables)
+        var = next((var for var in found if var.name not in variables), None)
         if var is not None:
             message = f"undefined name {var.name!r}"
             if var.name in self.case.kinds:
@@ -444,7 +446,7 @@ class _CorpusParser(ExprParser):
             elif var.name in _POLY_VARS:
                 message = f"unknown variable {var.name!r} in a list item (x, y, z)"
             raise ParseError(message, var.line, var.col)
-        return ExprValue(node, tok.line, tok.col)
+        return ExprValue(node, tok.line, tok.col, found)
 
     def _rational(self) -> Fraction:
         sign = 1

@@ -7,14 +7,11 @@ failures never abort the run.  Output is byte-deterministic for a fixed
 seeded by (seed, directive index).
 
 A directive's schema is the signature of its `_run_<name>` handler after
-(env, rng): how each parameter binds (before `/` by position only, after
-`*` by key only, the rest either way), its default, and as its annotation
+(env, rng): how each parameter binds, its default, and as its annotation
 what it accepts.  `bind` checks a parsed corpus against the schemas before
-anything is built or evaluated, for `lnd parse` and `run` alike.  A
-directive that does not fit, such as one with a misspelled key, a surplus
-argument or a name of the wrong kind, is an ERROR line while the others
-run.  Expression arguments are evaluated when their directive is
-dispatched, all before its check.
+anything is built or evaluated, for `lnd parse` and `run` alike; a
+directive that does not fit is an ERROR line while the others run.  A
+directive's expression arguments are evaluated when it is dispatched.
 """
 
 import random
@@ -58,7 +55,7 @@ from .derivations import (
 )
 from .errors import LndError, ParseError
 from .quotient_geometry import PlaneDivisor
-from .syntax import eval_expr, stray_var, unknown_variable
+from .syntax import eval_expr, unknown_variable
 
 # Protective bounds for untrusted corpus input; honest errors, not crashes.
 MAX_DEG_MAX = 12
@@ -191,7 +188,8 @@ def _polys(ring: tuple[str, ...]) -> _Accepts:
 
 
 def _integer(what: str, low: int, high: int) -> _Accepts:
-    return _Accepts(f"an integer for {what}", (ExprValue,), lambda env, v: _int(v, what, low, high))
+    read = lambda env, value: _int(value, what, low, high)  # noqa: E731
+    return _Accepts(f"an integer for {what}", (ExprValue,), read)
 
 
 def _derivation(env: _Env, ref: NameRef) -> Derivation:
@@ -273,12 +271,11 @@ def _run_exp_log_roundtrip(env, rng, derivation: _NAMED, /):
 
 
 def _run_one_parameter_group(env, rng, derivation: _DERIVATION, /, *, samples: _SAMPLES = 200):
-    d = derivation
     samples = _samples(env, samples)
     for _ in range(samples):
         s, t = _rand_fraction(rng), _rand_fraction(rng)
-        rhs = exponential(scale(s + t, d))
-        if compose_exp_word([scale(s, d), scale(t, d)]) != rhs:
+        rhs = exponential(scale(s + t, derivation))
+        if compose_exp_word([scale(s, derivation), scale(t, derivation)]) != rhs:
             return "FAIL", f"group law fails at (s, t) = ({s}, {t})"
     return "PASS", f"exp(sD) o exp(tD) = exp((s+t)D) on {samples} rational pairs"
 
@@ -286,15 +283,14 @@ def _run_one_parameter_group(env, rng, derivation: _DERIVATION, /, *, samples: _
 def _run_standard_decomposition_expect(
     env, rng, automorphism: _AUTOMORPHISM, /, d: _poly(XYZ), *, uprime: _AUTOMORPHISM = None
 ):
-    expected_d = d
-    d, u_prime = standard_decomposition(automorphism)
-    if d != expected_d.monic():
-        return "FAIL", f"expected d = {expected_d.monic()}, got d = {d}"
+    got, u_prime = standard_decomposition(automorphism)
+    if got != d.monic():
+        return "FAIL", f"expected d = {d.monic()}, got d = {got}"
     if uprime is not None and u_prime != uprime:
         return "FAIL", "irreducible part differs from the expected automorphism"
     return (
         "PASS",
-        f"d = {d}, u' irreducible with pullback x -> {u_prime.pullback_x}",
+        f"d = {got}, u' irreducible with pullback x -> {u_prime.pullback_x}",
         (
             f"u' pullbacks: x -> {u_prime.pullback_x}; y -> {u_prime.pullback_y}; "
             f"z -> {u_prime.pullback_z}",
@@ -518,16 +514,19 @@ class _Param(NamedTuple):
 def _params(run: Callable) -> tuple[_Param, ...]:
     """run's parameters after (env, rng), in the order Python binds them,
     read off its code object as inspect.signature reads them."""
-    code, notes, kwdefaults = run.__code__, run.__annotations__, run.__kwdefaults__ or {}
-    positional, keyed = code.co_argcount, code.co_argcount + code.co_kwonlyargcount
-    first_default, names = positional - len(run.__defaults__ or ()), code.co_varnames
+    code, notes = run.__code__, run.__annotations__
+    names, positional = code.co_varnames, code.co_argcount
+    keyed = positional + code.co_kwonlyargcount
+    required = positional - len(run.__defaults__ or ())
     params = [
-        _Param(name, "/" if i < code.co_posonlyargcount else "", notes[name], i < first_default)
+        _Param(name, "/" if i < code.co_posonlyargcount else "", notes[name], i < required)
         for i, name in enumerate(names[2:positional], 2)
     ]
     if code.co_flags & 0x04:  # CO_VARARGS; the *args name follows the keyword-only ones
         params.append(_Param(names[keyed], "*args", notes[names[keyed]], False))
-    params += [_Param(name, "*", notes[name], name not in kwdefaults) for name in names[positional:keyed]]
+    kwdefaults = run.__kwdefaults__ or {}
+    for name in names[positional:keyed]:
+        params.append(_Param(name, "*", notes[name], name not in kwdefaults))
     return tuple(params)
 
 
@@ -552,7 +551,7 @@ def _check(accepts: _Accepts, value, line: int, col: int, kinds: dict[str, str])
         message = f"{value.name!r} is a {kinds[value.name]}, expected {' or '.join(accepts.kinds)}"
         raise DirectiveError(message, value.line, value.col)
     for expression in _expressions(value):
-        var = stray_var(expression.ast, accepts.ring)
+        var = next((var for var in expression.variables if var.name not in accepts.ring), None)
         if var is not None:
             raise unknown_variable(var, accepts.ring)
 
@@ -583,8 +582,8 @@ def _bind(params: tuple[_Param, ...], directive: Directive, kinds: dict[str, str
         elif param.name in keyword and param.mode != "*args":
             arg = keyword.pop(param.name)
             if param.mode == "/":
-                message = f"{param.name!r} parameter is positional only, but was passed as a keyword"
-                raise DirectiveError(message, arg.line, arg.col)
+                message = "parameter is positional only, but was passed as a keyword"
+                raise DirectiveError(f"{param.name!r} {message}", arg.line, arg.col)
             bound[param.name] = [arg]
         elif param.required and not positional:
             message = f"missing a required argument: {param.name!r}"

@@ -128,6 +128,7 @@ class ExprParser:
         self.tokens = tokens
         self.pos = pos
         self.depth = 0  # enclosing '(', unary '-' and '^' tokens
+        self.variables: list[Var] = []  # every Var read, in source order
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -218,7 +219,8 @@ class ExprParser:
             return Num(Fraction(numerator))
         if tok.kind == "ident":
             self.advance()
-            return Var(tok.text, tok.line, tok.col)
+            self.variables.append(Var(tok.text, tok.line, tok.col))
+            return self.variables[-1]
         if self.at_sym("("):
             self.nest(self.advance())
             node = self.parse_expr()
@@ -301,23 +303,6 @@ def _fold_atoms(operands: tuple, vars: tuple[str, ...]) -> tuple[int, dict[Monom
 def unknown_variable(var: Var, vars: tuple[str, ...]) -> ParseError:
     message = f"unknown variable {var.name!r} (ring has {', '.join(vars)})"
     return ParseError(message, var.line, var.col)
-
-
-def stray_var(node: Expr, vars) -> Var | None:
-    """The first variable of node, in source order, that is not in vars."""
-    kind = type(node)
-    if kind is Var:
-        return None if node.name in vars else node
-    if kind is Sum or kind is Product:
-        children = node.operands
-    elif kind is Neg or kind is Pow:
-        children = (node.operand if kind is Neg else node.base,)
-    else:
-        return None
-    for child in children:
-        if (var := stray_var(child, vars)) is not None:
-            return var
-    return None
 
 
 def _power_cost(n: int, e: int) -> int:

@@ -237,7 +237,12 @@ def test_budget_zero_is_an_error_on_randomized_directives_only(tmp_path, capsys)
 # where it is not that message).
 STATIC_FAULTS = [
     ("conjugation_formula(U)", 7, "missing a required argument: 'f'", None),
-    ("one_parameter_group(D, sample = 2)", 30, "got an unexpected keyword argument 'sample'", None),
+    (
+        "one_parameter_group(D, sample = 2)",
+        30,
+        "got an unexpected keyword argument 'sample'",
+        None,
+    ),
     ("exp_log_roundtrip(D, D, D)", 28, "too many positional arguments", None),
     (
         "irreducibility_criterion(C, n(z, P), pair = n(1, P))",
@@ -260,13 +265,16 @@ STATIC_FAULTS = [
 @pytest.mark.parametrize(
     "directive, col, message, detail", STATIC_FAULTS, ids=[f[0] for f in STATIC_FAULTS]
 )
-def test_parse_reports_each_static_fault_where_it_is(tmp_path, capsys, directive, col, message, detail):
+def test_parse_reports_each_static_fault_where_it_is(
+    tmp_path, capsys, directive, col, message, detail
+):
     target = tmp_path / "fault.corpus"
     target.write_text(BINDING_DEFINITIONS + f"check {directive}\n")
     assert cli.main(["parse", str(target)]) == 1
     assert capsys.readouterr().out == f"error: {target}:4:{col}: {message}\n"
     assert cli.main(["check", str(target)]) == 1
-    assert capsys.readouterr().out == f"ERROR {directive} — {detail or message}\nsummary: 0/0/1\n"
+    expected = f"ERROR {directive} — {detail or message}\nsummary: 0/0/1\n"
+    assert capsys.readouterr().out == expected
 
 
 def test_parse_reports_every_fault_and_check_runs_the_rest(tmp_path, capsys):
