@@ -509,44 +509,63 @@ def divides(q: Poly, p: Poly) -> bool:
 # cost time, never change a result.  Output is normalized so the graded-lex
 # leading coefficient is 1.
 
-# One prime per attempt; the evaluation point of an attempt is a fixed
-# function of the attempt and variable index, so every run certifies alike.
+# One prime per attempt.  The point of variable j at an attempt is a fixed
+# function of the attempt, the ring size n and j, so every run certifies
+# alike.  Its powers mod the prime form a row that _POINT_POWERS tables once
+# per process, keyed by (attempt, n), and grows on demand.  Imaging pads a
+# ring to 3 variables, the most the package builds, with rows [1] that never
+# grow; a larger ring is left to the exact path.
 _CERT_PRIMES = (2147483647, 2147483629, 2147483587)
+_POINT_POWERS: dict[tuple[int, int], list[list[int]]] = {}
 
 
-def _images_mod(terms: dict, pending: list[int], powers: list[list[int]], prime: int) -> list:
-    """In one pass over terms, for each variable index i in `pending`, the dense
-    coefficients (low to high) in variable i mod prime, every other variable j
-    set to the point with powers powers[j]; trailing zeros stripped."""
-    images = [[0] * len(powers[i]) for i in pending]
+def _point_powers(attempt: int, tops: list[int]) -> list[list[int]]:
+    """The 3 rows of an attempt in a ring of len(tops) variables; row j holds
+    at least the powers 0 .. tops[j] of variable j's point."""
+    n, prime = len(tops), _CERT_PRIMES[attempt]
+    rows = _POINT_POWERS.setdefault((attempt, n), [[1], [1], [1]])
+    for j, (row, top) in enumerate(zip(rows, tops)):
+        point = 0x9E3779B1 * (attempt * n + j + 1) % prime
+        while len(row) <= top:
+            row.append(row[-1] * point % prime)
+    return rows
+
+
+def _images_mod(terms: dict, pending: list[int], degs: list[int], rows: list, prime: int) -> list:
+    """In one pass over terms, of degree degs[j] in variable j, for each
+    variable index i in `pending`, the dense coefficients (low to high) in
+    variable i mod prime, every other variable j set to the point with powers
+    rows[j]; trailing zeros stripped."""
+    pad = (0,) * (3 - len(degs))
+    row0, row1, row2 = rows
+    image0, image1, image2 = images = [[0] * (d + 1) for d in degs + [0] * len(pad)]
     for mono, c in terms.items():
-        values = list(map(list.__getitem__, powers, mono))
-        full = c * math.prod(values)  # a point is nonzero mod prime, so is each value
-        for i, coeffs in zip(pending, images):
-            coeffs[mono[i]] += full // values[i]  # c times the other variables' values
+        e0, e1, e2 = mono + pad
+        c %= prime
+        v0, v1, v2 = row0[e0], row1[e1], row2[e2]
+        image0[e0] += c * v1 * v2
+        image1[e1] += c * v0 * v2
+        image2[e2] += c * v0 * v1
+    images = [[c % prime for c in images[i]] for i in pending]
     for coeffs in images:
-        coeffs[:] = [c % prime for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
     return images
 
 
 def _gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
-    """A gcd of two dense polynomials over GF(prime) (Euclid)."""
-    while b:
-        inv = pow(b[-1], -1, prime)
-        db = len(b) - 1
-        a = a[:]
+    """A gcd of two dense polynomials over GF(prime), or a nonzero constant
+    once a remainder is one: Euclid with no inverses, each step replacing a
+    by lc(b) * a - lc(a) * v^k * b."""
+    while len(b) > 1:
+        lb, db = b[-1], len(b) - 1
         while len(a) > db:
-            c = a[-1] * inv % prime
-            shift = len(a) - 1 - db
-            for k in range(db):
-                a[shift + k] = (a[shift + k] - c * b[k]) % prime
-            a.pop()
+            c, s = a[-1], len(a) - 1 - db  # lb * a - c * v^s * b drops a's top
+            a = [(x * lb - (c * b[k - s] if k >= s else 0)) % prime for k, x in enumerate(a[:-1])]
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
-    return a
+    return b or a
 
 
 def _coprime_by_images(p: Poly, q: Poly) -> bool:
@@ -569,26 +588,20 @@ def _coprime_by_images(p: Poly, q: Poly) -> bool:
     variable where only one of p, q has positive degree, g divides a nonzero
     polynomial of degree 0 in v, so again deg_v(g) = 0.  Hence g is constant.
 
-    False means "not proved": the images share a factor, or no attempt gave
-    a usable point; the caller then computes the gcd exactly.
+    False means "not proved": the images share a factor, no attempt gave a
+    usable point, or the ring has more than 3 variables; the caller then
+    computes the gcd exactly.
     """
     deg_p, deg_q = list(map(max, zip(*p.terms))), list(map(max, zip(*q.terms)))
     pending = [i for i, (dp, dq) in enumerate(zip(deg_p, deg_q)) if dp and dq]
     for attempt, prime in enumerate(_CERT_PRIMES):
-        if not pending:
+        if not pending or len(deg_p) > 3:
             break
-        powers = []
-        for j, top in enumerate(map(max, deg_p, deg_q)):
-            if pending == [j]:  # a lone pending variable's row only sizes its image
-                powers.append([1] * (top + 1))
-                continue
-            point, row = 0x9E3779B1 * (attempt * len(deg_p) + j + 1) % prime, [1]
-            for _ in range(top):
-                row.append(row[-1] * point % prime)
-            powers.append(row)
-        images = [_images_mod(t, pending, powers, prime) for t in (p.terms, q.terms)]
+        rows = _point_powers(attempt, list(map(max, deg_p, deg_q)))
+        images_p = _images_mod(p.terms, pending, deg_p, rows, prime)
+        images_q = _images_mod(q.terms, pending, deg_q, rows, prime)
         still = []
-        for i, image_p, image_q in zip(pending, *images):
+        for i, image_p, image_q in zip(pending, images_p, images_q):
             if len(image_p) <= deg_p[i]:
                 still.append(i)  # lc_v(P) vanishes at this point: try the next one
             elif len(_gcd_mod(image_p, image_q, prime)) > 1:
@@ -762,14 +775,14 @@ def gcd_many(polys: Iterable[Poly]) -> Poly:
         ring = p.vars
         if p.is_zero():
             continue
-        acc = p.monic() if acc is None else gcd_multivariate(acc, p)
+        acc = p if acc is None else gcd_multivariate(acc, p)
         if acc.is_constant():
             return Poly.one(acc.vars)
     if acc is None:
         if ring is None:
             raise ValueError("gcd of an empty collection")
         raise ValueError("gcd(0, ..., 0) is undefined")
-    return acc
+    return acc.monic()  # only now: a coprime fold drops its first operand
 
 
 # -- printing ----------------------------------------------------------------

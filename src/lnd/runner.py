@@ -55,7 +55,7 @@ from .derivations import (
 )
 from .errors import LndError, ParseError
 from .quotient_geometry import PlaneDivisor
-from .syntax import eval_expr, unknown_variable
+from .syntax import Neg, Num, eval_expr, unknown_variable
 
 # Protective bounds for untrusted corpus input; honest errors, not crashes.
 MAX_DEG_MAX = 12
@@ -133,16 +133,24 @@ def _evaluate(ring: tuple[str, ...], *values: ExprValue) -> list[Poly]:
         ALLOWANCE.reset(armed)
 
 
-def _int(value, what: str, low: int, high: int) -> int:
-    """An int, or an integer expression, in [low, high]."""
+def _int(value, what: str, low: int, high: int, line: int = 0, col: int = 0) -> int:
+    """An int or Fraction, or an integer expression, in [low, high]; a fault
+    is placed at (line, col)."""
     if isinstance(value, ExprValue):
-        constant = _evaluate((), value)[0].constant_value()
-        if constant.denominator != 1:
-            raise DirectiveError(f"{what} must be an integer")
-        value = int(constant)
+        value = _evaluate((), value)[0].constant_value()
+    if value.denominator != 1:
+        raise DirectiveError(f"{what} must be an integer", line, col)
     if not low <= value <= high:
-        raise DirectiveError(f"{what} must lie in [{low}, {high}]")
-    return value
+        raise DirectiveError(f"{what} must lie in [{low}, {high}]", line, col)
+    return int(value)
+
+
+def _literal(ast) -> Fraction | None:
+    """The value of a number, optionally negated; None for any other expression."""
+    sign = 1
+    while type(ast) is Neg:
+        ast, sign = ast.operand, -sign
+    return sign * ast.value if type(ast) is Num else None
 
 
 def _samples(env: _Env, value) -> int:
@@ -157,7 +165,8 @@ class _Accepts(NamedTuple):
     """A parameter's annotation: the argument value classes it takes, the
     definition kinds a name may have, the ring of its expressions and a
     parameter that must be given with it.  `read(env, value)` evaluates an
-    argument into the handler's value."""
+    argument into the handler's value.  `bounds`, (what, low, high) of an
+    integer parameter, range-checks a literal argument at the bind step."""
 
     expected: str
     shapes: tuple[type, ...]
@@ -165,6 +174,7 @@ class _Accepts(NamedTuple):
     kinds: tuple[str, ...] = ()
     ring: tuple[str, ...] = ()
     requires: str | None = None
+    bounds: tuple[str, int, int] | None = None
 
 
 def _object(*kinds: str, read: Callable = _Env.fetch) -> _Accepts:
@@ -189,7 +199,7 @@ def _polys(ring: tuple[str, ...]) -> _Accepts:
 
 def _integer(what: str, low: int, high: int) -> _Accepts:
     read = lambda env, value: _int(value, what, low, high)  # noqa: E731
-    return _Accepts(f"an integer for {what}", (ExprValue,), read)
+    return _Accepts(f"an integer for {what}", (ExprValue,), read, bounds=(what, low, high))
 
 
 def _derivation(env: _Env, ref: NameRef) -> Derivation:
@@ -206,6 +216,7 @@ _ORDER = _Accepts(
     "an integer for order",
     (ExprValue, KeywordValue),
     lambda env, v: v.word if isinstance(v, KeywordValue) else _int(v, "order", 1, 10**6),
+    bounds=("order", 1, 10**6),
 )
 _NELEM = _Accepts(
     "an n(h, f) literal",
@@ -544,24 +555,32 @@ _SCHEMA = {
 
 def _check(accepts: _Accepts, value, line: int, col: int, kinds: dict[str, str]) -> None:
     """Raise the fault of an argument value that does not fit `accepts`;
-    a variable outside its ring is the ParseError evaluation would raise."""
+    a variable outside its ring is the ParseError evaluation would raise, and
+    a literal outside an integer parameter's range the run-time fault."""
     if type(value) not in accepts.shapes:
         raise DirectiveError(f"expected {accepts.expected}", line, col)
     if isinstance(value, NameRef) and kinds[value.name] not in accepts.kinds:
         message = f"{value.name!r} is a {kinds[value.name]}, expected {' or '.join(accepts.kinds)}"
         raise DirectiveError(message, value.line, value.col)
-    for expression in _expressions(value):
-        var = next((var for var in expression.variables if var.name not in accepts.ring), None)
+    for expression, ring in _expressions(value, accepts.ring):
+        var = next((var for var in expression.variables if var.name not in ring), None)
         if var is not None:
-            raise unknown_variable(var, accepts.ring)
+            raise unknown_variable(var, ring)
+    number = _literal(value.ast) if accepts.bounds and type(value) is ExprValue else None
+    if number is not None:
+        _int(number, *accepts.bounds, line, col)
 
 
-def _expressions(value) -> tuple[ExprValue, ...]:
+def _expressions(value, ring: tuple[str, ...]) -> tuple[tuple[ExprValue, tuple], ...]:
+    """Each expression of an argument value with the ring it is read in; the h
+    of an n(h, f) or gelem literal lies in Q[z]."""
     if isinstance(value, ExprValue):
-        return (value,)
+        return ((value, ring),)
     if isinstance(value, ListValue):
-        return value.items
-    return (value.h, value.f) if isinstance(value, (NElemValue, GElemValue)) else ()
+        return tuple((item, ring) for item in value.items)
+    if isinstance(value, (NElemValue, GElemValue)):
+        return ((value.h, ZVAR), (value.f, ring))
+    return ()
 
 
 def _bind(params: tuple[_Param, ...], directive: Directive, kinds: dict[str, str]) -> list:

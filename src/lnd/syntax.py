@@ -301,8 +301,8 @@ def _fold_atoms(operands: tuple, vars: tuple[str, ...]) -> tuple[int, dict[Monom
 
 
 def unknown_variable(var: Var, vars: tuple[str, ...]) -> ParseError:
-    message = f"unknown variable {var.name!r} (ring has {', '.join(vars)})"
-    return ParseError(message, var.line, var.col)
+    ring = f"ring has {', '.join(vars)}" if vars else "expected a constant"
+    return ParseError(f"unknown variable {var.name!r} ({ring})", var.line, var.col)
 
 
 def _power_cost(n: int, e: int) -> int:

@@ -7,7 +7,17 @@ check a result of the package by an independent route.
 from fractions import Fraction
 from typing import Mapping
 
-from lnd.arith import XYZ, ZP, Monomial, Poly, _form, _raw, divide_exact, substitute
+from lnd.arith import (
+    _CERT_PRIMES,
+    XYZ,
+    ZP,
+    Monomial,
+    Poly,
+    _form,
+    _raw,
+    divide_exact,
+    substitute,
+)
 from lnd.automorphisms import Automorphism, pullback
 from lnd.delta_family import DeltaContext, NElem, expand_kernel_poly, m_derivation
 from lnd.derivations import Derivation, delta, kernel_products
@@ -250,3 +260,22 @@ def gcd_prs(p: Poly, q: Poly) -> Poly:
             r = divide_exact(r, _content_in(r, i))
         a, b = b, r
     return (cont * a).monic()
+
+
+def image_mod(terms: dict[Monomial, int], i: int, attempt: int) -> list[int]:
+    """The modular image the gcd certificate takes at `attempt`, by its
+    definition: the dense coefficients (low to high) in variable index i of
+    the int numerators `terms` mod that attempt's prime, every other variable
+    j of the n in the ring set to the point 0x9E3779B1 * (attempt * n + j + 1)
+    mod the prime, each power taken by pow; trailing zeros stripped."""
+    prime = _CERT_PRIMES[attempt]
+    n = len(next(iter(terms)))
+    coeffs = [0] * (1 + max(m[i] for m in terms))
+    for mono, c in terms.items():
+        for j, e in enumerate(mono):
+            if j != i:
+                c *= pow(0x9E3779B1 * (attempt * n + j + 1) % prime, e, prime)
+        coeffs[mono[i]] = (coeffs[mono[i]] + c) % prime
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs

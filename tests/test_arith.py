@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -5,15 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from lnd import arith
 from lnd.arith import (
     _CERT_PRIMES,
     ALLOWANCE,
     XYZ,
+    YZ,
     ZP,
     ZVAR,
     Poly,
     WorkBudgetExceeded,
     _coprime_by_images,
+    _images_mod,
+    _point_powers,
     divide_exact,
     gcd_multivariate,
     grlex_key,
@@ -22,7 +27,7 @@ from lnd.arith import (
 )
 from lnd.errors import MissingImageError, NonDivisibleError, RingMismatchError
 from lnd.syntax import parse_poly
-from oracles import gcd_prs, integrate_in
+from oracles import gcd_prs, image_mod, integrate_in
 
 
 def p(text, vars=XYZ):
@@ -284,7 +289,9 @@ def _rand_rational_poly(rng, vars, deg=3, nterms=4):
 
 
 @pytest.mark.parametrize(
-    "vars, seed, deg", [(XYZ, 31, 3), (ZP, 37, 3)], ids=["xyz", "zP"]
+    "vars, seed, deg",
+    [(XYZ, 31, 3), (ZP, 37, 3), (YZ, 41, 3), (ZVAR, 43, 4)],
+    ids=["xyz", "zP", "yz", "z"],
 )
 def test_gcd_certificate_agrees_with_prs(vars, seed, deg):
     rng = random.Random(seed)
@@ -304,6 +311,42 @@ def test_gcd_certificate_agrees_with_prs(vars, seed, deg):
         divide_exact(common, factor)
         assert not _coprime_by_images(a * factor, b * factor)
     assert certified >= 10
+
+
+@pytest.mark.parametrize("vars", [ZVAR, ZP, XYZ], ids=["z", "zP", "xyz"])
+def test_images_mod_agrees_with_pow_images(vars, monkeypatch):
+    # An empty table, so the degree-3 round builds the rows and the degree-7
+    # round must grow them.
+    monkeypatch.setattr(arith, "_POINT_POWERS", {})
+    rng, n = random.Random(f"images-{vars}"), len(vars)
+    subsets = [list(s) for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+    lengths = []
+    for deg in (3, 7):
+        for pending in subsets:
+            a = rand_poly(rng, vars, deg=deg, lo=-(2**40), hi=2**40, nterms=6)
+            degs = list(map(max, zip(*a.terms)))
+            for attempt, prime in enumerate(_CERT_PRIMES):
+                rows = _point_powers(attempt, degs)
+                got = _images_mod(a.terms, pending, degs, rows, prime)
+                assert got == [image_mod(a.terms, i, attempt) for i in pending], (a, pending)
+        lengths.append([len(row) for rows in arith._POINT_POWERS.values() for row in rows])
+    assert lengths[1] > lengths[0]
+    # The images the certificate itself takes, at every attempt it reaches.
+    calls, real = [], arith._images_mod
+
+    def spy(terms, pending, degs, rows, prime):
+        images = real(terms, pending, degs, rows, prime)
+        calls.append((terms, pending, _CERT_PRIMES.index(prime), images))
+        return images
+
+    monkeypatch.setattr(arith, "_images_mod", spy)
+    for _ in range(30):
+        a, b = _rand_rational_poly(rng, vars, deg=4), _rand_rational_poly(rng, vars, deg=4)
+        if not (a.is_zero() or b.is_zero()):
+            _coprime_by_images(a, b)
+    for terms, pending, attempt, images in calls:
+        assert images == [image_mod(terms, i, attempt) for i in pending]
+    assert {attempt for _, _, attempt, _ in calls} >= {0, 1}
 
 
 def test_gcd_certificate_skips_bad_points():

@@ -259,6 +259,20 @@ STATIC_FAULTS = [
         "4:31: unknown variable 'y' (ring has z)",
     ),
     ("char_commutator(C, f = P, samples = 3)", 26, "f is given without h", None),
+    (
+        "irreducibility_criterion(C, pair = n(P, P))",
+        44,
+        "unknown variable 'P' (ring has z)",
+        "4:44: unknown variable 'P' (ring has z)",
+    ),
+    ("divisor_symmetry_expect(z^2, k0 = -1)", 36, "k0 must lie in [0, 1000000]", None),
+    ("nonfence_commutator(U, 1, U, 1, 1, k = 17)", 42, "k must lie in [0, 16]", None),
+    (
+        "divisor_symmetry_expect(z, mu = z)",
+        39,
+        "unknown variable 'z' (expected a constant)",
+        "4:39: unknown variable 'z' (expected a constant)",
+    ),
 ]
 
 

@@ -23,11 +23,8 @@ def poly_fold(node, vars):
         return Poly.const(vars, node.value)
     if isinstance(node, Var):
         if node.name not in vars:
-            raise ParseError(
-                f"unknown variable {node.name!r} (ring has {', '.join(vars)})",
-                node.line,
-                node.col,
-            )
+            ring = f"ring has {', '.join(vars)}" if vars else "expected a constant"
+            raise ParseError(f"unknown variable {node.name!r} ({ring})", node.line, node.col)
         return Poly.variable(vars, node.name)
     if isinstance(node, Neg):
         return -poly_fold(node.operand, vars)
