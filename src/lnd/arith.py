@@ -32,7 +32,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Mapping
 
-from .errors import MissingImageError, NonDivisibleError, RingMismatchError
+from .errors import LndError, NonDivisibleError
 
 Monomial = tuple[int, ...]
 
@@ -100,7 +100,7 @@ class Poly:
     @lru_cache(maxsize=None)
     def variable(cls, vars: tuple[str, ...], name: str) -> "Poly":
         if name not in vars:
-            raise RingMismatchError(f"variable {name!r} not in ring {vars}")
+            raise LndError(f"variable {name!r} not in ring {vars}")
         return _raw(vars, 1, {tuple(1 if v == name else 0 for v in vars): 1})
 
     # -- predicates and views ----------------------------------------------
@@ -167,11 +167,11 @@ class Poly:
         try:
             return self.vars.index(var)
         except ValueError:
-            raise RingMismatchError(f"variable {var!r} not in ring {self.vars}") from None
+            raise LndError(f"variable {var!r} not in ring {self.vars}") from None
 
     def _check_ring(self, other: "Poly") -> None:
         if self.vars != other.vars:
-            raise RingMismatchError(f"ring mismatch: {self.vars} vs {other.vars}")
+            raise LndError(f"ring mismatch: {self.vars} vs {other.vars}")
 
     # -- ring operations -----------------------------------------------------
 
@@ -285,7 +285,7 @@ class Poly:
                     continue
                 j = positions[i]
                 if j is None:
-                    raise RingMismatchError(
+                    raise LndError(
                         f"cannot move {self.vars[i]!r}-term into ring {vars}"
                     )
                 target[j] = e
@@ -377,14 +377,14 @@ class _Substitution:
             if target is None:
                 target = img.vars
             elif img.vars != target:
-                raise RingMismatchError("substitution images live in different rings")
+                raise LndError("substitution images live in different rings")
         self.target = target
 
     def apply(self, p: Poly) -> Poly:
         present = p.variables_present()
         missing = sorted(present - set(self.images))
         if missing:
-            raise MissingImageError(
+            raise LndError(
                 f"no image for variable(s): {', '.join(missing)}"
             )
         if self.target is None:

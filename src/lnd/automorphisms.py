@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
 from .arith import XYZ, Poly, substitute
-from .errors import NotInKernelError, NotInvertibleError, RingMismatchError
+from .errors import LndError
 
 if TYPE_CHECKING:
     from .derivations import Derivation
@@ -42,7 +42,7 @@ class Automorphism:
     def __init__(self, pullback_x: Poly, pullback_y: Poly, pullback_z: Poly):
         for img in (pullback_x, pullback_y, pullback_z):
             if img.vars != XYZ:
-                raise RingMismatchError("pullbacks must live in the (x, y, z) ring")
+                raise LndError("pullbacks must live in the (x, y, z) ring")
         self.pullback_x = pullback_x
         self.pullback_y = pullback_y
         self.pullback_z = pullback_z
@@ -142,7 +142,7 @@ def _affine_inverse(g: Automorphism) -> Automorphism:
         shifted.append(Poly.variable(XYZ, XYZ[k]) - b_k)
     reduced = linalg.rref(rows)
     if min(reduced[-1])[0] == 1:
-        raise NotInvertibleError("affine map is singular")
+        raise LndError("affine map is singular")
     # Row i is (e_i | row i of A^-1): h*(v_i) = sum_j A^-1[i][j] * (v_j - b_j).
     images = []
     for row in reduced:
@@ -187,7 +187,7 @@ def _modifying(f: Poly, d: Derivation) -> Derivation:
 
     f = f.to_ring(XYZ)
     if not derivations.apply(d, f).is_zero():
-        raise NotInKernelError(
+        raise LndError(
             f"modification factor {f} is not annihilated by the logarithm"
         )
     return derivations.scale_poly(f, d)
@@ -207,7 +207,7 @@ def mu_character(g: Automorphism, d: Poly) -> Fraction:
         raise ValueError("divisor polynomial must be nonzero")
     image = pullback(g, d)
     if image.is_zero():
-        raise NotInvertibleError("pullback of the divisor polynomial vanished")
+        raise LndError("pullback of the divisor polynomial vanished")
     ratio = image.leading_coeff() / d.leading_coeff()
     if image != d * ratio:
         raise ValueError(f"g*({d}) = {image} is not proportional to {d}")
@@ -245,7 +245,7 @@ def conjugation_formula_check(
     if not commutes(g, _modifying(d, dp)):
         raise ValueError("g does not commute with the modified automorphism")
     if not derivations.apply(dp, f).is_zero():
-        raise NotInKernelError("f is not invariant for u'")
+        raise LndError("f is not invariant for u'")
     mu = mu_character(g, d)
     lhs = compose(inverse(g), compose(modification(f, dp), g))
     gf = pullback(g, f)

@@ -64,9 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         case = corpus.parse(source)
         if options.command == "parse":
-            definition_faults, arguments = runner.bind(case)
-            faults = list(definition_faults.values())
-            faults += [fault for fault in arguments if isinstance(fault, LndError)]
+            faults = [fault for fault in runner.bind(case) if isinstance(fault, LndError)]
         else:
             report = runner.run(
                 case,

@@ -7,7 +7,6 @@ Grammar (comments run from '#' to end of line):
     def   := ("poly" | "unipoly") NAME "=" expr
            | "derivation" NAME "{" x -> expr ";" y -> expr ";" z -> expr "}"
            | "automorphism" NAME "{" triple "}"
-           | "automorphism" NAME "=" compose "(" NAME "," NAME ")"
            | "planeaut" NAME "{" y -> expr ";" z -> expr "}"
            | "divisor" NAME "=" expr                      # in (y, z)
            | "context" NAME "{" P = expr ";" d = expr ";" deg_max = INT "}"
@@ -30,7 +29,7 @@ checks a parsed corpus against the directive schema.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .arith import ALLOWANCE, XYZ, YZ, ZVAR, Poly, WorkBudgetExceeded
 from .automorphisms import Automorphism
@@ -49,7 +48,7 @@ _POLY_VARS, _LIST_VARS = {"x", "y", "z", "P"}, {"x", "y", "z"}
 _KEYWORDS = {"torus"}
 # Value-literal heads, structural words and the variables x, y, z and P,
 # which an expression always reads as variables; not definable as names.
-_RESERVED = {"n", "gelem", "compose", "check", "poly", "unipoly", "derivation",
+_RESERVED = {"n", "gelem", "check", "poly", "unipoly", "derivation",
              "automorphism", "planeaut", "divisor", "context", "law", "x", "y", "z", "P"}
 
 
@@ -89,13 +88,6 @@ class ExprValue(NamedTuple):
     line: int
     col: int
     variables: tuple[Var, ...]  # every Var of ast, in source order
-
-
-class Compose(NamedTuple):
-    """The value of `automorphism NAME = compose(left, right)`."""
-
-    left: NameRef
-    right: NameRef
 
 
 class ListValue(NamedTuple):
@@ -264,24 +256,8 @@ class _CorpusParser(ExprParser):
 
     def _def_automorphism(self) -> None:
         name = self.fresh_name()
-        if self.at_sym("="):
-            self.advance()
-            self.expect_keyword("compose")
-            self.expect_sym("(")
-            left = self._defined_name("automorphism")
-            self.expect_sym(",")
-            right = self._defined_name("automorphism")
-            self.expect_sym(")")
-            self._add("automorphism", name, Compose(left, right))
-            return
         images = self._triple(XYZ, XYZ)
         self._add("automorphism", name, Automorphism(*images))
-
-    def _defined_name(self, expected_kind: str) -> NameRef:
-        tok = self.expect_ident(f"a defined {expected_kind} name")
-        if tok.text not in self.case.kinds:
-            raise ParseError(f"undefined name {tok.text!r}", tok.line, tok.col)
-        return NameRef(tok.text, tok.line, tok.col)
 
     def _def_planeaut(self) -> None:
         name = self.fresh_name()
@@ -296,60 +272,47 @@ class _CorpusParser(ExprParser):
             raise self.error("divisor polynomial must be nonzero")
         self._add("divisor", name, plane_divisor(poly))
 
-    def _def_context(self) -> None:
-        name = self.fresh_name()
+    def _fields(self, kind: str, readers: dict[str, Callable[[], object]]) -> dict[str, object]:
+        """A `{ key = value; ... }` block, each value read by its key's reader."""
         self.expect_sym("{")
         fields: dict[str, object] = {}
         while not self.at_sym("}"):
-            key = self.expect_ident("a context field (P, d, deg_max)")
+            key = self.expect_ident(f"a {kind} field ({', '.join(readers)})")
             self.expect_sym("=")
-            if key.text == "P":
-                fields["P"] = self.parse_expr_in(XYZ)
-            elif key.text == "d":
-                fields["d"] = self.parse_expr_in(ZVAR)
-            elif key.text == "deg_max":
-                fields["deg_max"] = self.parse_int()
-            else:
-                raise ParseError(f"unknown context field {key.text!r}", key.line, key.col)
+            if key.text not in readers:
+                raise ParseError(f"unknown {kind} field {key.text!r}", key.line, key.col)
+            fields[key.text] = readers[key.text]()
             if self.at_sym(";"):
                 self.advance()
         self.expect_sym("}")
+        return fields
+
+    def _def_context(self) -> None:
+        name = self.fresh_name()
+        fields = self._fields("context", {
+            "P": lambda: self.parse_expr_in(XYZ),
+            "d": lambda: self.parse_expr_in(ZVAR),
+            "deg_max": self.parse_int,
+        })
         if "P" not in fields:
             raise self.error("context needs a P field")
-        spec = ContextSpec(
-            fields["P"],
-            fields.get("d", Poly.one(ZVAR)),
-            fields.get("deg_max", 3),
-        )
+        spec = ContextSpec(fields["P"], fields.get("d", Poly.one(ZVAR)), fields.get("deg_max", 3))
         self._add("context", name, spec)
 
     def _def_law(self) -> None:
         name = self.fresh_name()
-        self.expect_sym("{")
-        vectors: dict[str, tuple[int, ...]] = {}
-        a_prime: Poly | None = None
-        while not self.at_sym("}"):
-            key = self.expect_ident("a law field (mu, rho1, rho2, nu, a')")
-            self.expect_sym("=")
-            if key.text in ("mu", "rho1", "rho2", "nu"):
-                vectors[key.text] = self.parse_int_list()
-            elif key.text == "a'":
-                a_prime = self.parse_expr_in(ZVAR)
-            else:
-                raise ParseError(f"unknown law field {key.text!r}", key.line, key.col)
-            if self.at_sym(";"):
-                self.advance()
-        self.expect_sym("}")
-        missing = [k for k in ("mu", "rho1", "rho2") if k not in vectors]
-        if missing or a_prime is None:
-            raise self.error(
-                "law needs mu, rho1, rho2 and a' fields"
-            )
-        ranks = {len(v) for v in vectors.values()}
-        if len(ranks) != 1:
+        ints = self.parse_int_list
+        fields = self._fields("law", {
+            "mu": ints, "rho1": ints, "rho2": ints, "nu": ints,
+            "a'": lambda: self.parse_expr_in(ZVAR),
+        })
+        if any(key not in fields for key in ("mu", "rho1", "rho2", "a'")):
+            raise self.error("law needs mu, rho1, rho2 and a' fields")
+        vectors = [fields[key] for key in ("mu", "rho1", "rho2", "nu") if key in fields]
+        if len({len(v) for v in vectors}) != 1:
             raise self.error("law character vectors have mixed ranks")
         spec = LawSpec(
-            vectors["mu"], vectors["rho1"], vectors["rho2"], vectors.get("nu"), a_prime
+            fields["mu"], fields["rho1"], fields["rho2"], fields.get("nu"), fields["a'"]
         )
         self._add("law", name, spec)
 

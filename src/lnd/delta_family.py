@@ -57,15 +57,7 @@ from .derivations import (
     scale,
     scale_poly,
 )
-from .errors import (
-    ContextError,
-    NonDivisibleError,
-    NotInNError,
-    NotLocallyNilpotentError,
-    RingMismatchError,
-    Validated,
-    VerificationError,
-)
+from .errors import LndError, NonDivisibleError, NotLocallyNilpotentError, Validated
 
 # The realization order forced by the product law (see the module docstring).
 E_OUTER = "e-outer"  # compose(h.e, f.u'): the u'-modification acts first
@@ -83,7 +75,7 @@ class NElem(Validated, _NElem):
 
     def __new__(cls, h: Poly, f: Poly):
         if h.vars != ZP or f.vars != ZP:
-            raise RingMismatchError("NElem components live in the (z, P) ring")
+            raise LndError("NElem components live in the (z, P) ring")
         if not is_univariate_in(h, "z"):
             raise ValueError(f"h component must lie in Q[z]: {h}")
         return tuple.__new__(cls, (h, f))
@@ -166,7 +158,7 @@ def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaConte
 
     Runs the plinth search with kernel generators [z, P], forms the
     complement from its output, and checks what the construction does not
-    prove; any failure raises ContextError with the offending fact.  D' is
+    prove; any failure raises LndError with the offending fact.  D' is
     certified by its series; D = d D' needs none, as d in ker D' gives
     (dD')^k = d^k D'^k.  Facts the construction proves are not checked;
     with delta(p) = {p, .} for {f, g} = f_x g_y - f_y g_x (z a constant):
@@ -180,26 +172,26 @@ def make_context(P: Poly, d: Poly | None = None, deg_max: int = 4) -> DeltaConte
         d = Poly.one(XYZ)
     d = d.to_ring(XYZ)
     if not is_univariate_in(d, "z") or d.is_zero():
-        raise ContextError(f"modification factor must be a nonzero element of Q[z]: {d}")
+        raise LndError(f"modification factor must be a nonzero element of Q[z]: {d}")
     if max(P.degree_in("x"), P.degree_in("y")) < 1:
-        raise ContextError("P must have positive degree in (x, y)")
+        raise LndError("P must have positive degree in (x, y)")
     d_prime = delta(P)
     if not is_locally_nilpotent(d_prime).is_nilpotent:
-        raise ContextError("no nilpotency certificate for the derivation of P")
+        raise LndError("no nilpotency certificate for the derivation of P")
     q_poly, a_prime = plinth_search(d_prime, [Poly.variable(XYZ, "z"), P], deg_max)
     if not is_univariate_in(a_prime, "z"):
-        raise ContextError(f"plinth generator is not in Q[z]: {a_prime}")
+        raise LndError(f"plinth generator is not in Q[z]: {a_prime}")
     e_der = delta(q_poly)
     for ok, fact in (
         (is_irreducible(d_prime), "D' irreducible"),
         (is_irreducible(e_der), "E irreducible"),
     ):
         if not ok:
-            raise ContextError(f"context invariant failed: {fact}")
+            raise LndError(f"context invariant failed: {fact}")
     try:
         e_aut = exponential(e_der)
     except NotLocallyNilpotentError:
-        raise ContextError("context invariant failed: E locally nilpotent") from None
+        raise LndError("context invariant failed: E locally nilpotent") from None
     return DeltaContext(
         P=P,
         d=d,
@@ -241,7 +233,7 @@ def express_in_zp(ctx: DeltaContext, g: Poly) -> Poly:
     E^n(g) = n! (-a')^n c_n.  Dividing that out gives c_n; subtracting
     c_n P^n lowers the E-order, so at most n + 1 peels reach zero and the
     result reproduces g exactly.  A failed division, or a c_n outside Q[z],
-    shows g is not in Q[z, P] and raises NotInNError.
+    shows g is not in Q[z, P] and raises LndError.
     """
     pv = Poly.variable(ZP, "P")
     out = Poly.zero(ZP)
@@ -255,9 +247,9 @@ def express_in_zp(ctx: DeltaContext, g: Poly) -> Poly:
         try:
             c = divide_exact(top, (-ctx.a_prime) ** n) * Fraction(1, factorial(n)) if n else top
         except NonDivisibleError:
-            raise NotInNError(f"{g} is not a polynomial in z and P") from None
+            raise LndError(f"{g} is not a polynomial in z and P") from None
         if not is_univariate_in(c, "z"):
-            raise NotInNError(f"{g} is not a polynomial in z and P")
+            raise LndError(f"{g} is not a polynomial in z and P")
         term = c.to_ring(ZP) * pv**n
         out = out + term
         remainder = remainder - expand_kernel_poly(ctx, term)
@@ -325,31 +317,31 @@ def _recover_pair(g: Automorphism, ctx: DeltaContext) -> NElem:
     exp(fD')(Q) = Q + f a' (D'(Q) = a' lies in ker D'), and f is
     (g*(Q) - Q) / a', which must lie in Q[z, P]; stripping h.e from g first
     would leave g*(Q) unchanged for every g.  That also puts f in ker D'
-    with no check by D': express_in_zp either raises NotInNError or
+    with no check by D': express_in_zp either raises LndError or
     rebuilds f exactly in Q[z, P], which lies inside ker D'.  Failures raise
-    NotInNError; each caller certifies a success once.
+    LndError; each caller certifies a success once.
     """
     moved = ctx.P - pullback(g, ctx.P)
     try:
         h_amb = divide_exact(moved, ctx.a_prime)
     except NonDivisibleError:
-        raise NotInNError("P-shift is not divisible by the plinth generator") from None
+        raise LndError("P-shift is not divisible by the plinth generator") from None
     if not is_univariate_in(h_amb, "z"):
-        raise NotInNError("P-shift quotient does not lie in Q[z]")
+        raise LndError("P-shift quotient does not lie in Q[z]")
     shift = pullback(g, ctx.Q) - ctx.Q
     try:
         f_amb = divide_exact(shift, ctx.a_prime)
     except NonDivisibleError:
-        raise NotInNError("residual is not a modification of u'") from None
+        raise LndError("residual is not a modification of u'") from None
     return NElem(h_amb.to_ring(ZP), express_in_zp(ctx, f_amb))
 
 
 def aut_to_n(g: Automorphism, ctx: DeltaContext) -> NElem:
-    """Recover (h, f) from g, or raise NotInNError if g is not in N; the
+    """Recover (h, f) from g, or raise LndError if g is not in N; the
     certificate is that the recovered pair realizes g again."""
     result = _recover_pair(g, ctx)
     if n_to_aut(result, ctx) != g:
-        raise NotInNError("recovered pair fails to reproduce the automorphism")
+        raise LndError("recovered pair fails to reproduce the automorphism")
     return result
 
 
@@ -364,12 +356,9 @@ def exp_m_decompose(n: NElem, ctx: DeltaContext) -> Poly:
     recovered pair recomposes to the exponential.
     """
     big = exponential(m_derivation(ctx, n))
-    try:
-        pair = _recover_pair(big, ctx)
-    except NotInNError as exc:
-        raise VerificationError(str(exc)) from None
+    pair = _recover_pair(big, ctx)
     if n_to_aut(pair, ctx) != big:
-        raise VerificationError("decomposition does not recompose")
+        raise LndError("decomposition does not recompose")
     return pair.f
 
 

@@ -33,15 +33,7 @@ from .arith import (
     substitute,
 )
 from .automorphisms import Automorphism, identity
-from .errors import (
-    NotInKernelError,
-    NotLocallyNilpotentError,
-    NotUnipotentError,
-    RingMismatchError,
-    SearchExhaustedError,
-    Validated,
-    VerificationError,
-)
+from .errors import LndError, NotLocallyNilpotentError, Validated
 
 # The two bounds of every series (exp, log, nilpotency): at most DEFAULT_CAP
 # steps, and at most WORK_BUDGET term pairs of Poly multiplication.
@@ -64,7 +56,7 @@ class Derivation(Validated, _Derivation):
         images = (image_x, image_y, image_z)
         for img in images:
             if img.vars != XYZ:
-                raise RingMismatchError("derivation images must live in (x, y, z)")
+                raise LndError("derivation images must live in (x, y, z)")
         return tuple.__new__(cls, images)
 
     @property
@@ -234,7 +226,7 @@ def logarithm(u: Automorphism) -> Derivation:
 
     Per generator the series sum (-1)^(k+1) (u* - id)^k / k terminates when
     u is unipotent; the series bounds stop it on impostors, raising
-    NotUnipotentError (never a wrong answer: the round-trip is verified).
+    LndError (never a wrong answer: the round-trip is verified).
     """
     d = _log_series(u)
     try:
@@ -242,7 +234,7 @@ def logarithm(u: Automorphism) -> Derivation:
     except NotLocallyNilpotentError:
         back = None
     if back != u:
-        raise NotUnipotentError("logarithm round-trip failed: u is not unipotent")
+        raise LndError("logarithm round-trip failed: u is not unipotent")
     return d
 
 
@@ -251,7 +243,7 @@ def _log_series(u: Automorphism) -> Derivation:
     certificate, for a caller whose own comparison certifies the result."""
     return Derivation(*(
         _series(lambda q: substitute(q, u.pullbacks) - q, Poly.variable(XYZ, v),
-                _LOG_WEIGHTS, f"(u* - id)-series on {v}", NotUnipotentError)[0]
+                _LOG_WEIGHTS, f"(u* - id)-series on {v}", LndError)[0]
         for v in XYZ
     ))
 
@@ -347,9 +339,9 @@ def plinth_search(
     gens = [g.to_ring(XYZ) for g in kernel_gens]
     for g in gens:
         if not apply(d, g).is_zero():
-            raise NotInKernelError(f"claimed kernel generator {g} has d(g) != 0")
+            raise LndError(f"claimed kernel generator {g} has d(g) != 0")
     if d.is_zero():
-        raise SearchExhaustedError("the zero derivation has no plinth element")
+        raise LndError("the zero derivation has no plinth element")
     image_deg = max(img.total_degree() for img in d.images if not img.is_zero())
     a_bound = max(deg_max - 1 + image_deg, 0)
     products = kernel_products(gens, a_bound) if gens else []
@@ -359,7 +351,7 @@ def plinth_search(
     rows += [_tagged(-kp, kp) for _, kp in products]
     achievable = [row for row in linalg.rref(rows) if min(row)[0] == 1]
     if not achievable:
-        raise SearchExhaustedError(
+        raise LndError(
             f"no plinth element with deg(Q) <= {deg_max}; raise the bound"
         )
     return _block(achievable[-1], 2), _block(achievable[-1], 1)
@@ -387,7 +379,7 @@ def standard_decomposition(u: Automorphism) -> tuple[Poly, Automorphism]:
     try:
         u_prime = exponential(stripped)
     except NotLocallyNilpotentError:
-        raise VerificationError("stripped derivation lost local nilpotency") from None
+        raise LndError("stripped derivation lost local nilpotency") from None
     return d, u_prime
 
 
@@ -407,7 +399,7 @@ def sat_instance_check(b: Derivation, f_der: Derivation, f: Poly) -> SatReport:
     if not is_locally_nilpotent(f_der).is_nilpotent:
         raise NotLocallyNilpotentError("F needs a nilpotency certificate")
     if not apply(f_der, f).is_zero():
-        raise NotInKernelError("f is not in ker F")
+        raise LndError("f is not in ker F")
     bracket = lie_bracket(scale_poly(f, f_der), b)
     b_of_f = apply(b, f)
     fb = lie_bracket(f_der, b)

@@ -1,9 +1,9 @@
 """Exception types shared across the package, and the base of the records
 whose construction raises them.
 
-Every error that carries mathematical meaning (as opposed to plain misuse)
-gets its own class, so callers can branch on "q does not divide p" versus
-"you passed polynomials from different rings".
+A failure raises LndError with a message that names the failed condition;
+the runner reports that message as the directive's ERROR line.  A subclass
+exists only where code catches it by name or where it carries fields.
 """
 
 
@@ -22,10 +22,6 @@ class LndError(Exception):
     """Base class for all package errors."""
 
 
-class RingMismatchError(LndError):
-    """Operands live over different variable lists."""
-
-
 class NonDivisibleError(LndError):
     """Exact division failed; the quotient does not exist in the ring.
 
@@ -34,44 +30,8 @@ class NonDivisibleError(LndError):
     """
 
 
-class MissingImageError(LndError):
-    """A substitution map lacks an image for a variable that occurs."""
-
-
 class NotLocallyNilpotentError(LndError):
     """A nilpotency certificate was required, but its series hit a bound."""
-
-
-class NotUnipotentError(LndError):
-    """The logarithm series hit a bound, or its round trip failed."""
-
-
-class NotInKernelError(LndError):
-    """A polynomial was required to be annihilated by a derivation but is not."""
-
-
-class NotInNError(LndError):
-    """An automorphism failed the membership test for the unipotent subgroup N."""
-
-
-class SearchExhaustedError(LndError):
-    """A bounded linear-algebra search found no solution within its bound."""
-
-
-class VerificationError(LndError):
-    """An internal consistency check that should always hold has failed."""
-
-
-class ContextError(LndError):
-    """A plinth-family context could not be constructed or validated."""
-
-
-class LawHypothesisError(LndError):
-    """A group law violates the hypotheses needed by the presentation lemma."""
-
-
-class NotInvertibleError(LndError):
-    """No inverse could be produced (not unipotent, not affine, no witness)."""
 
 
 class ParseError(LndError):

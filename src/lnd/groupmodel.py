@@ -38,7 +38,7 @@ from .arith import XYZ, ZP, Poly, _raw, is_univariate_in
 from .automorphisms import Automorphism, commutes, compose, inverse, modification, mu_character
 from .delta_family import expand_kernel_poly, n_elem, n_to_aut, shift_in_P
 from .derivations import apply, logarithm, scale_poly
-from .errors import LawHypothesisError, RingMismatchError, Validated
+from .errors import LndError, Validated
 
 # First distinct primes; a torus point with these coordinates kills a
 # character exactly when its exponent vector is zero.
@@ -92,7 +92,7 @@ class GroupLaw(Validated, _GroupLaw):
         if len(ranks) != 1:
             raise ValueError("character vectors have mixed ranks")
         if a_prime.vars != ZP or not is_univariate_in(a_prime, "z"):
-            raise RingMismatchError("a' must be a z-polynomial in the (z, P) ring")
+            raise LndError("a' must be a z-polynomial in the (z, P) ring")
         if a_prime.is_zero():
             raise ValueError("a' must be nonzero")
         # Associativity of the semidirect product: conjugation by the torus
@@ -100,7 +100,7 @@ class GroupLaw(Validated, _GroupLaw):
         target = rho2 + nu
         for mono in a_prime.terms:
             if rho1 * sum(mono) != target:
-                raise LawHypothesisError(
+                raise LndError(
                     "incompatible law: rho1^m != rho2 * nu on the support of a'"
                 )
         return tuple.__new__(cls, (mu, rho1, rho2, nu, a_prime))
@@ -137,7 +137,7 @@ class GElem(Validated, _GElem):
 
     def __new__(cls, torus: tuple[Fraction, ...], h: Poly, f: Poly):
         if h.vars != ZP or f.vars != ZP:
-            raise RingMismatchError("GElem components live in the (z, P) ring")
+            raise LndError("GElem components live in the (z, P) ring")
         if not is_univariate_in(h, "z"):
             raise ValueError("h component must lie in Q[z]")
         for coord in torus:
@@ -262,7 +262,7 @@ def verify_pres_lemma(
     """
     point = _test_point(law.rank)
     if law.rho1.evaluate(point) == 1 and law.rho2.evaluate(point) == 1:
-        raise LawHypothesisError(
+        raise LndError(
             "rho1 and rho2 both vanish at the test point: kernel condition fails"
         )
     chosen: GElem | None = None
@@ -271,7 +271,7 @@ def verify_pres_lemma(
             chosen = w
             break
     if chosen is None:
-        raise LawHypothesisError("no supplied witness has trivial torus and h != 0")
+        raise LndError("no supplied witness has trivial torus and h != 0")
     one = (Fraction(1),) * law.rank
     pv = Poly.variable(ZP, "P")
     h0a = chosen.h * law.a_prime
@@ -291,7 +291,7 @@ def verify_pres_lemma(
                 GElem, (one, _ZERO, _raw(ZP, 1, {(i, 0): 1}) * closed_forms[j])
             )
             if w2 != expected:
-                raise LawHypothesisError(
+                raise LndError(
                     f"derived witness for stage {j} disagrees with its closed form"
                 )
             witness_elems.append(PresWitness(j, i, w2))
@@ -326,7 +326,7 @@ def _effective_powers(law: GroupLaw, point, j: int) -> list[int]:
         num, den = num * rho1.numerator, den * rho1.denominator
     if powers:
         return powers
-    raise LawHypothesisError(
+    raise LndError(
         f"mu rho1^i rho2^{j} stays trivial for all i <= {_POWER_CAP}"
     )
 

@@ -23,7 +23,7 @@ from .arith import (
     substitute,
 )
 from .automorphisms import Automorphism
-from .errors import RingMismatchError, Validated
+from .errors import LndError, Validated
 
 
 class _PlaneDivisor(NamedTuple):
@@ -37,7 +37,7 @@ class PlaneDivisor(Validated, _PlaneDivisor):
 
     def __new__(cls, a: Poly):
         if a.vars != YZ:
-            raise RingMismatchError("divisor polynomial must live in (y, z)")
+            raise LndError("divisor polynomial must live in (y, z)")
         if a.is_zero():
             raise ValueError("divisor polynomial must be nonzero")
         return tuple.__new__(cls, (a,))
@@ -62,7 +62,7 @@ class PlaneAut(Validated, _PlaneAut):
 
     def __new__(cls, pullback_y: Poly, pullback_z: Poly):
         if pullback_y.vars != YZ or pullback_z.vars != YZ:
-            raise RingMismatchError("plane pullbacks must live in (y, z)")
+            raise LndError("plane pullbacks must live in (y, z)")
         return tuple.__new__(cls, (pullback_y, pullback_z))
 
     @property

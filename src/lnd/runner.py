@@ -23,14 +23,12 @@ from .arith import ALLOWANCE, XYZ, YZ, ZP, ZVAR, Poly, WorkBudgetExceeded
 from .automorphisms import (
     Automorphism,
     commutes,
-    compose,
     conjugation_formula_check,
     pullback,
 )
 from .corpus import (
     PARSE_WORK_BUDGET,
     ContextSpec,
-    Compose,
     CorpusCase,
     Directive,
     ExprValue,
@@ -624,21 +622,14 @@ def _bind(params: tuple[_Param, ...], directive: Directive, kinds: dict[str, str
     return pairs
 
 
-def bind(case: CorpusCase) -> tuple[dict[str, LndError], list[list | LndError]]:
+def bind(case: CorpusCase) -> list[list | LndError]:
     """Check a parsed corpus against the directive schemas, building and
-    evaluating nothing.  Returns the fault of each compose definition with
-    an operand of another kind, by name, and for each directive its
-    (parameter, argument) pairs or its first fault.  An unknown directive,
-    or a definition named like one, is a ParseError."""
-    definition_faults: dict[str, LndError] = {}
+    evaluating nothing.  Returns for each directive its (parameter,
+    argument) pairs or its first fault.  An unknown directive, or a
+    definition named like one, is a ParseError."""
     for definition in case.definitions:
         if definition.name in _SCHEMA:
             raise ParseError(f"{definition.name!r} is reserved", definition.line, definition.col)
-        try:
-            for ref in definition.value if isinstance(definition.value, Compose) else ():
-                _check(_AUTOMORPHISM, ref, ref.line, ref.col, case.kinds)
-        except DirectiveError as fault:
-            definition_faults[definition.name] = fault
     arguments: list[list | LndError] = []
     for directive in case.directives:
         if directive.name not in _SCHEMA:
@@ -648,7 +639,7 @@ def bind(case: CorpusCase) -> tuple[dict[str, LndError], list[list | LndError]]:
             arguments.append(_bind(_SCHEMA[directive.name][1], directive, case.kinds))
         except LndError as fault:
             arguments.append(fault)
-    return definition_faults, arguments
+    return arguments
 
 
 def _dispatch(run: Callable) -> Callable:
@@ -674,21 +665,15 @@ def _dispatch(run: Callable) -> Callable:
 _HANDLERS = {name: _dispatch(run) for name, (run, _) in _SCHEMA.items()}
 
 
-def _build_definitions(
-    case: CorpusCase, env: _Env, entries: list[Entry], faults: dict[str, LndError]
-) -> None:
+def _build_definitions(case: CorpusCase, env: _Env, entries: list[Entry]) -> None:
     for definition in case.definitions:
         kind, name, value = definition.kind, definition.name, definition.value
         try:
-            if name in faults:
-                raise faults[name]
             if kind == "context":
                 spec: ContextSpec = value
                 env.objects[name] = delta_family.make_context(
                     spec.P, spec.d, min(spec.deg_max, env.deg_max_cap, MAX_DEG_MAX)
                 )
-            elif isinstance(value, Compose):
-                env.objects[name] = compose(env.fetch(value.left), env.fetch(value.right))
             else:
                 env.objects[name] = value
         except (LndError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -709,10 +694,10 @@ def run(
     first, so a ParseError from it leaves nothing run.  Report names are
     rendered after the loop, so only dispatch set-up runs between directives.
     """
-    definition_faults, arguments = bind(case)
+    arguments = bind(case)
     entries: list[Entry] = []
     env = _Env(deg_max_cap, budget)
-    _build_definitions(case, env, entries, definition_faults)
+    _build_definitions(case, env, entries)
     outcomes = []
     for index, (directive, bound) in enumerate(zip(case.directives, arguments)):
         rng = _LazyRandom(f"{seed}:{index}:{directive.name}")

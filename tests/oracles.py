@@ -21,7 +21,7 @@ from lnd.arith import (
 from lnd.automorphisms import Automorphism, pullback
 from lnd.delta_family import DeltaContext, NElem, expand_kernel_poly, m_derivation
 from lnd.derivations import Derivation, delta, kernel_products
-from lnd.errors import SearchExhaustedError
+from lnd.errors import LndError
 from lnd.groupmodel import GElem, GroupLaw
 from lnd.linalg import rref
 
@@ -50,7 +50,7 @@ def express_in_kernel(
     Searches products of the generators with expanded total degree at most
     `deg_max`.  The result lives in the ring with one variable per
     generator, named by `var_names`, and substitutes back to f exactly;
-    failure to represent raises SearchExhaustedError.
+    failure to represent raises LndError.
     """
     ring = f.vars
     gens = [g.to_ring(ring) for g in gens]
@@ -63,13 +63,13 @@ def express_in_kernel(
             equations.setdefault(mono, {})[j] = coeff
     solution = solve(list(equations.values()), [target.get(m, 0) for m in equations])
     if solution is None:
-        raise SearchExhaustedError(
+        raise LndError(
             f"{f} has no representation in the generators within degree {deg_max}"
         )
     out = Poly(var_names, {products[j][0]: coeff for j, coeff in solution.items()})
     check = substitute(out, dict(zip(var_names, gens))) if not out.is_zero() else Poly.zero(ring)
     if check != f:
-        raise SearchExhaustedError("representation verification failed")
+        raise LndError("representation verification failed")
     return out
 
 

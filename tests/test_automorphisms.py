@@ -17,12 +17,7 @@ from lnd.automorphisms import (
 )
 from lnd.delta_family import make_context, n_elem, n_to_aut
 from lnd.derivations import Derivation, delta, exponential, logarithm, scale_poly
-from lnd.errors import (
-    NotInKernelError,
-    NotInvertibleError,
-    NotUnipotentError,
-    SearchExhaustedError,
-)
+from lnd.errors import LndError
 from lnd.syntax import parse_poly
 from oracles import express_in_kernel, quotient_action
 
@@ -80,7 +75,7 @@ def test_inverse_unipotent():
     v = inverse_unipotent(U_P)
     assert v.pullback_x == p("x + 2*y - z")
     assert v.pullback_y == p("y - z")
-    with pytest.raises(NotUnipotentError):
+    with pytest.raises(LndError, match=r"^\(u\* - id\)-series on x exceeded the step cap "):
         inverse_unipotent(Automorphism(p("2*x"), Y, Z))
 
 
@@ -121,7 +116,7 @@ def test_inverse_affine():
         assert compose(h, g) == identity()
         built += 1
     singular = _affine([[1, 2, 0], [2, 4, 0], [0, 0, 1]], [1, 0, 0])
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(LndError, match="^affine map is singular$"):
         inverse(singular)
 
 
@@ -199,7 +194,8 @@ def test_commutes_by_intertwining_matches_composition():
 def test_modification_basic():
     assert modification(Poly.one(XYZ), D_P) == U_P
     assert modification(Z, D_P) == exponential(scale_poly(Z, D_P))
-    with pytest.raises(NotInKernelError):
+    message = "^modification factor x is not annihilated by the logarithm$"
+    with pytest.raises(LndError, match=message):
         modification(X, DDX)
 
 
@@ -296,7 +292,8 @@ def test_express_in_kernel():
     assert expr == parse_poly("z^2", ("z", "P"))
     expr = express_in_kernel(P + Z * 3, gens, 2, ("z", "P"))
     assert expr == parse_poly("P + 3*z", ("z", "P"))
-    with pytest.raises(SearchExhaustedError):
+    message = "^x has no representation in the generators within degree 3$"
+    with pytest.raises(LndError, match=message):
         express_in_kernel(X, gens, 3, ("z", "P"))
 
 
@@ -323,7 +320,8 @@ def test_quotient_action_point_reflection():
 
 def test_quotient_action_failure_for_non_normalizing():
     g = Automorphism(X, Y, p("-z"))  # moves P out of the kernel ring
-    with pytest.raises(SearchExhaustedError):
+    message = r"^-x\*z \+ y\^2 has no representation in the generators within degree 4$"
+    with pytest.raises(LndError, match=message):
         quotient_action(g, [Z, P], 4, ("z", "P"))
 
 

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from lnd import cli, corpus, derivations, runner
-from lnd.arith import ALLOWANCE, XYZ
+from lnd import cli, corpus, delta_family, derivations, groupmodel, quotient_geometry, runner
+from lnd.arith import ALLOWANCE, XYZ, Poly
 from lnd.errors import ParseError
 from lnd.syntax import ExprParser, eval_expr, parse_poly, tokenize
 
@@ -296,25 +296,52 @@ def test_parse_reports_every_fault_and_check_runs_the_rest(tmp_path, capsys):
     target.write_text(
         "poly p = x + 1\n"
         "automorphism U { x -> x - 2*y - z; y -> y + z; z -> z }\n"
-        "automorphism W = compose(U, p)\n"
         "check exp_log_roundtrip(p)\n"
         "check exp_log_roundtrip(U)\n"
         "check divisor_symmetry_expect(y + z)\n"
     )
     assert cli.main(["parse", str(target)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        f"error: {target}:3:29: 'p' is a poly, expected automorphism",
-        f"error: {target}:4:25: 'p' is a poly, expected derivation or automorphism",
-        f"error: {target}:6:31: unknown variable 'y' (ring has z)",
+        f"error: {target}:3:25: 'p' is a poly, expected derivation or automorphism",
+        f"error: {target}:5:31: unknown variable 'y' (ring has z)",
     ]
     assert cli.main(["check", str(target)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "ERROR automorphism W — 'p' is a poly, expected automorphism",
         "ERROR exp_log_roundtrip(p) — 'p' is a poly, expected derivation or automorphism",
         "PASS exp_log_roundtrip(U) — exp(log(U)) = U exactly",
-        "ERROR divisor_symmetry_expect(y + z) — 6:31: unknown variable 'y' (ring has z)",
-        "summary: 1/0/3",
+        "ERROR divisor_symmetry_expect(y + z) — 5:31: unknown variable 'y' (ring has z)",
+        "summary: 1/0/2",
     ]
+
+
+@pytest.mark.parametrize("command", ["parse", "check", "report"])
+def test_a_compose_definition_is_a_positioned_parse_error(tmp_path, capsys, command):
+    target = tmp_path / "compose.corpus"
+    target.write_text(
+        "automorphism U { x -> x - 2*y - z; y -> y + z; z -> z }\n"
+        "automorphism W = compose(U, U)\n"
+        "check exp_log_roundtrip(U)\n"
+    )
+    assert cli.main([command, str(target)]) == 2
+    assert capsys.readouterr().out == f"error: {target}:2:16: expected '{{', found '='\n"
+
+
+def test_the_compose_chain_stops_at_its_first_compose(tmp_path, capsys):
+    # Each compose squared the degree; this chain ran past 70 s when
+    # compose definitions built unmetered.
+    target = tmp_path / "chain.corpus"
+    target.write_text(
+        "automorphism A0 { x -> x^2 + y + 1; y -> y^2 + z; z -> z^2 + x }\n"
+        "automorphism A1 = compose(A0, A0)\n"
+        "automorphism A2 = compose(A1, A1)\n"
+        "automorphism A3 = compose(A2, A2)\n"
+        "divisor G = z\n"
+        "check fixed_scheme(G)\n"
+    )
+    started = time.monotonic()
+    assert cli.main(["check", str(target)]) == 2
+    assert time.monotonic() - started < 5
+    assert capsys.readouterr().out == f"error: {target}:2:17: expected '{{', found '='\n"
 
 
 _MODES = {
@@ -781,6 +808,74 @@ def test_divisor_symmetry_fail_paths():
     )
     report = runner.run(case)
     assert [e.verdict for e in report.entries] == ["FAIL", "FAIL", "FAIL"]
+
+
+_CONTEXT = "context C { P = x*z + y^2 }\n"
+_NILPOTENT = "derivation D { x -> y; y -> z; z -> 0 }\n"
+
+# (corpus, (module, name) of a primitive the verdict rests on, a wrong but
+# plausible version of it made from the real one, the report's FAIL line)
+SEEDED_FAULTS = [
+    (  # the logarithm's series off by a factor 2
+        _NILPOTENT + "check exp_log_roundtrip(D)\n",
+        (runner, "_log_series"),
+        lambda real: lambda u: derivations.scale(2, real(u)),
+        "FAIL exp_log_roundtrip(D) — log(exp(D)) = (x -> 2*y; y -> 2*z; z -> 0), "
+        "expected (x -> y; y -> z; z -> 0)",
+    ),
+    (  # exp(D) computed as exp(2D)
+        _NILPOTENT + "check one_parameter_group(D, samples = 1)\n",
+        (runner, "exponential"),
+        lambda real: lambda d: real(derivations.scale(2, d)),
+        "FAIL one_parameter_group(D, samples = 1) — group law fails at (s, t) = (2, 7/4)",
+    ),
+    (  # the pair law taken as componentwise addition
+        _CONTEXT + "check n_group_homomorphism(C, samples = 1)\n",
+        (delta_family, "n_mul"),
+        lambda real: lambda a, b, ctx: delta_family.n_elem(a.h + b.h, a.f + b.f),
+        "FAIL n_group_homomorphism(C, samples = 1) — homomorphism fails on "
+        "n(-9*z^2 + 14, -7*z^2*P + 7*z*P), n(5*z^3 + 9*z + 9, 4*z^3 - 8*z^2*P - 3*z*P + 8)",
+    ),
+    (  # h E + f D' built with a stray factor z
+        _CONTEXT + "check irreducibility_criterion(C, n(1, 0))\n",
+        (delta_family, "m_derivation"),
+        lambda real: lambda ctx, n: derivations.scale_poly(Poly.variable(XYZ, "z"), real(ctx, n)),
+        "FAIL irreducibility_criterion(C, n(1, 0)) — irreducibility check fails for n(1, 0) "
+        "(gcd = 1)",
+    ),
+    (  # no power z^i found with a nontrivial character, so no witness
+        "law L { mu = [-2]; rho1 = [1]; rho2 = [2]; a' = z }\ncheck pres_lemma(L)\n",
+        (groupmodel, "_effective_powers"),
+        lambda real: lambda law, point, j: [],
+        "FAIL pres_lemma(L) — candidate (2; 0; 0) misclassified",
+    ),
+    (  # n_to_aut realizing (2h, f) for (h, f)
+        _CONTEXT + "check char_commutator(C, h = 1)\n",
+        (groupmodel, "n_to_aut"),
+        lambda real: lambda n, ctx: real(delta_family.n_elem(n.h * 2, n.f), ctx),
+        "FAIL char_commutator(C, h = 1) — nested commutator differs from -2*z^2.u'",
+    ),
+    (  # every shear taken to fix every divisor
+        "divisor G = z\ncheck fixed_scheme(G)\n",
+        (quotient_geometry, "is_inert"),
+        lambda real: lambda g, div: True,
+        "FAIL fixed_scheme(G) — enlarged subscheme(s) not moved: z, y, z + 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "source, target, fault, line",
+    SEEDED_FAULTS,
+    ids=[case[0].split("check ")[1].split("(")[0] for case in SEEDED_FAULTS],
+)
+def test_a_seeded_fault_turns_the_verdict_into_its_fail_line(
+    monkeypatch, source, target, fault, line
+):
+    case = corpus.parse(source)
+    assert [e.verdict for e in runner.run(case).entries] == ["PASS"]
+    monkeypatch.setattr(*target, fault(getattr(*target)))
+    assert runner.format_report(runner.run(case)) == f"{line}\nsummary: 0/1/0\n"
 
 
 def test_divisor_symmetry_order_is_read_off_the_support():

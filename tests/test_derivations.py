@@ -22,11 +22,7 @@ from lnd.derivations import (
     scale_poly,
     standard_decomposition,
 )
-from lnd.errors import (
-    NotInKernelError,
-    NotLocallyNilpotentError,
-    NotUnipotentError,
-)
+from lnd.errors import LndError, NotLocallyNilpotentError
 from lnd.syntax import parse_poly
 from oracles import leibniz_apply
 
@@ -200,7 +196,7 @@ def test_logarithm_roundtrip():
 
 
 def test_logarithm_rejects_semisimple():
-    with pytest.raises(NotUnipotentError):
+    with pytest.raises(LndError, match=r"^\(u\* - id\)-series on x exceeded the step cap "):
         logarithm(Automorphism(p("2*x"), Y, Z))
 
 
@@ -283,7 +279,7 @@ def test_plinth_search_modified_delta():
 
 
 def test_plinth_search_checks_generators():
-    with pytest.raises(NotInKernelError):
+    with pytest.raises(LndError, match=r"^claimed kernel generator x has d\(g\) != 0$"):
         plinth_search(D_P, [X], 2)
 
 
@@ -351,7 +347,7 @@ def test_sat_contrapositive_with_invariant():
 
 
 def test_sat_requires_kernel_membership():
-    with pytest.raises(NotInKernelError):
+    with pytest.raises(LndError, match="^f is not in ker F$"):
         sat_instance_check(D_P, D_P, X)
 
 
@@ -380,7 +376,8 @@ def test_logarithm_budget_stops_runaway_growth():
     # guard must reject them quickly instead of grinding through huge powers
     hostile = Automorphism(p("x^2 - 2*y - z"), p("y + z"), Z)
     started = time.monotonic()
-    with pytest.raises(NotUnipotentError) as info:
+    message = r"^\(u\* - id\)-series on x exceeded the work budget "
+    with pytest.raises(LndError, match=message) as info:
         logarithm(hostile)
     assert time.monotonic() - started < 10
     assert "work budget" in str(info.value) and "step cap" not in str(info.value)

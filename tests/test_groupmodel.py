@@ -9,7 +9,7 @@ from lnd.arith import XYZ, ZP, Poly, substitute
 from lnd.automorphisms import Automorphism, identity, modification
 from lnd.delta_family import make_context
 from lnd.derivations import Derivation
-from lnd.errors import LawHypothesisError
+from lnd.errors import LndError
 from lnd.groupmodel import (
     CharacterVector,
     GElem,
@@ -312,14 +312,15 @@ def test_verify_pres_lemma_rejects_a_witness_off_its_closed_form(monkeypatch):
     # closed form -z^i h0 a'.
     shift = groupmodel.shift_in_P
     monkeypatch.setattr(groupmodel, "shift_in_P", lambda f, s, *scalars: shift(f, -s, *scalars))
-    with pytest.raises(LawHypothesisError) as err:
+    message = "^derived witness for stage 1 disagrees with its closed form$"
+    with pytest.raises(LndError, match=message):
         verify_pres_lemma(LAW, [derived_witness(LAW, k("1"))], [g_identity(LAW)])
-    assert str(err.value) == "derived witness for stage 1 disagrees with its closed form"
 
 
 def test_verify_pres_lemma_degenerate_law_rejected():
     law = make_group_law([1], [0], [0], k("z"))
-    with pytest.raises(LawHypothesisError):
+    message = "^rho1 and rho2 both vanish at the test point: kernel condition fails$"
+    with pytest.raises(LndError, match=message):
         verify_pres_lemma(law, [derived_witness(LAW, k("1"))], [])
 
 

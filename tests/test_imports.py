@@ -10,6 +10,9 @@
 - Every field of a `NamedTuple` in the package is read as an attribute
   somewhere in the package or its tests, so no record carries state that
   nothing reads.  A read is matched by attribute name alone.
+- Every exception class the package defines is named in an `except`
+  clause in the package or defines its own `__init__`, so no class exists
+  only to carry a message that `LndError` carries as well.
 
 A reference to a top-level function counts only when it resolves to the
 function's module: a bare name in that module, a `from .mod import name`,
@@ -226,3 +229,57 @@ def test_the_lint_sees_an_unread_record_field():
         "b.py": "from .a import R\nr = R(1, 2, 3)\nprint(r.used)\nr.orphan = 4\n",
     }
     assert _unread_record_fields(sources, ["r.tested\n"]) == ["a.py: R.orphan"]
+
+
+def _uncaught_exception_classes(sources: dict[str, str]) -> list[str]:
+    """The exception classes defined in `sources`, as reached from
+    `Exception` through classes defined there, that no `except` clause in
+    `sources` names and that define no `__init__`."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    classes = [
+        (name, node) for name, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    ]
+    exceptions = {"Exception"}
+    for _ in classes:  # a pass reaches at least one more level of subclasses
+        exceptions |= {
+            node.name for _, node in classes
+            if any(isinstance(base, ast.Name) and base.id in exceptions for base in node.bases)
+        }
+    caught = set()
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.ExceptHandler) and sub.type is not None:
+                names = sub.type.elts if isinstance(sub.type, ast.Tuple) else [sub.type]
+                caught.update(n.id if isinstance(n, ast.Name) else n.attr for n in names)
+    return [
+        f"{name}: {node.name}"
+        for name, node in classes
+        if node.name in exceptions
+        and node.name not in caught
+        and not any(
+            isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in node.body
+        )
+    ]
+
+
+def test_every_exception_class_is_caught_or_carries_fields():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _uncaught_exception_classes(sources) == []
+
+
+def test_the_lint_sees_an_exception_class_nothing_catches():
+    sources = {
+        "a.py": (
+            "class Base(Exception):\n    pass\n\n"
+            "class Caught(Base):\n    pass\n\n"
+            "class Fields(Base):\n    def __init__(self, line):\n        self.line = line\n\n"
+            "class Orphan(Base):\n    pass\n\n"
+            "class Plain:\n    pass\n"
+        ),
+        "b.py": (
+            "from . import a\n\ntry:\n    pass\n"
+            "except (a.Caught, ValueError):\n    pass\nexcept Base:\n    pass\n"
+        ),
+    }
+    assert _uncaught_exception_classes(sources) == ["a.py: Orphan"]
