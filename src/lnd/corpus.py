@@ -15,7 +15,10 @@ Grammar (comments run from '#' to end of line):
     check := "check" NAME "(" [arg ("," arg)*] ")"
     arg   := [NAME "="] value
     value := "[" ... "]" | "n" "(" expr "," expr ")"
-           | "gelem" "(" rat,* ";" expr ";" expr ")" | INT | expr | NAME
+           | "gelem" "(" rat ("," rat)* ";" expr ";" expr ")" | INT | expr | NAME
+    ints  := "[" [INT ("," INT)*] "]"
+    rat   := ["-"] NUM ["/" NUM]                      # literals, read by the
+    INT   := ["-"] NUM                                # expression parser
 
 Parsing is total: every failure is a positioned ParseError.  Names must be
 defined before use and never redefined.  Polynomial bodies are evaluated at
@@ -36,7 +39,7 @@ from .automorphisms import Automorphism
 from .derivations import Derivation
 from .errors import ParseError
 from .quotient_geometry import PlaneAut, plane_divisor
-from .syntax import ExprParser, Token, Var, eval_expr, expr_to_str, token_int, tokenize
+from .syntax import ExprParser, Token, Var, eval_expr, expr_to_str, literal, tokenize
 
 # Term pairs the products of one polynomial body may spend while a corpus is
 # parsed, about 1 s of dense products on a 2-CPU x86 machine (Python 3.11).
@@ -50,6 +53,17 @@ _KEYWORDS = {"torus"}
 # which an expression always reads as variables; not definable as names.
 _RESERVED = {"n", "gelem", "check", "poly", "unipoly", "derivation",
              "automorphism", "planeaut", "divisor", "context", "law", "x", "y", "z", "P"}
+# Definition kinds with a polynomial body: the ring of the body, its opener
+# ("=" for one expression, "{" for an image of each variable of the ring)
+# and the constructor of the defined value from the polynomials read.
+_BODIES = {
+    "poly": (XYZ, "=", lambda a: a),
+    "unipoly": (ZVAR, "=", lambda a: a),
+    "divisor": (YZ, "=", plane_divisor),
+    "derivation": (XYZ, "{", Derivation),
+    "automorphism": (XYZ, "{", Automorphism),
+    "planeaut": (YZ, "{", PlaneAut),
+}
 
 
 class ContextSpec(NamedTuple):
@@ -169,27 +183,30 @@ class _CorpusParser(ExprParser):
         finally:
             ALLOWANCE.reset(armed)
 
-    def parse_int(self, what: str = "an integer") -> int:
-        sign = 1
-        if self.at_sym("-"):
-            self.advance()
-            sign = -1
-        tok = self.peek()
-        if tok.kind != "num":
-            raise self.error(f"expected {what}")
-        self.advance()
-        return sign * token_int(tok)
+    def parse_number(self, integer: bool = False) -> Fraction:
+        """A literal ["-"] NUM ["/" NUM], or ["-"] NUM when integer, read as an
+        expression factor; a fault is placed at its token after the sign."""
+        tok = self.tokens[self.pos + self.at_sym("-")]
+        value = literal(self.parse_factor()) if tok.kind == "num" else None
+        if value is None or integer and self.tokens[self.pos - 1] is not tok:
+            what = "an integer" if integer else "a rational number"
+            raise ParseError(f"expected {what}", tok.line, tok.col)
+        return value
 
-    def parse_int_list(self) -> tuple[int, ...]:
-        self.expect_sym("[")
-        items = []
-        if not self.at_sym("]"):
-            items.append(self.parse_int())
+    def parse_int(self) -> int:
+        return int(self.parse_number(integer=True))
+
+    def items(self, read: Callable[[], object], opener: str, closer: str, empty=True) -> tuple:
+        """`opener read, read, ... closer`, with no item only when empty allows it."""
+        self.expect_sym(opener)
+        out = []
+        if not (empty and self.at_sym(closer)):
+            out.append(read())
             while self.at_sym(","):
                 self.advance()
-                items.append(self.parse_int())
-        self.expect_sym("]")
-        return tuple(items)
+                out.append(read())
+        self.expect_sym(closer)
+        return tuple(out)
 
     # file structure ---------------------------------------------------------
 
@@ -198,79 +215,43 @@ class _CorpusParser(ExprParser):
             tok = self.peek()
             if tok.kind != "ident":
                 raise self.error("expected a definition or a check directive")
-            handler = {
-                "poly": self._def_poly,
-                "unipoly": self._def_unipoly,
-                "derivation": self._def_derivation,
-                "automorphism": self._def_automorphism,
-                "planeaut": self._def_planeaut,
-                "divisor": self._def_divisor,
-                "context": self._def_context,
-                "law": self._def_law,
-                "check": self._check,
-            }.get(tok.text)
-            if handler is None:
+            if tok.text not in _BODIES and tok.text not in ("context", "law", "check"):
                 raise ParseError(
                     f"unknown item {tok.text!r} (expected a definition or 'check')",
                     tok.line,
                     tok.col,
                 )
             self.advance()
-            handler()
+            if tok.text == "check":
+                self._check()
+                continue
+            name, kind = self.fresh_name(), tok.text
+            read = {"context": self._context, "law": self._law}.get(kind)
+            value = read() if read else self._body(kind)
+            self.case.definitions.append(Definition(kind, name.text, value, name.line, name.col))
+            self.case.kinds[name.text] = kind
         return self.case
 
-    def _add(self, kind: str, name_tok: Token, value) -> None:
-        self.case.definitions.append(
-            Definition(kind, name_tok.text, value, name_tok.line, name_tok.col)
-        )
-        self.case.kinds[name_tok.text] = kind
-
-    def _def_poly(self) -> None:
-        name = self.fresh_name()
-        self.expect_sym("=")
-        self._add("poly", name, self.parse_expr_in(XYZ))
-
-    def _def_unipoly(self) -> None:
-        name = self.fresh_name()
-        self.expect_sym("=")
-        self._add("unipoly", name, self.parse_expr_in(ZVAR))
-
-    def _triple(self, coords: tuple[str, ...], ring: tuple[str, ...]) -> list[Poly]:
-        self.expect_sym("{")
-        images = []
-        for i, coord in enumerate(coords):
-            self.expect_keyword(coord)
+    def _body(self, kind: str) -> object:
+        """`= expr`, or `{ v -> expr; ... }` over the variables v of the ring."""
+        ring, opener, build = _BODIES[kind]
+        self.expect_sym(opener)
+        if opener == "=":
+            body = self.parse_expr_in(ring)
+            if kind == "divisor" and body.is_zero():
+                raise self.error("divisor polynomial must be nonzero")
+            return build(body)
+        bodies = []
+        for i, var in enumerate(ring):
+            self.expect_keyword(var)
             self.expect_sym("->")
-            images.append(self.parse_expr_in(ring))
-            if i < len(coords) - 1:
+            bodies.append(self.parse_expr_in(ring))
+            if i < len(ring) - 1:
                 self.expect_sym(";")
         if self.at_sym(";"):
             self.advance()
         self.expect_sym("}")
-        return images
-
-    def _def_derivation(self) -> None:
-        name = self.fresh_name()
-        images = self._triple(XYZ, XYZ)
-        self._add("derivation", name, Derivation(*images))
-
-    def _def_automorphism(self) -> None:
-        name = self.fresh_name()
-        images = self._triple(XYZ, XYZ)
-        self._add("automorphism", name, Automorphism(*images))
-
-    def _def_planeaut(self) -> None:
-        name = self.fresh_name()
-        images = self._triple(("y", "z"), YZ)
-        self._add("planeaut", name, PlaneAut(*images))
-
-    def _def_divisor(self) -> None:
-        name = self.fresh_name()
-        self.expect_sym("=")
-        poly = self.parse_expr_in(YZ)
-        if poly.is_zero():
-            raise self.error("divisor polynomial must be nonzero")
-        self._add("divisor", name, plane_divisor(poly))
+        return build(*bodies)
 
     def _fields(self, kind: str, readers: dict[str, Callable[[], object]]) -> dict[str, object]:
         """A `{ key = value; ... }` block, each value read by its key's reader."""
@@ -287,8 +268,7 @@ class _CorpusParser(ExprParser):
         self.expect_sym("}")
         return fields
 
-    def _def_context(self) -> None:
-        name = self.fresh_name()
+    def _context(self) -> ContextSpec:
         fields = self._fields("context", {
             "P": lambda: self.parse_expr_in(XYZ),
             "d": lambda: self.parse_expr_in(ZVAR),
@@ -296,12 +276,10 @@ class _CorpusParser(ExprParser):
         })
         if "P" not in fields:
             raise self.error("context needs a P field")
-        spec = ContextSpec(fields["P"], fields.get("d", Poly.one(ZVAR)), fields.get("deg_max", 3))
-        self._add("context", name, spec)
+        return ContextSpec(fields["P"], fields.get("d", Poly.one(ZVAR)), fields.get("deg_max", 3))
 
-    def _def_law(self) -> None:
-        name = self.fresh_name()
-        ints = self.parse_int_list
+    def _law(self) -> LawSpec:
+        ints = lambda: self.items(self.parse_int, "[", "]")  # noqa: E731
         fields = self._fields("law", {
             "mu": ints, "rho1": ints, "rho2": ints, "nu": ints,
             "a'": lambda: self.parse_expr_in(ZVAR),
@@ -311,54 +289,31 @@ class _CorpusParser(ExprParser):
         vectors = [fields[key] for key in ("mu", "rho1", "rho2", "nu") if key in fields]
         if len({len(v) for v in vectors}) != 1:
             raise self.error("law character vectors have mixed ranks")
-        spec = LawSpec(
-            fields["mu"], fields["rho1"], fields["rho2"], fields.get("nu"), fields["a'"]
-        )
-        self._add("law", name, spec)
+        return LawSpec(fields["mu"], fields["rho1"], fields["rho2"], fields.get("nu"), fields["a'"])
 
     # directives -------------------------------------------------------------
 
     def _check(self) -> None:
         name_tok = self.expect_ident("a directive name")
-        self.expect_sym("(")
-        args: list[Arg] = []
-        if not self.at_sym(")"):
-            args.append(self._arg(args))
-            while self.at_sym(","):
-                self.advance()
-                args.append(self._arg(args))
-        self.expect_sym(")")
-        self.case.directives.append(
-            Directive(name_tok.text, tuple(args), name_tok.line, name_tok.col)
-        )
+        keys: set[str] = set()
+        args = self.items(lambda: self._arg(keys), "(", ")")
+        self.case.directives.append(Directive(name_tok.text, args, name_tok.line, name_tok.col))
 
-    def _arg(self, before: list[Arg]) -> Arg:
-        key = None
-        tok = self.peek()
-        if (
-            tok.kind == "ident"
-            and self.tokens[self.pos + 1].kind == "sym"
-            and self.tokens[self.pos + 1].text == "="
-        ):
-            if any(arg.key == tok.text for arg in before):
+    def _arg(self, keys: set[str]) -> Arg:
+        """An argument; keys are those of the directive's earlier arguments."""
+        tok, key = self.peek(), None
+        if tok.kind == "ident" and self._next_is("="):
+            if tok.text in keys:
                 raise self.error(f"keyword argument {tok.text!r} repeated")
             key = tok.text
-            self.advance()
-            self.advance()
+            keys.add(key)
+            self.pos += 2
         return Arg(key, self._value(), tok.line, tok.col)
 
     def _value(self):
         tok = self.peek()
         if self.at_sym("["):
-            self.advance()
-            items = []
-            if not self.at_sym("]"):
-                items.append(self._expr_value(_LIST_VARS))
-                while self.at_sym(","):
-                    self.advance()
-                    items.append(self._expr_value(_LIST_VARS))
-            self.expect_sym("]")
-            return ListValue(tuple(items))
+            return ListValue(self.items(lambda: self._expr_value(_LIST_VARS), "[", "]"))
         if tok.kind == "ident" and tok.text == "n" and self._next_is("("):
             self.advance()
             self.expect_sym("(")
@@ -369,17 +324,12 @@ class _CorpusParser(ExprParser):
             return NElemValue(h, f)
         if tok.kind == "ident" and tok.text == "gelem" and self._next_is("("):
             self.advance()
-            self.expect_sym("(")
-            coords = [self._rational()]
-            while self.at_sym(","):
-                self.advance()
-                coords.append(self._rational())
-            self.expect_sym(";")
+            coords = self.items(self.parse_number, "(", ";", empty=False)
             h = self._expr_value()
             self.expect_sym(";")
             f = self._expr_value()
             self.expect_sym(")")
-            return GElemValue(tuple(coords), h, f)
+            return GElemValue(coords, h, f)
         if tok.kind == "ident" and tok.text in _KEYWORDS and not self._next_is("("):
             self.advance()
             return KeywordValue(tok.text)
@@ -410,26 +360,6 @@ class _CorpusParser(ExprParser):
                 message = f"unknown variable {var.name!r} in a list item (x, y, z)"
             raise ParseError(message, var.line, var.col)
         return ExprValue(node, tok.line, tok.col, found)
-
-    def _rational(self) -> Fraction:
-        sign = 1
-        if self.at_sym("-"):
-            self.advance()
-            sign = -1
-        tok = self.peek()
-        if tok.kind != "num":
-            raise self.error("expected a rational number")
-        self.advance()
-        numerator = token_int(tok)
-        if self.at_sym("/"):
-            self.advance()
-            den_tok = self.peek()
-            denominator = token_int(den_tok) if den_tok.kind == "num" else 0
-            if denominator == 0:
-                raise self.error("expected a nonzero integer denominator")
-            self.advance()
-            return Fraction(sign * numerator, denominator)
-        return Fraction(sign * numerator)
 
 
 def parse(source: str) -> CorpusCase:

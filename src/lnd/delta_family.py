@@ -352,14 +352,10 @@ def exp_m_decompose(n: NElem, ctx: DeltaContext) -> Poly:
     (h, g); the derivation is exponentiated directly by its series, so this
     realizes membership of the exponential in N.  The recovered pair keeps
     h with no check: (hE + fD')(P) = -h a' lies in Q[z], inside both
-    kernels, so Exp(hE + fD')*(P) = P - h a'.  The certificate is that the
-    recovered pair recomposes to the exponential.
+    kernels, so Exp(hE + fD')*(P) = P - h a'.  aut_to_n's certificate is
+    that the recovered pair recomposes to the exponential.
     """
-    big = exponential(m_derivation(ctx, n))
-    pair = _recover_pair(big, ctx)
-    if n_to_aut(pair, ctx) != big:
-        raise LndError("decomposition does not recompose")
-    return pair.f
+    return aut_to_n(exponential(m_derivation(ctx, n)), ctx).f
 
 
 class IrreducibilityReport(NamedTuple):

@@ -39,6 +39,7 @@ from .automorphisms import Automorphism, commutes, compose, inverse, modificatio
 from .delta_family import expand_kernel_poly, n_elem, n_to_aut, shift_in_P
 from .derivations import apply, logarithm, scale_poly
 from .errors import LndError, Validated
+from .syntax import MAX_PARSED_POWER
 
 # First distinct primes; a torus point with these coordinates kills a
 # character exactly when its exponent vector is zero.
@@ -91,6 +92,12 @@ class GroupLaw(Validated, _GroupLaw):
         ranks = {len(c.exponents) for c in (mu, rho1, rho2, nu)}
         if len(ranks) != 1:
             raise ValueError("character vectors have mixed ranks")
+        # Evaluating a character at a torus point takes coord**e for each
+        # exponent e, so one bound on |e| bounds what a law can cost.
+        if any(abs(e) > MAX_PARSED_POWER for c in (mu, rho1, rho2, nu) for e in c.exponents):
+            raise LndError(
+                f"character exponents must lie in [-{MAX_PARSED_POWER}, {MAX_PARSED_POWER}]"
+            )
         if a_prime.vars != ZP or not is_univariate_in(a_prime, "z"):
             raise LndError("a' must be a z-polynomial in the (z, P) ring")
         if a_prime.is_zero():

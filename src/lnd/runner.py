@@ -34,6 +34,7 @@ from .corpus import (
     ExprValue,
     GElemValue,
     KeywordValue,
+    LawSpec,
     ListValue,
     NameRef,
     NElemValue,
@@ -53,7 +54,7 @@ from .derivations import (
 )
 from .errors import LndError, ParseError
 from .quotient_geometry import PlaneDivisor
-from .syntax import Neg, Num, eval_expr, unknown_variable
+from .syntax import eval_expr, literal, unknown_variable
 
 # Protective bounds for untrusted corpus input; honest errors, not crashes.
 MAX_DEG_MAX = 12
@@ -141,14 +142,6 @@ def _int(value, what: str, low: int, high: int, line: int = 0, col: int = 0) -> 
     if not low <= value <= high:
         raise DirectiveError(f"{what} must lie in [{low}, {high}]", line, col)
     return int(value)
-
-
-def _literal(ast) -> Fraction | None:
-    """The value of a number, optionally negated; None for any other expression."""
-    sign = 1
-    while type(ast) is Neg:
-        ast, sign = ast.operand, -sign
-    return sign * ast.value if type(ast) is Num else None
 
 
 def _samples(env: _Env, value) -> int:
@@ -440,7 +433,6 @@ def _run_lift_H(env, rng, g: _object("planeaut"), divisor: _object("divisor"), /
 
 
 def _run_pres_lemma(env, rng, law: _object("law"), /, *candidates: _GELEM):
-    law = groupmodel.make_group_law(law.mu, law.rho1, law.rho2, law.a_prime, law.nu)
     z = Poly.variable(ZP, "z")
     if not candidates:
         pv = Poly.variable(ZP, "P")
@@ -472,7 +464,7 @@ def _run_char_commutator(
         f = f if f is not None else Poly.zero(ZP)
         report = groupmodel.char_commutator_check(context, h, f)
         if not report.holds:
-            return "FAIL", f"nested commutator differs from {report.expected_factor}.u'"
+            return "FAIL", f"nested commutator differs from ({report.expected_factor}).u'"
         return "PASS", f"nested commutator equals ({report.expected_factor}).u'"
     samples = _samples(env, samples)
     for _ in range(samples):
@@ -564,7 +556,7 @@ def _check(accepts: _Accepts, value, line: int, col: int, kinds: dict[str, str])
         var = next((var for var in expression.variables if var.name not in ring), None)
         if var is not None:
             raise unknown_variable(var, ring)
-    number = _literal(value.ast) if accepts.bounds and type(value) is ExprValue else None
+    number = literal(value.ast) if accepts.bounds and type(value) is ExprValue else None
     if number is not None:
         _int(number, *accepts.bounds, line, col)
 
@@ -673,6 +665,11 @@ def _build_definitions(case: CorpusCase, env: _Env, entries: list[Entry]) -> Non
                 spec: ContextSpec = value
                 env.objects[name] = delta_family.make_context(
                     spec.P, spec.d, min(spec.deg_max, env.deg_max_cap, MAX_DEG_MAX)
+                )
+            elif kind == "law":
+                law: LawSpec = value
+                env.objects[name] = groupmodel.make_group_law(
+                    law.mu, law.rho1, law.rho2, law.a_prime, law.nu
                 )
             else:
                 env.objects[name] = value

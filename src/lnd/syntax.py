@@ -229,6 +229,14 @@ class ExprParser:
         raise self.error(f"expected an expression, found {tok.text or 'end of input'!r}")
 
 
+def literal(node: Expr) -> Fraction | None:
+    """The value of a number literal, optionally negated; None for any other expression."""
+    sign = 1
+    while type(node) is Neg:
+        node, sign = node.operand, -sign
+    return sign * node.value if type(node) is Num else None
+
+
 def eval_expr(node: Expr, vars: tuple[str, ...]) -> Poly:
     """Evaluate an expression AST into the given ring in one pass (module
     docstring); a power past MAX_PARSED_POWER is a positioned ParseError."""

@@ -8,7 +8,7 @@ import pytest
 from lnd import cli, corpus, delta_family, derivations, groupmodel, quotient_geometry, runner
 from lnd.arith import ALLOWANCE, XYZ, Poly
 from lnd.errors import ParseError
-from lnd.syntax import ExprParser, eval_expr, parse_poly, tokenize
+from lnd.syntax import MAX_PARSED_POWER, ExprParser, eval_expr, parse_poly, tokenize
 
 CORPORA = sorted((Path(__file__).resolve().parent.parent / "corpora").glob("*.corpus"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -529,6 +529,53 @@ def test_run_captures_definition_errors():
     assert report.entries[1].verdict == "ERROR"
 
 
+def test_a_law_is_built_once_and_an_invalid_law_is_one_error_line(monkeypatch):
+    calls, real = [], groupmodel.make_group_law
+    monkeypatch.setattr(groupmodel, "make_group_law", lambda *a: calls.append(a) or real(*a))
+    law = "law L { mu = [-2]; rho1 = [1]; rho2 = [2]; a' = z }\n"
+    report = runner.run(corpus.parse(law + "check pres_lemma(L)\n" * 3))
+    assert [e.verdict for e in report.entries] == ["PASS"] * 3
+    assert len(calls) == 1
+    invalid = "law L { mu = [1]; rho1 = [1]; rho2 = [1]; nu = [5]; a' = z }\n"
+    report = runner.run(corpus.parse(invalid + "check pres_lemma(L)\ncheck pres_lemma(L)\n"))
+    assert runner.format_report(report) == (
+        "ERROR law L — incompatible law: rho1^m != rho2 * nu on the support of a'\n"
+        "ERROR pres_lemma(L) — 'L' is not defined or failed to build\n"
+        "ERROR pres_lemma(L) — 'L' is not defined or failed to build\n"
+        "summary: 0/0/3\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "law, built",
+    [
+        ("mu = [100000000000]; rho1 = [1]; rho2 = [0]; a' = 1", False),
+        # the default nu = rho1 deg(a') - rho2; a unit monomial takes any exponent
+        ("mu = [0]; rho1 = [1]; rho2 = [0]; a' = z^100000000000", False),
+        ("mu = [-1000]; rho1 = [1]; rho2 = [0]; a' = 1", False),
+        ("mu = [0]; rho1 = [1]; rho2 = [0]; a' = z^1000", False),
+        ("mu = [-999]; rho1 = [1]; rho2 = [0]; a' = z^999", True),
+    ],
+)
+def test_a_character_exponent_past_the_bound_is_an_error_line(tmp_path, capsys, law, built):
+    target = tmp_path / "law.corpus"
+    target.write_text(f"law L {{ {law} }}\ncheck pres_lemma(L)\n")
+    start = time.perf_counter()
+    code = cli.main(["check", str(target)])
+    # About 0.1 s at the bound; without it, powers coord**e grow memory without bound.
+    assert time.perf_counter() - start < 5.0
+    out = capsys.readouterr().out
+    if built:
+        assert code == 0 and out.startswith("PASS pres_lemma(L)")
+    else:
+        assert code == 1 and out == (
+            f"ERROR law L — character exponents must lie in [-{MAX_PARSED_POWER}, "
+            f"{MAX_PARSED_POWER}]\n"
+            "ERROR pres_lemma(L) — 'L' is not defined or failed to build\n"
+            "summary: 0/0/2\n"
+        )
+
+
 def test_expected_failure_reports_witness():
     case = corpus.parse(
         "derivation D { x -> -2*y; y -> z; z -> 0 }\n"
@@ -605,6 +652,36 @@ def test_cli_oversized_literal_is_positioned_parse_error(tmp_path, capsys, sourc
         assert cli.main([command, str(target)]) == 2
         out = capsys.readouterr().out
         assert f"{position} integer literal too long (5000 digits)" in out
+
+
+_DEG_MAX = "context C {{ P = x*z + y^2; deg_max = {} }}"
+_MU = "law L {{ mu = {}; rho1 = [1]; rho2 = [2]; a' = z }}"
+_GELEM = (
+    "law L {{ mu = [-2]; rho1 = [1]; rho2 = [2]; a' = z }}\ncheck pres_lemma(L, gelem({}; 0; 0))"
+)
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (_DEG_MAX.format("x"), "1:38: expected an integer"),
+        (_DEG_MAX.format("}"), "1:38: expected an integer"),
+        (_DEG_MAX.format("1/2"), "1:38: expected an integer"),
+        (_DEG_MAX.format("--3"), "1:39: expected an integer"),
+        (_MU.format("[1, x]"), "1:18: expected an integer"),
+        (_MU.format("[1/2]"), "1:15: expected an integer"),
+        (_MU.format("[1,]"), "1:17: expected an integer"),
+        (_MU.format("[1 2]"), "1:17: expected ']', found '2'"),
+        (_GELEM.format("x"), "2:27: expected a rational number"),
+        (_GELEM.format("1/0"), "2:29: zero denominator"),
+        (_GELEM.format(""), "2:27: expected a rational number"),
+        (_GELEM.format("2*3/4"), "2:28: expected ';', found '*'"),
+    ],
+)
+def test_a_malformed_number_is_a_positioned_parse_error(source, message):
+    with pytest.raises(ParseError) as err:
+        corpus.parse(source)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -853,7 +930,7 @@ SEEDED_FAULTS = [
         _CONTEXT + "check char_commutator(C, h = 1)\n",
         (groupmodel, "n_to_aut"),
         lambda real: lambda n, ctx: real(delta_family.n_elem(n.h * 2, n.f), ctx),
-        "FAIL char_commutator(C, h = 1) — nested commutator differs from -2*z^2.u'",
+        "FAIL char_commutator(C, h = 1) — nested commutator differs from (-2*z^2).u'",
     ),
     (  # every shear taken to fix every divisor
         "divisor G = z\ncheck fixed_scheme(G)\n",

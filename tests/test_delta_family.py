@@ -247,7 +247,7 @@ def test_exp_m_decompose_certificate_rejects_a_wrong_exponential(monkeypatch):
     # h = 0; only the recomposition sees that the pair does not realize it
     double_flip = Automorphism(p("-x"), p("y"), p("-z"))
     monkeypatch.setattr(delta_family, "exponential", lambda d: double_flip)
-    with pytest.raises(LndError, match="^decomposition does not recompose$"):
+    with pytest.raises(LndError, match="^recovered pair fails to reproduce the automorphism$"):
         exp_m_decompose(n_elem(k("0"), k("z*P")), CTX)
 
 

@@ -66,6 +66,8 @@ BAD_CONSTRUCTIONS = [
      "plane pullbacks must live in (y, z)"),
     (PlaneAut, (Poly.zero(YZ), Poly.zero(ZP)), LndError,
      "plane pullbacks must live in (y, z)"),
+    (GroupLaw, (CV((1000,)), CV((0,)), CV((0,)), CV((0,)), parse_poly("z", ZP)), LndError,
+     "character exponents must lie in [-999, 999]"),
 ]
 
 GOOD = {
